@@ -23,16 +23,14 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.special
 
 from .model import ClassId, NetworkConfig
 from .numerics import (
-    AREA_BIAS_FACTOR,
     TAGGED_CELL_SHAPE,
     TYPICAL_CELL_SHAPE,
     NumericalError,
-    QuadratureSettings,
-    TIGHT_SETTINGS,
-    decaying_integral,
+    decay_integral,
     pv_area_moment,
     stirling2,
 )
@@ -58,88 +56,63 @@ def _serving_class(config: NetworkConfig, serving: ClassId):
     return cls
 
 
-def _g_terms(config: NetworkConfig, serving: ClassId) -> list[tuple[float, float]]:
-    """(G_mk, alpha_ij/alpha_mk) per open class, for integrands in u = z^2."""
+def _g_terms(config: NetworkConfig, serving: ClassId) -> tuple[np.ndarray, np.ndarray]:
+    """(G_mk, alpha_ij/alpha_mk) over the open classes, for integrands in u = z^2."""
     ref = _serving_class(config, serving)
-    terms = []
-    for cls in config.open_classes():
-        weight_ratio = cls.weight / ref.weight
-        g = cls.density * weight_ratio ** (2.0 / cls.exponent)
-        terms.append((g, ref.exponent / cls.exponent))
-    return terms
+    open_classes = config.open_classes()
+    g = np.array([c.density * (c.weight / ref.weight) ** (2.0 / c.exponent) for c in open_classes])
+    expos = np.array([ref.exponent / c.exponent for c in open_classes])
+    return g, expos
 
 
-def association_probability(
-    config: NetworkConfig,
-    serving: ClassId,
-    settings: QuadratureSettings | None = None,
-) -> float:
+def association_probability(config: NetworkConfig, serving: ClassId) -> float:
     """Probability that the typical user is served by class `serving`."""
     cls = _serving_class(config, serving)
-    terms = _g_terms(config, serving)
-    if all(expo == 1.0 for _, expo in terms):
-        return cls.density / sum(g for g, _ in terms)
-
-    def integrand(u: float) -> float:
-        return math.exp(-math.pi * sum(g * u**expo for g, expo in terms))
-
-    settings = settings or TIGHT_SETTINGS
-    return math.pi * cls.density * decaying_integral(integrand, settings)
+    g, expos = _g_terms(config, serving)
+    if np.all(expos == 1.0):
+        return cls.density / float(g.sum())
+    return math.pi * cls.density * float(decay_integral(math.pi * g, expos)[0])
 
 
-def association_probabilities(
-    config: NetworkConfig, settings: QuadratureSettings | None = None
-) -> dict[ClassId, float]:
+def association_probabilities(config: NetworkConfig) -> dict[ClassId, float]:
     """A_ij for every open class.  Sums to 1 over a valid config."""
-    return {
-        cls.id: association_probability(config, cls.id, settings)
-        for cls in config.open_classes()
-    }
+    return {cls.id: association_probability(config, cls.id) for cls in config.open_classes()}
 
 
-def rat_offload_fraction(
-    config: NetworkConfig, rat: int, settings: QuadratureSettings | None = None
-) -> float:
+def rat_offload_fraction(config: NetworkConfig, rat: int) -> float:
     """Fraction of users served by any open class of one RAT."""
     total = 0.0
     found = False
     for cls in config.open_classes():
         if cls.id.rat == rat:
-            total += association_probability(config, cls.id, settings)
+            total += association_probability(config, cls.id)
             found = True
     if not found:
         raise ValueError(f"RAT {rat} has no open class with positive density")
     return total
 
 
-def mean_association_area(
-    config: NetworkConfig, serving: ClassId, settings: QuadratureSettings | None = None
-) -> float:
+def mean_association_area(config: NetworkConfig, serving: ClassId) -> float:
     """Mean area (km^2) of a serving-class association cell, A_ij / lam_ij."""
     cls = _serving_class(config, serving)
-    return association_probability(config, serving, settings) / cls.density
+    return association_probability(config, serving) / cls.density
 
 
-def served_distance_pdf(
-    config: NetworkConfig,
-    serving: ClassId,
-    y,
-    settings: QuadratureSettings | None = None,
-):
+def served_distance_pdf(config: NetworkConfig, serving: ClassId, y):
     """PDF of the user-to-server distance given service by class `serving`.
 
     f(y) = (2 pi lam_ij / A_ij) y exp(-pi sum_mk G_mk y^(2 a_ij / a_mk)).
     Accepts a scalar or array of distances (km).
     """
     cls = _serving_class(config, serving)
-    terms = _g_terms(config, serving)
-    a = association_probability(config, serving, settings)
+    g, expos = _g_terms(config, serving)
+    a = association_probability(config, serving)
     y_arr = np.asarray(y, dtype=float)
     if np.any(y_arr < 0.0):
         raise ValueError("distances must be non-negative")
     expo_sum = np.zeros_like(y_arr)
-    for g, expo in terms:
-        expo_sum += g * (y_arr**2) ** expo
+    for g_mk, expo in zip(g, expos):
+        expo_sum += g_mk * (y_arr**2) ** expo
     out = (2.0 * math.pi * cls.density / a) * y_arr * np.exp(-math.pi * expo_sum)
     return float(out) if np.isscalar(y) else out
 
@@ -149,14 +122,12 @@ def served_distance_pdf(
 # ---------------------------------------------------------------------------
 
 
-def load_ratio(
-    config: NetworkConfig, serving: ClassId, settings: QuadratureSettings | None = None
-) -> float:
+def load_ratio(config: NetworkConfig, serving: ClassId) -> float:
     """Mean users per serving-class cell, r = lam_u * A_ij / lam_ij."""
     cls = _serving_class(config, serving)
     if config.user_density < 0.0:
         raise ValueError("user density must be non-negative")
-    return config.user_density * association_probability(config, serving, settings) / cls.density
+    return config.user_density * association_probability(config, serving) / cls.density
 
 
 @dataclass(frozen=True)
@@ -181,58 +152,65 @@ class LoadDistribution:
         return float(self.pmf.sum())
 
 
-_MAX_PMF_TERMS = 200_000
+_MAX_PMF_TERMS = 10_000_000  # 80 MB of pmf; r ~ 1e6 needs about that many
+_TAIL_MASS = 1e-10
+_TAIL_MEAN = 1e-9  # times (1 + r)
 
 
 def _nb_pmf(r: float, shape: float, n_max: int | None) -> np.ndarray:
     """Negative-binomial pmf with Gamma mixing shape `shape` and rate 3.5.
 
-    p(0) = (3.5 / (3.5+r))^shape,  p(n+1)/p(n) = (n+shape)/(n+1) * r/(3.5+r).
+    P(O = n) = Gamma(n+shape) / (Gamma(shape) n!) (1-q)^shape q^n with
+    q = r/(3.5+r), evaluated in log space, so any r costs one array pass.
 
-    With n_max=None the truncation point is chosen adaptively so the
-    discarded tail mass is below 1e-10 and the discarded tail of the mean
-    below 1e-9 * (1+r); geometric-ratio bounds make both checks cheap.
+    With n_max=None the pmf ends at the first n where the discarded tail
+    mass P(O > n) = I_q(n+1, shape) is below 1e-10 and the discarded tail
+    of the mean, E[O; O > n] = shape r/3.5 * I_q(n, shape+1), is below
+    1e-9 * (1+r); I is the regularized incomplete beta function and both
+    tails fall with n, so a bisection finds that n.
     """
-    if r < 0.0:
+    if not r >= 0.0:
         raise ValueError(f"load ratio must be non-negative (got {r})")
+    if n_max is not None and n_max < 0:
+        raise ValueError("n_max must be non-negative")
     rate = TYPICAL_CELL_SHAPE  # 3.5, shared by both load laws
-    q = r / (rate + r) if r > 0.0 else 0.0
-    p0 = (rate / (rate + r)) ** shape
+    q = r / (rate + r)
 
-    if n_max is not None:
-        if n_max < 0:
-            raise ValueError("n_max must be non-negative")
-        pmf = np.empty(n_max + 1)
-        pmf[0] = p0
-        for n in range(n_max):
-            pmf[n + 1] = pmf[n] * ((n + shape) / (n + 1.0)) * q
-        return pmf
+    if n_max is None:
 
-    floor = max(50, math.ceil(4.0 * r) + 20)
-    out = [p0]
-    n = 0
-    while True:
-        ratio = ((n + shape) / (n + 1.0)) * q
-        if n >= floor and ratio < 1.0:
-            # ratios decrease in n, so the remaining tail is dominated by a
-            # geometric series with this ratio
-            geo = ratio / (1.0 - ratio)
-            tail_mass = out[-1] * geo
-            tail_mean = out[-1] * (n * geo + ratio / (1.0 - ratio) ** 2)
-            if tail_mass <= 1e-10 and tail_mean <= 1e-9 * (1.0 + r):
-                break
-        out.append(out[-1] * ratio)
-        n += 1
-        if n > _MAX_PMF_TERMS:
-            raise NumericalError(f"load pmf did not truncate by n={n} (r={r})")
-    return np.asarray(out)
+        def tail_ok(n: int) -> bool:
+            mass = scipy.special.betainc(n + 1.0, shape, q)
+            mean = shape * r / rate * scipy.special.betainc(float(n), shape + 1.0, q)
+            return mass <= _TAIL_MASS and mean <= _TAIL_MEAN * (1.0 + r)
+
+        lo, hi = 0, max(16, math.ceil(8.0 * r))
+        while not tail_ok(hi) and hi < _MAX_PMF_TERMS:
+            lo, hi = hi + 1, 2 * hi
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if tail_ok(mid):
+                hi = mid
+            else:
+                lo = mid + 1
+        n_max = hi
+    if n_max >= _MAX_PMF_TERMS:
+        raise NumericalError(f"load pmf needs {n_max + 1} terms (r={r}); the limit is {_MAX_PMF_TERMS}")
+
+    n = np.arange(n_max + 1, dtype=float)
+    log_pmf = (
+        scipy.special.gammaln(n + shape)
+        - scipy.special.gammaln(shape)
+        - scipy.special.gammaln(n + 1.0)
+        + shape * math.log(rate / (rate + r))
+        + scipy.special.xlogy(n, q)
+    )
+    return np.exp(log_pmf)
 
 
 def tagged_load_distribution(
     config: NetworkConfig,
     serving: ClassId,
     n_max: int | None = None,
-    settings: QuadratureSettings | None = None,
 ) -> LoadDistribution:
     """Distribution of the *other* users sharing the typical user's AP.
 
@@ -240,7 +218,7 @@ def tagged_load_distribution(
     the mixing area is Gamma(4.5, 3.5) and the mean is (9/7) r rather
     than r.
     """
-    r = load_ratio(config, serving, settings)
+    r = load_ratio(config, serving)
     pmf = _nb_pmf(r, TAGGED_CELL_SHAPE, n_max)
     return LoadDistribution(serving=serving, ratio=r, pmf=pmf, n_max=pmf.size - 1)
 
@@ -249,10 +227,9 @@ def typical_load_pmf(
     config: NetworkConfig,
     serving: ClassId,
     n_max: int | None = None,
-    settings: QuadratureSettings | None = None,
 ) -> LoadDistribution:
     """Distribution of users on the *typical* AP of a class (no area bias)."""
-    r = load_ratio(config, serving, settings)
+    r = load_ratio(config, serving)
     pmf = _nb_pmf(r, TYPICAL_CELL_SHAPE, n_max)
     return LoadDistribution(serving=serving, ratio=r, pmf=pmf, n_max=pmf.size - 1)
 
@@ -261,7 +238,6 @@ def tagged_load_moment(
     config: NetworkConfig,
     serving: ClassId,
     n: int,
-    settings: QuadratureSettings | None = None,
 ) -> float:
     """E[O^n] for the tagged-AP other-user count.
 
@@ -272,9 +248,5 @@ def tagged_load_moment(
         raise ValueError("moment order must be non-negative")
     if n == 0:
         return 1.0
-    r = load_ratio(config, serving, settings)
+    r = load_ratio(config, serving)
     return sum(r**k * stirling2(n, k) * pv_area_moment(k + 1) for k in range(1, n + 1))
-
-
-# re-export for callers collapsing the load pmf to its mean
-MEAN_LOAD_BIAS = AREA_BIAS_FACTOR

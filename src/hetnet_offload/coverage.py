@@ -11,7 +11,9 @@ turns the coverage probability into a Laplace-transform product, giving
 where the D sum runs over the tiers of the serving RAT (same-RAT
 interference beyond the association exclusion radius; closed tiers have no
 exclusion) and the G sum over all open classes (the serving-distance law).
-Every D term is built from the kernel Z(a, b, c) of `numerics`.
+Every D term is built from the kernel Z(a, b, c) of `numerics`, and the
+integral in u = y^2 is `numerics.decay_integral`, evaluated for a whole
+threshold array per serving class.
 
 Rates: an AP serving n+1 users splits its bandwidth evenly, so the typical
 user's rate is W / (n+1) * log2(1 + SINR) and rate coverage mixes S_ij over
@@ -23,18 +25,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
 from .association import (
-    MEAN_LOAD_BIAS,
+    _g_terms,
     association_probabilities,
+    association_probability,
     load_ratio,
     tagged_load_distribution,
 )
-from .model import ClassId, NetworkConfig
-from .numerics import QuadratureSettings, decaying_integral, z_integral
+from .model import ApClass, ClassId, NetworkConfig
+from .numerics import AREA_BIAS_FACTOR, decay_integral, z_integral
 
 __all__ = [
     "shannon_threshold",
@@ -55,13 +58,17 @@ class ClosedFormInapplicableError(ValueError):
     """A closed-form path was requested outside its validity conditions."""
 
 
-def shannon_threshold(x: float) -> float:
-    """SINR needed for spectral efficiency x: t(x) = 2^x - 1."""
-    if x < 0.0:
+def shannon_threshold(x):
+    """SINR needed for spectral efficiency x: t(x) = 2^x - 1.
+
+    Accepts a scalar or an array; past 1000 bits/s/Hz the threshold is inf.
+    """
+    x_arr = np.asarray(x, dtype=float)
+    if not np.all(x_arr >= 0.0):
         raise ValueError(f"spectral efficiency must be non-negative (got {x})")
-    if x > 1000.0:  # 2^x overflows float64 past ~1024
-        return math.inf
-    return 2.0**x - 1.0
+    with np.errstate(over="ignore"):  # 2^x overflows float64 past ~1024
+        t = np.where(x_arr > 1000.0, math.inf, np.exp2(x_arr) - 1.0)
+    return float(t) if t.ndim == 0 else t
 
 
 @dataclass(frozen=True)
@@ -82,6 +89,20 @@ class CcdfCurve:
     weights: Mapping[ClassId, float]
 
 
+def _d_terms(config: NetworkConfig, serving: ClassId):
+    """(class, scale, offset) per present class of the serving RAT.
+
+    D = scale * Z(tau, alpha, offset): interferers of an open class are
+    pushed beyond the association exclusion radius (offset = bias ratio),
+    closed ones are not (offset 0).
+    """
+    ref = config.class_for(serving)
+    for cls in config.classes_of_rat(serving.rat):
+        scale = cls.density * (cls.power / ref.power) ** (2.0 / cls.exponent)
+        offset = (cls.bias / ref.bias) if cls.id.is_open else 0.0
+        yield cls, scale, offset
+
+
 def d_coefficient(config: NetworkConfig, serving: ClassId, tier: int, tau: float) -> float:
     """Same-RAT interference coefficient D_ij(tier, tau).
 
@@ -89,95 +110,65 @@ def d_coefficient(config: NetworkConfig, serving: ClassId, tier: int, tau: float
     radius, offset T_hat/P_hat = bias ratio) and the closed part (offset 0)
     of the given tier of the serving RAT.
     """
-    ref = config.class_for(serving)
     if not serving.is_open:
         raise ValueError(f"serving class {serving.label()} must be open")
-    total = 0.0
-    found = False
-    for cls in config.classes_of_rat(serving.rat):
-        if cls.id.tier != tier:
-            continue
-        found = True
-        p_hat = cls.power / ref.power
-        offset = (cls.bias / ref.bias) if cls.id.is_open else 0.0
-        total += cls.density * p_hat ** (2.0 / cls.exponent) * z_integral(tau, cls.exponent, offset)
-    if not found:
+    parts = [s * z_integral(tau, c.exponent, o) for c, s, o in _d_terms(config, serving) if c.id.tier == tier]
+    if not parts:
         raise ValueError(f"RAT {serving.rat} has no tier {tier} with positive density")
-    return total
+    return sum(parts)
 
 
-@dataclass(frozen=True)
-class _ClassContext:
-    """Per-serving-class quantities that do not depend on the threshold."""
+def _decay_terms(config: NetworkConfig, ref: ApClass, taus: np.ndarray):
+    """Coefficients (one row per tau) and exponents of the coverage integrand.
 
-    cid: ClassId
-    density: float
-    exponent: float
-    assoc: float
-    noise_over_power: float  # sigma_i^2 / P_ij
-    g_terms: tuple[tuple[float, float], ...]  # (G_mk, a_ij/a_mk)
-    rat_classes: tuple  # present classes of the serving RAT
-
-
-def _class_context(config: NetworkConfig, serving: ClassId, assoc: float) -> _ClassContext:
-    ref = config.class_for(serving)
-    g_terms = []
-    for cls in config.open_classes():
-        w = cls.weight / ref.weight
-        g_terms.append((cls.density * w ** (2.0 / cls.exponent), ref.exponent / cls.exponent))
-    return _ClassContext(
-        cid=serving,
-        density=ref.density,
-        exponent=ref.exponent,
-        assoc=assoc,
-        noise_over_power=config.noise_for(serving.rat) / ref.power,
-        g_terms=tuple(g_terms),
-        rat_classes=config.classes_of_rat(serving.rat),
-    )
-
-
-def _interference_terms(ctx: _ClassContext, config: NetworkConfig, tau: float):
-    """All (coefficient, exponent) pairs of exp(-pi sum c u^e) in u = y^2."""
-    ref = config.class_for(ctx.cid)
-    terms = list(ctx.g_terms)
-    for cls in ctx.rat_classes:
-        p_hat = cls.power / ref.power
-        offset = (cls.bias / ref.bias) if cls.id.is_open else 0.0
-        d = cls.density * p_hat ** (2.0 / cls.exponent) * z_integral(tau, cls.exponent, offset)
-        terms.append((d, ctx.exponent / cls.exponent))
-    return terms
+    S_ij(tau) = pi lam_ij / A_ij * integral_0^inf exp(-sum_k c_k u^e_k) du
+    in u = y^2, with pi G and pi D terms and, for a noisy RAT, the noise
+    term tau sigma^2 / P u^(alpha/2).
+    """
+    g, g_expos = _g_terms(config, ref.id)
+    columns = [np.broadcast_to(math.pi * g, (taus.size, g.size))]
+    expos = [g_expos]
+    for cls, scale, offset in _d_terms(config, ref.id):
+        columns.append(math.pi * scale * z_integral(taus, cls.exponent, offset)[:, None])
+        expos.append([ref.exponent / cls.exponent])
+    noise = config.noise_for(ref.id.rat) / ref.power
+    if noise > 0.0:
+        columns.append(noise * taus[:, None])
+        expos.append([ref.exponent / 2.0])
+    return np.hstack(columns), np.concatenate(expos)
 
 
 def _conditional_coverage(
-    ctx: _ClassContext,
-    config: NetworkConfig,
-    tau: float,
-    settings: QuadratureSettings | None,
-    allow_closed_form: bool,
-) -> float:
-    if math.isinf(tau):
-        return 0.0
-    terms = _interference_terms(ctx, config, tau)
-    noise_coef = tau * ctx.noise_over_power
-    if allow_closed_form and noise_coef == 0.0 and all(e == 1.0 for _, e in terms):
-        return ctx.density / (ctx.assoc * sum(c for c, _ in terms))
+    config: NetworkConfig, ref: ApClass, assoc: float, taus: np.ndarray, allow_closed_form: bool
+) -> np.ndarray:
+    """P(SINR > tau | served by `ref`) for every tau of a 1-D array."""
+    coefs, expos = _decay_terms(config, ref, taus)
+    scale = math.pi * ref.density / assoc
+    if allow_closed_form and np.all(expos == 1.0):
+        return scale / coefs.sum(axis=1)
+    return scale * decay_integral(coefs, expos)
 
-    half_alpha = ctx.exponent / 2.0
 
-    def integrand(u: float) -> float:
-        s = noise_coef * u**half_alpha
-        for c, e in terms:
-            s += math.pi * c * u**e
-        return math.exp(-s)
+def _mix(config: NetworkConfig, class_curve: Callable[[ApClass, float], np.ndarray]):
+    """Association-weighted sum of class_curve(cls, A_cls) over the open classes.
 
-    return math.pi * ctx.density / ctx.assoc * decaying_integral(integrand, settings)
+    Returns (values, per_class, weights).
+    """
+    probs = association_probabilities(config)
+    per_class = {cls.id: class_curve(cls, probs[cls.id]) for cls in config.open_classes()}
+    values = sum(probs[cid] * curve for cid, curve in per_class.items())
+    return values, per_class, probs
+
+
+def _check_grid(grid: np.ndarray, what: str) -> None:
+    if not (np.all(grid >= 0.0) and np.all(np.diff(grid) > 0.0)):
+        raise ValueError(f"{what} grid must be non-negative and strictly increasing")
 
 
 def sinr_coverage_conditioned(
     config: NetworkConfig,
     serving: ClassId,
     tau: float,
-    settings: QuadratureSettings | None = None,
     allow_closed_form: bool = True,
 ) -> float:
     """P(SINR > tau | served by `serving`).
@@ -186,50 +177,32 @@ def sinr_coverage_conditioned(
     lam_ij / (A_ij (sum_k D + sum_mk G)); `allow_closed_form=False` forces
     the quadrature route (the two must agree, and tests hold them to it).
     """
-    if tau < 0.0:
+    if not tau >= 0.0:
         raise ValueError(f"SINR threshold must be non-negative (got {tau})")
-    from .association import association_probability
-
     assoc = association_probability(config, serving)
-    ctx = _class_context(config, serving, assoc)
-    return _conditional_coverage(ctx, config, tau, settings, allow_closed_form)
+    taus = np.array([float(tau)])
+    return float(_conditional_coverage(config, config.class_for(serving), assoc, taus, allow_closed_form)[0])
 
 
-def sinr_coverage(
-    config: NetworkConfig,
-    settings: QuadratureSettings | None = None,
-    allow_closed_form: bool = True,
-) -> float:
+def sinr_coverage(config: NetworkConfig, allow_closed_form: bool = True) -> float:
     """P(SINR > tau_ij) with each class checked against its own threshold."""
-    probs = association_probabilities(config)
-    total = 0.0
-    for cls in config.open_classes():
-        tau = config.sinr_threshold_for(cls.id)
-        ctx = _class_context(config, cls.id, probs[cls.id])
-        total += probs[cls.id] * _conditional_coverage(ctx, config, tau, settings, allow_closed_form)
-    return total
+
+    def class_curve(cls: ApClass, assoc: float) -> np.ndarray:
+        tau = np.array([config.sinr_threshold_for(cls.id)])
+        return _conditional_coverage(config, cls, assoc, tau, allow_closed_form)
+
+    return float(_mix(config, class_curve)[0][0])
 
 
 def sinr_ccdf(
-    config: NetworkConfig,
-    taus: Sequence[float],
-    settings: QuadratureSettings | None = None,
-    allow_closed_form: bool = True,
+    config: NetworkConfig, taus: Sequence[float], allow_closed_form: bool = True
 ) -> CcdfCurve:
     """SINR CCDF over a common linear threshold grid applied to all classes."""
     grid = np.asarray(taus, dtype=float)
-    if np.any(grid < 0.0) or np.any(np.diff(grid) <= 0.0):
-        raise ValueError("threshold grid must be non-negative and strictly increasing")
-    probs = association_probabilities(config)
-    per_class: dict[ClassId, np.ndarray] = {}
-    for cls in config.open_classes():
-        ctx = _class_context(config, cls.id, probs[cls.id])
-        per_class[cls.id] = np.array(
-            [_conditional_coverage(ctx, config, t, settings, allow_closed_form) for t in grid]
-        )
-    values = np.zeros_like(grid)
-    for cid, curve in per_class.items():
-        values += probs[cid] * curve
+    _check_grid(grid, "threshold")
+    values, per_class, probs = _mix(
+        config, lambda cls, a: _conditional_coverage(config, cls, a, grid, allow_closed_form)
+    )
     return CcdfCurve("sinr_linear", grid, values, per_class, probs)
 
 
@@ -239,29 +212,33 @@ def sinr_ccdf(
 
 
 def _conditional_rate_coverage(
-    ctx: _ClassContext,
     config: NetworkConfig,
-    rho: float,
+    ref: ApClass,
+    assoc: float,
+    rhos: np.ndarray,
     pmf: np.ndarray,
-    bandwidth: float,
-    settings: QuadratureSettings | None,
     allow_closed_form: bool,
-) -> float:
-    """P(rate > rho | serving class), mixing SINR coverage over the load pmf."""
-    spectral = rho / bandwidth
-    total = 0.0
-    for n, weight in enumerate(pmf):
-        if weight == 0.0:
-            continue
-        tau = shannon_threshold(spectral * (n + 1))
-        total += weight * _conditional_coverage(ctx, config, tau, settings, allow_closed_form)
-    return total
+) -> np.ndarray:
+    """P(rate > rho | serving class) per rho, mixing SINR coverage over the load pmf.
+
+    One threshold per (rho, non-zero pmf term): t(rho / W * (n+1)).
+    """
+    n = np.flatnonzero(pmf)
+    taus = shannon_threshold(np.outer(rhos / ref.bandwidth, n + 1.0))
+    coverage = _conditional_coverage(config, ref, assoc, taus.ravel(), allow_closed_form)
+    return np.einsum("rn,n->r", coverage.reshape(rhos.size, -1), pmf[n])  # einsum: see decay_integral
+
+
+def _class_rho(config: NetworkConfig, cls: ApClass, rho_common: float | None) -> np.ndarray:
+    rho = rho_common if rho_common is not None else config.rate_threshold_for(cls.id)
+    if not rho >= 0.0:
+        raise ValueError(f"rate threshold must be non-negative (got {rho})")
+    return np.array([float(rho)])
 
 
 def rate_coverage(
     config: NetworkConfig,
     n_max: int | None = None,
-    settings: QuadratureSettings | None = None,
     allow_closed_form: bool = True,
     rho_common: float | None = None,
 ) -> float:
@@ -270,53 +247,35 @@ def rate_coverage(
     Thresholds come from config.rate_threshold unless `rho_common`
     overrides them all (used by percentile solving and CCDF sweeps).
     """
-    probs = association_probabilities(config)
-    total = 0.0
-    for cls in config.open_classes():
-        rho = rho_common if rho_common is not None else config.rate_threshold_for(cls.id)
-        if rho < 0.0:
-            raise ValueError(f"rate threshold must be non-negative (got {rho})")
-        dist = tagged_load_distribution(config, cls.id, n_max)
-        ctx = _class_context(config, cls.id, probs[cls.id])
-        total += probs[cls.id] * _conditional_rate_coverage(
-            ctx, config, rho, dist.pmf, cls.bandwidth, settings, allow_closed_form
-        )
-    return total
+
+    def class_curve(cls: ApClass, assoc: float) -> np.ndarray:
+        rho = _class_rho(config, cls, rho_common)
+        pmf = tagged_load_distribution(config, cls.id, n_max).pmf
+        return _conditional_rate_coverage(config, cls, assoc, rho, pmf, allow_closed_form)
+
+    return float(_mix(config, class_curve)[0][0])
 
 
 def rate_ccdf(
     config: NetworkConfig,
     rhos: Sequence[float],
     n_max: int | None = None,
-    settings: QuadratureSettings | None = None,
     allow_closed_form: bool = True,
 ) -> CcdfCurve:
     """Rate CCDF over a common bits/s grid applied to all classes."""
     grid = np.asarray(rhos, dtype=float)
-    if np.any(grid < 0.0) or np.any(np.diff(grid) <= 0.0):
-        raise ValueError("rate grid must be non-negative and strictly increasing")
-    probs = association_probabilities(config)
-    per_class: dict[ClassId, np.ndarray] = {}
-    for cls in config.open_classes():
-        dist = tagged_load_distribution(config, cls.id, n_max)
-        ctx = _class_context(config, cls.id, probs[cls.id])
-        per_class[cls.id] = np.array(
-            [
-                _conditional_rate_coverage(
-                    ctx, config, rho, dist.pmf, cls.bandwidth, settings, allow_closed_form
-                )
-                for rho in grid
-            ]
-        )
-    values = np.zeros_like(grid)
-    for cid, curve in per_class.items():
-        values += probs[cid] * curve
+    _check_grid(grid, "rate")
+
+    def class_curve(cls: ApClass, assoc: float) -> np.ndarray:
+        pmf = tagged_load_distribution(config, cls.id, n_max).pmf
+        return _conditional_rate_coverage(config, cls, assoc, grid, pmf, allow_closed_form)
+
+    values, per_class, probs = _mix(config, class_curve)
     return CcdfCurve("rate_bps", grid, values, per_class, probs)
 
 
 def rate_coverage_mean_load(
     config: NetworkConfig,
-    settings: QuadratureSettings | None = None,
     allow_closed_form: bool = True,
     rho_common: float | None = None,
 ) -> float:
@@ -325,15 +284,13 @@ def rate_coverage_mean_load(
     Each class sees the single effective load 1 + (9/7) r_ij; accurate when
     the load is concentrated, cheap always.
     """
-    probs = association_probabilities(config)
-    total = 0.0
-    for cls in config.open_classes():
-        rho = rho_common if rho_common is not None else config.rate_threshold_for(cls.id)
-        mean_load = 1.0 + MEAN_LOAD_BIAS * load_ratio(config, cls.id)
-        tau = shannon_threshold(rho / cls.bandwidth * mean_load)
-        ctx = _class_context(config, cls.id, probs[cls.id])
-        total += probs[cls.id] * _conditional_coverage(ctx, config, tau, settings, allow_closed_form)
-    return total
+
+    def class_curve(cls: ApClass, assoc: float) -> np.ndarray:
+        mean_load = 1.0 + AREA_BIAS_FACTOR * load_ratio(config, cls.id)
+        tau = shannon_threshold(_class_rho(config, cls, rho_common) / cls.bandwidth * mean_load)
+        return _conditional_coverage(config, cls, assoc, tau, allow_closed_form)
+
+    return float(_mix(config, class_curve)[0][0])
 
 
 def rate_coverage_closed_form(config: NetworkConfig, rho_common: float | None = None) -> float:
@@ -345,7 +302,8 @@ def rate_coverage_closed_form(config: NetworkConfig, rho_common: float | None = 
         R = sum_ij lam_ij / (sum_k D_ij(k, t_ij) + sum_mk G_ij(m,k)),
         t_ij = t(rho_ij / W_ij * (1 + 9/7 r_ij)).
 
-    Raises ClosedFormInapplicableError otherwise.
+    Raises ClosedFormInapplicableError otherwise.  Under these conditions
+    the mean-load route takes exactly this closed form for every class.
     """
     exps = {c.exponent for c in config.present_classes()}
     if len(exps) > 1:
@@ -353,15 +311,4 @@ def rate_coverage_closed_form(config: NetworkConfig, rho_common: float | None = 
     noisy = [rat for rat in config.rats() if config.noise_for(rat) != 0.0]
     if noisy:
         raise ClosedFormInapplicableError(f"noise must be zero for all RATs (RATs {noisy} are noisy)")
-    probs = association_probabilities(config)
-    total = 0.0
-    for cls in config.open_classes():
-        rho = rho_common if rho_common is not None else config.rate_threshold_for(cls.id)
-        mean_load = 1.0 + MEAN_LOAD_BIAS * load_ratio(config, cls.id)
-        tau = shannon_threshold(rho / cls.bandwidth * mean_load)
-        if math.isinf(tau):
-            continue
-        ctx = _class_context(config, cls.id, probs[cls.id])
-        coef = sum(c for c, _ in _interference_terms(ctx, config, tau))
-        total += cls.density / coef
-    return total
+    return rate_coverage_mean_load(config, rho_common=rho_common)

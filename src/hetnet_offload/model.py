@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Mapping
+from typing import Mapping
 
 OPEN = "open"
 CLOSED = "closed"
@@ -208,35 +208,37 @@ def validate(config: NetworkConfig) -> ValidationReport:
     if not isinstance(config, NetworkConfig):
         return ValidationReport(False, ("not a NetworkConfig",))
 
-    if config.user_density < 0.0:
-        failures.append(f"user density must be >= 0 (got {config.user_density})")
+    # every comparison with NaN is False, so each `not lo < x < inf` also rejects NaN
+    if not 0.0 <= config.user_density < math.inf:
+        failures.append(f"user density must be finite and >= 0 (got {config.user_density})")
     for rat, sigma2 in config.noise_power.items():
-        if sigma2 < 0.0:
-            failures.append(f"RAT {rat}: noise power must be >= 0 W (got {sigma2})")
+        if not 0.0 <= sigma2 < math.inf:
+            failures.append(f"RAT {rat}: noise power must be finite and >= 0 W (got {sigma2})")
 
     for cls in config.classes:
         tag = cls.id.label()
         if cls.id.rat < 1 or cls.id.tier < 1:
             failures.append(f"{tag}: rat and tier indices must be >= 1")
-        if cls.density < 0.0:
-            failures.append(f"{tag}: density must be >= 0 (got {cls.density})")
-        if cls.power <= 0.0:
-            failures.append(f"{tag}: power must be > 0 W (got {cls.power})")
-        if cls.exponent <= 2.0:
-            failures.append(f"{tag}: exponent must exceed 2 (got {cls.exponent})")
-        if cls.bias <= 0.0:
-            failures.append(f"{tag}: bias must be > 0 (got {cls.bias})")
-        if cls.id.is_open and cls.density > 0.0 and cls.bandwidth <= 0.0:
-            failures.append(f"{tag}: bandwidth must be > 0 Hz (got {cls.bandwidth})")
+        if not 0.0 <= cls.density < math.inf:
+            failures.append(f"{tag}: density must be finite and >= 0 (got {cls.density})")
+        if not 0.0 < cls.power < math.inf:
+            failures.append(f"{tag}: power must be finite and > 0 W (got {cls.power})")
+        if not 2.0 < cls.exponent < math.inf:
+            failures.append(f"{tag}: exponent must exceed 2 and be finite (got {cls.exponent})")
+        if not 0.0 < cls.bias < math.inf:
+            failures.append(f"{tag}: bias must be finite and > 0 (got {cls.bias})")
+        serves = cls.id.is_open and cls.density > 0.0
+        if not math.isfinite(cls.bandwidth) or (serves and cls.bandwidth <= 0.0):
+            failures.append(f"{tag}: bandwidth must be finite and > 0 Hz (got {cls.bandwidth})")
 
     if not config.open_classes():
         failures.append("V_open empty: at least one open class needs positive density")
 
     for cid, tau in config.sinr_threshold.items():
-        if tau < 0.0:
+        if not tau >= 0.0:
             failures.append(f"{cid.label()}: SINR threshold must be >= 0 (got {tau})")
     for cid, rho in config.rate_threshold.items():
-        if rho < 0.0:
+        if not rho >= 0.0:
             failures.append(f"{cid.label()}: rate threshold must be >= 0 (got {rho})")
 
     return ValidationReport(not failures, tuple(failures))
@@ -310,8 +312,3 @@ def make_class(
         bias=bias,
         bandwidth=bandwidth,
     )
-
-
-def iter_open_ids(config: NetworkConfig) -> Iterable[ClassId]:
-    for cls in config.open_classes():
-        yield cls.id

@@ -30,7 +30,7 @@ from .coverage import (
     sinr_coverage,
 )
 from .model import ClassId, NetworkConfig, db_to_linear, linear_to_db
-from .numerics import QuadratureSettings, z_integral
+from .numerics import z_integral
 
 __all__ = [
     "TwoRatScenario",
@@ -209,14 +209,14 @@ def golden_section_max(f, lo: float, hi: float, tol: float, trace: list | None =
     return d, yd
 
 
-def _rate_objective(method: str, settings):
+def _rate_objective(method: str):
     """A callable (config, rho_common) -> rate coverage for one method name."""
     if method == "closedform":
         return lambda cfg, rho=None: rate_coverage_closed_form(cfg, rho_common=rho)
     if method == "meanload":
-        return lambda cfg, rho=None: rate_coverage_mean_load(cfg, settings, rho_common=rho)
+        return lambda cfg, rho=None: rate_coverage_mean_load(cfg, rho_common=rho)
     if method == "theorem1":
-        return lambda cfg, rho=None: rate_coverage(cfg, settings=settings, rho_common=rho)
+        return lambda cfg, rho=None: rate_coverage(cfg, rho_common=rho)
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -227,7 +227,6 @@ def optimal_bias_rate(
     coarse_step_db: float = 1.0,
     tol_db: float = 0.01,
     method: str = "closedform",
-    settings: QuadratureSettings | None = None,
 ) -> OptimizationResult:
     """Rate-coverage-maximizing association bias for one open class.
 
@@ -248,7 +247,7 @@ def optimal_bias_rate(
     if not target.is_open:
         raise ValueError(f"target class {target.label()} must be open")
     config.class_for(target)  # raise early on unknown class
-    objective = _rate_objective(method, settings)
+    objective = _rate_objective(method)
 
     trace: list[tuple[float, float]] = []
 
@@ -291,7 +290,6 @@ def bias_sweep(
     metric: str = "rate_coverage",
     coverage_target: float = 0.95,
     method: str = "theorem1",
-    settings: QuadratureSettings | None = None,
 ) -> list[tuple[float, float]]:
     """Evaluate a coverage metric over a grid of biases (dB) for one class.
 
@@ -303,16 +301,16 @@ def bias_sweep(
     config.class_for(target)  # raise early on unknown class
     if metric not in ("sir_coverage", "rate_coverage", "percentile_rate"):
         raise ValueError(f"unknown metric {metric!r}")
-    rate_obj = _rate_objective(method, settings) if metric == "rate_coverage" else None
+    rate_obj = _rate_objective(method) if metric == "rate_coverage" else None
     out = []
     for b_db in grid_db:
         tuned = config.with_bias(target, db_to_linear(b_db))
         if metric == "sir_coverage":
-            value = sinr_coverage(tuned, settings)
+            value = sinr_coverage(tuned)
         elif metric == "rate_coverage":
             value = rate_obj(tuned)
         else:
-            value = percentile_rate(tuned, coverage_target, method=method, settings=settings)
+            value = percentile_rate(tuned, coverage_target, method=method)
         out.append((float(b_db), value))
     return out
 
@@ -321,7 +319,6 @@ def percentile_rate(
     config: NetworkConfig,
     coverage_target: float,
     method: str = "theorem1",
-    settings: QuadratureSettings | None = None,
     rel_tol: float = 1e-3,
 ) -> float:
     """The rate rho with R(rho) = coverage_target (e.g. 0.95 -> rho_95).
@@ -333,7 +330,7 @@ def percentile_rate(
     """
     if not (0.0 < coverage_target < 1.0):
         raise ValueError(f"coverage target must be in (0,1), got {coverage_target}")
-    base = _rate_objective(method, settings)
+    base = _rate_objective(method)
 
     def r_of(rho: float) -> float:
         return base(config, rho)

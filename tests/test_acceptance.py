@@ -33,7 +33,6 @@ from hetnet_offload import (
     association_probability,
     bias_sweep,
     db_to_linear,
-    decaying_integral,
     linear_to_db,
     load_ratio,
     make_class,
@@ -48,7 +47,8 @@ from hetnet_offload import (
     tagged_load_distribution,
     two_class_sir_coverage,
 )
-from hetnet_offload.numerics import AREA_BIAS_FACTOR, TIGHT_SETTINGS
+from hetnet_offload.numerics import AREA_BIAS_FACTOR
+from quad_oracle import TIGHT_SETTINGS, decaying_integral
 
 MACRO = ClassId(1, 1)
 SMALL = ClassId(2, 3)

@@ -10,19 +10,17 @@ from hetnet_offload import (
     ClassId,
     association_probabilities,
     association_probability,
-    decaying_integral,
     load_ratio,
     mean_association_area,
     pv_area_moment,
     rat_offload_fraction,
-    semi_infinite_integral,
     served_distance_pdf,
     stirling2,
     tagged_load_distribution,
     tagged_load_moment,
     typical_load_pmf,
 )
-from hetnet_offload.numerics import TIGHT_SETTINGS
+from quad_oracle import TIGHT_SETTINGS, decaying_integral, semi_infinite_integral
 
 MACRO = ClassId(1, 1)
 SMALL = ClassId(2, 3)
@@ -151,6 +149,18 @@ def test_tagged_load_truncation_scales_with_ratio():
     assert dist.total_mass() >= 1.0 - 1e-6
     assert dist.mean() == pytest.approx(9.0 / 7.0 * dist.ratio, rel=1e-6)
     assert dist.n_max >= 4 * dist.ratio
+
+
+def test_tagged_load_pmf_at_dense_venue_load():
+    """Macro class at 1e5 users/km^2 (r ~ 7.35e4): mass 1 and the nbinom law."""
+    import scipy.stats  # the package itself does not import scipy.stats
+
+    dist = tagged_load_distribution(dual_rat_config(user_density=1e5), MACRO)
+    assert dist.ratio == pytest.approx(7.35e4, rel=0.01)
+    assert abs(dist.total_mass() - 1.0) <= 1e-9
+    want = scipy.stats.nbinom(4.5, 3.5 / (3.5 + dist.ratio)).pmf(np.arange(dist.pmf.size))
+    assert np.max(np.abs(dist.pmf - want)) <= 1e-9
+    assert dist.mean() == pytest.approx(9.0 / 7.0 * dist.ratio, rel=1e-6)
 
 
 def test_explicit_truncation_is_a_prefix():

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from hetnet_offload import ClassId, db_to_linear, dbm_to_watts, sinr_ccdf
+from hetnet_offload import ClassId, ConfigValidationError, db_to_linear, dbm_to_watts, sinr_ccdf
 from hetnet_offload.cli import ConfigSchemaError, load_config, main
 
 MACRO = ClassId(1, 1)
@@ -133,6 +133,35 @@ def test_exit_codes(tmp_path):
         ]
     )
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("density_per_km2", math.nan),
+        ("power_dbm", math.inf),
+        ("bias_db", math.nan),
+        ("alpha", math.inf),
+        ("bandwidth_hz", math.inf),
+        ("sinr_threshold_db", math.nan),
+        ("users_per_km2", math.nan),
+        ("noise_dbm", math.inf),
+    ],
+)
+def test_non_finite_numbers_exit_1(tmp_path, key, value):
+    """NaN / Infinity in the JSON (Python's json reads both) fail validation."""
+    data = base_config_dict()
+    if key == "users_per_km2":
+        data[key] = value
+    elif key == "noise_dbm":
+        data["noise_dbm_per_rat"]["1"] = value
+    else:
+        data["classes"][0][key] = value
+    path = write_config(tmp_path, data)
+    assert any(token in open(path).read() for token in ("NaN", "Infinity"))
+    with pytest.raises(ConfigValidationError):
+        load_config(path)
+    assert main(["analyze", "sinr", "--config", path, "-o", str(tmp_path / "out")]) == 1
 
 
 def test_analyze_sinr_csv_matches_library(tmp_path):

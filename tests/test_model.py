@@ -1,6 +1,7 @@
 """Network description layer: units, identities, config surgery, validation."""
 
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -136,6 +137,30 @@ def test_validate_flags_negative_density():
     cls = ApClass(id=ClassId(1, 1), density=-1.0, power=1.0, exponent=3.5)
     report = validate(NetworkConfig(classes=(cls,), user_density=0.0))
     assert not report.passed
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("field", ["density", "power", "bias", "exponent", "bandwidth"])
+def test_validate_rejects_non_finite_class_fields(field, bad):
+    config = single_class_config()
+    cls = replace(config.classes[0], **{field: bad})
+    assert not validate(replace(config, classes=(cls,))).passed
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_validate_rejects_non_finite_network_fields(bad):
+    config = single_class_config()
+    assert not validate(replace(config, user_density=bad)).passed
+    assert not validate(replace(config, noise_power={1: bad})).passed
+
+
+def test_validate_rejects_nan_thresholds():
+    config = single_class_config()
+    cid = config.classes[0].id
+    assert not validate(replace(config, sinr_threshold={cid: math.nan})).passed
+    assert not validate(replace(config, rate_threshold={cid: math.nan})).passed
+    # an infinite threshold is a valid (never met) requirement
+    assert validate(replace(config, sinr_threshold={cid: math.inf})).passed
 
 
 def test_require_valid_raises_with_report():

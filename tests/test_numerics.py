@@ -1,4 +1,5 @@
-"""Quadrature helpers and special-function closed forms.
+"""The coverage kernel, its adaptive-quadrature oracle, and special-function
+closed forms.
 
 The z_integral reference values were produced by an independent
 composite-Simpson integrator with an alternating-series tail bound,
@@ -11,15 +12,9 @@ import math
 import numpy as np
 import pytest
 
-from hetnet_offload import (
-    NumericalError,
-    QuadratureSettings,
-    decaying_integral,
-    pv_area_moment,
-    semi_infinite_integral,
-    stirling2,
-    z_integral,
-)
+from hetnet_offload import NumericalError, pv_area_moment, stirling2, z_integral
+from hetnet_offload.numerics import decay_integral
+from quad_oracle import QuadratureSettings, decaying_integral, semi_infinite_integral
 
 # (a, b, c) -> independently integrated value of a^(2/b) * I[(c/a)^(2/b), inf)
 Z_REFERENCE = {
@@ -55,6 +50,11 @@ def test_z_integral_edge_cases():
         z_integral(1.0, 2.0, 1.0)
     with pytest.raises(ValueError):
         z_integral(-1.0, 3.5, 1.0)
+    # array-valued in a, with the same edge values
+    got = z_integral(np.array([0.0, 2.0, math.inf]), 3.5, 1.0)
+    assert got.shape == (3,)
+    assert got[0] == 0.0 and math.isinf(got[2])
+    assert got[1] == pytest.approx(Z_REFERENCE[(2.0, 3.5, 1.0)], rel=1e-12)
 
 
 def test_z_integral_monotonicity():
@@ -83,6 +83,23 @@ def test_semi_infinite_integral_flags_nonconvergence():
     with pytest.raises(NumericalError) as err:
         semi_infinite_integral(lambda x: math.sin(x))
     assert err.value.partial is not None
+
+
+def test_decay_integral_known_values():
+    """The fixed-node kernel reproduces the oracle's known values, all rows at once.
+
+    Rows: e^(-u), e^(-u^2), a very steep e^(-1e6 u), a very slow e^(-u/50),
+    and a row with an infinite coefficient, which integrates to 0.
+    """
+    coefs = [[1.0, 0.0], [0.0, 1.0], [1e6, 0.0], [1.0 / 50.0, 0.0], [math.inf, 1.0]]
+    got = decay_integral(coefs, [1.0, 2.0])
+    assert got[0] == pytest.approx(1.0, rel=1e-10)
+    assert got[1] == pytest.approx(math.sqrt(math.pi) / 2.0, rel=1e-10)
+    assert got[2] == pytest.approx(1e-6, rel=1e-9)
+    assert got[3] == pytest.approx(50.0, rel=1e-9)
+    assert got[4] == 0.0
+    with pytest.raises(ValueError, match="positive coefficient"):
+        decay_integral([[0.0, 0.0]], [1.0, 2.0])
 
 
 def test_decaying_integral_matches_quadrature():
