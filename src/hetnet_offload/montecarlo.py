@@ -15,6 +15,14 @@ deleting a class leaves every other stream untouched (which is what makes
 "removing closed APs never lowers SINR at fixed seed" a per-trial
 property, not merely a distributional one).
 
+A trial draws only what its outcome reads.  Each class stream yields the
+class's points, then its fading; fading is drawn only for classes of the
+serving RAT, since the other RAT's gains never enter the SINR.  A closed
+class always draws its Poisson count (so mean AP counts are unchanged) but
+its positions only when its RAT serves.  These are the same draws from the
+same stream positions as an eager draw of everything, so SINR does not
+depend on what is skipped.
+
 Load counting is exact but pruned: a user u served by the tagged AP x*
 must have x* as its nearest serving-class AP, hence d(u, x*) <= D/sqrt(2)
 where D is the distance from x* to its nearest same-class neighbour whose
@@ -22,10 +30,13 @@ direction (from x*) falls in the same eighth-of-plane sector as u's.
 [Proof: both directions lie in one half-open octant, so they differ by
 less than pi/4; the perpendicular-bisector condition d(u,x*) <= d(u,x)
 forces |u - x*| cos(angle) <= |x - x*|/2 with cos(angle) > 1/sqrt(2).]
-Users outside every sector bound are discarded wholesale; the survivors
-(a few hundred out of tens of thousands) get exact nearest-neighbour and
-cross-class weight checks.  `_tagged_user_count_reference` implements the
-unpruned full association and the tests hold the two equal.
+The largest sector bound is the tagged AP's reach, so the user PPP is
+drawn only in the square of that half-width around x*, clipped to the
+window (the whole window when a sector has no neighbour); a PPP
+restricted to a set is a PPP, so the load law is unchanged.  Users
+outside their own sector's bound are then discarded, and the survivors
+get exact nearest-neighbour and cross-class weight checks.  The tests
+hold the count to an unpruned full association over the whole window.
 """
 
 from __future__ import annotations
@@ -58,11 +69,11 @@ _ACCESS_CODE = {"open": 1, "closed": 2}  # user stream reserves (t, 0, 0, 0)
 class SimSettings:
     """Simulation controls.
 
-    window_km         side of the square window, user at its centre
-    trials            number of independent trials
+    window_km         side of the square window, user at its centre (> 0)
+    trials            number of independent trials (>= 1)
     seed              root seed; every stream derives from (seed, trial, ...)
     deployment        "ppp" | "grid", or a per-ClassId mapping
-    parallel_workers  process count; results are worker-count invariant
+    parallel_workers  process count (>= 1); results are worker-count invariant
     """
 
     window_km: float = 20.0
@@ -130,6 +141,16 @@ def _user_rng(seed: int, trial: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(trial, 0, 0, 0)))
 
 
+def _ppp_count(cls: ApClass, settings: SimSettings, rng: np.random.Generator) -> int:
+    w = settings.window_km
+    return int(rng.poisson(cls.density * w * w))
+
+
+def _ppp_points(n: int, settings: SimSettings, rng: np.random.Generator) -> np.ndarray:
+    half = settings.window_km / 2.0
+    return rng.uniform(-half, half, size=(n, 2))
+
+
 def sample_deployment(
     cls: ApClass, settings: SimSettings, rng: np.random.Generator, mode: str | None = None
 ) -> np.ndarray:
@@ -147,8 +168,7 @@ def sample_deployment(
     if cls.density <= 0.0:
         return np.empty((0, 2))
     if mode == "ppp":
-        n = rng.poisson(cls.density * w * w)
-        return rng.uniform(-half, half, size=(n, 2))
+        return _ppp_points(_ppp_count(cls, settings, rng), settings, rng)
     spacing = 1.0 / math.sqrt(cls.density)
     off = rng.uniform(0.0, spacing, size=2)
     xs = np.arange(off[0], w, spacing) - half
@@ -167,9 +187,51 @@ def _min_dist2(points: np.ndarray, sites: np.ndarray, chunk: int = 512) -> np.nd
     return out
 
 
-def _octant(xy: np.ndarray) -> np.ndarray:
-    """Direction sector 0..7 of each row vector (eighth-of-plane bins)."""
-    return (np.floor(np.arctan2(xy[:, 1], xy[:, 0]) / (math.pi / 4.0)).astype(np.int64) + 4) % 8
+def _octant(dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
+    """Direction sector 0..7 of each vector (dx, dy) (eighth-of-plane bins)."""
+    return (np.floor(np.arctan2(dy, dx) / (math.pi / 4.0)).astype(np.int64) + 4) % 8
+
+
+def _sector_min2(dx: np.ndarray, dy: np.ndarray, d2: np.ndarray) -> np.ndarray:
+    out = np.full(8, np.inf)
+    np.minimum.at(out, _octant(dx, dy), d2)
+    return out
+
+
+def _octant_reach2(own: np.ndarray, server_idx: int, density: float) -> tuple[np.ndarray, np.ndarray]:
+    """(squared distances from the tagged AP to its class, the AP itself at
+    inf; squared reach (D / sqrt(2))^2 of each of the 8 sectors, inf where a
+    sector holds no neighbour).
+
+    Sector minima are taken first over the neighbours within the radius
+    that holds 64 of them on average: a minimum found there is the
+    sector's minimum, and only a sector left empty needs every AP.
+    """
+    dx = own[:, 0] - own[server_idx, 0]
+    dy = own[:, 1] - own[server_idx, 1]
+    own_d2 = dx**2 + dy**2
+    own_d2[server_idx] = np.inf
+    near = own_d2 <= 64.0 / (math.pi * density)
+    reach2 = _sector_min2(dx[near], dy[near], own_d2[near])
+    if np.isinf(reach2).any():
+        reach2 = _sector_min2(dx, dy, own_d2)
+    return own_d2, reach2 / 2.0
+
+
+def _users_near(
+    config: NetworkConfig, settings: SimSettings, trial: int, server: np.ndarray, reach: float
+) -> np.ndarray:
+    """The trial's user PPP restricted to [server +- reach]^2 within the window.
+
+    No user outside that square can be on the tagged AP, and a PPP
+    restricted to a set is a PPP on it, so the load law is unchanged.
+    """
+    half = settings.window_km / 2.0
+    lo = np.maximum(server - reach, -half)
+    hi = np.minimum(server + reach, half)
+    rng = _user_rng(settings.seed, trial)
+    n_users = rng.poisson(config.user_density * float((hi[0] - lo[0]) * (hi[1] - lo[1])))
+    return rng.uniform(lo, hi, size=(n_users, 2))
 
 
 def _tagged_user_count(
@@ -178,46 +240,38 @@ def _tagged_user_count(
     serving: ApClass,
     server_idx: int,
     users: np.ndarray,
+    own_d2: np.ndarray,
+    reach2: np.ndarray,
 ) -> int:
-    """Number of users associated with the tagged AP (exact, pruned)."""
+    """Number of users associated with the tagged AP (exact, pruned).
+
+    own_d2 and reach2 come from `_octant_reach2`.  Expects the caller to
+    ignore divide-by-zero (a user on an AP weighs inf).
+    """
     if users.shape[0] == 0:
         return 0
-    server = points[serving.id][server_idx]
-    own = np.delete(points[serving.id], server_idx, axis=0)
-    d_u2 = (users[:, 0] - server[0]) ** 2 + (users[:, 1] - server[1]) ** 2
-
-    if own.shape[0]:
-        rel_o = own - server
-        d_o2 = rel_o[:, 0] ** 2 + rel_o[:, 1] ** 2
-        reach2 = np.full(8, np.inf)
-        np.minimum.at(reach2, _octant(rel_o), d_o2)
-        reach2 /= 2.0  # (D / sqrt(2))^2 per sector
-        # cheap global cut first, sector-exact cut on the remainder
-        near = np.flatnonzero(d_u2 <= np.max(reach2))
-        if near.size == 0:
-            return 0
-        d_n2 = d_u2[near]
-        cand = d_n2 <= reach2[_octant(users[near] - server)]
-        cu = users[near[cand]]
-        cd2 = d_n2[cand]
-        if cu.shape[0] == 0:
-            return 0
-        # exact own-class check: the tagged AP must be u's nearest; ties go
-        # to the tagged AP (zero-probability event, any rule works).  Only
-        # own-class sites within 2 d_max of the server can beat it.
-        own_near = own[d_o2 <= 4.0 * cd2.max()]
-        if own_near.shape[0]:
-            keep = _min_dist2(cu, own_near) >= cd2
-            cu = cu[keep]
-            cd2 = cd2[keep]
-    else:
-        cu = users
-        cd2 = d_u2
-
+    own = points[serving.id]
+    server = own[server_idx]
+    dx = users[:, 0] - server[0]
+    dy = users[:, 1] - server[1]
+    d_u2 = dx**2 + dy**2
+    cand = d_u2 <= reach2[_octant(dx, dy)]
+    cu = users[cand]
+    cd2 = d_u2[cand]
     if cu.shape[0] == 0:
         return 0
-    with np.errstate(divide="ignore"):
-        w_srv = serving.weight * cd2 ** (-serving.exponent / 2.0)
+    # exact own-class check: the tagged AP must be u's nearest; ties go
+    # to the tagged AP (zero-probability event, any rule works).  Only
+    # own-class sites within 2 d_max of the server can beat it.
+    own_near = own[own_d2 <= 4.0 * cd2.max()]
+    if own_near.shape[0]:
+        keep = _min_dist2(cu, own_near) >= cd2
+        cu = cu[keep]
+        cd2 = cd2[keep]
+    if cu.shape[0] == 0:
+        return 0
+
+    w_srv = serving.weight * cd2 ** (-serving.exponent / 2.0)
     d_max = math.sqrt(cd2.max())
     for cls in config.open_classes():
         if cls.id == serving.id or cu.shape[0] == 0:
@@ -235,64 +289,40 @@ def _tagged_user_count(
         sites = pts[d_s2 <= (d_max + g_max) ** 2]
         if sites.shape[0] == 0:
             continue
-        with np.errstate(divide="ignore"):
-            w_other = cls.weight * _min_dist2(cu, sites) ** (-cls.exponent / 2.0)
+        w_other = cls.weight * _min_dist2(cu, sites) ** (-cls.exponent / 2.0)
         keep = (w_srv > w_other) | ((w_srv == w_other) & (serving.id < cls.id))
         cu = cu[keep]
         w_srv = w_srv[keep]
     return int(cu.shape[0])
 
 
-def _tagged_user_count_reference(
-    config: NetworkConfig,
-    points: dict[ClassId, np.ndarray],
-    serving: ApClass,
-    server_idx: int,
-    users: np.ndarray,
-) -> int:
-    """Unpruned full-association load count; oracle for _tagged_user_count."""
-    if users.shape[0] == 0:
-        return 0
-    best_w = np.full(users.shape[0], -np.inf)
-    on_server = np.zeros(users.shape[0], dtype=bool)
+def _run_trial_full(config: NetworkConfig, settings: SimSettings, trial: int):
+    """One trial: (TrialOutcome, per-present-class AP counts).
+
+    Expects the caller to ignore divide-by-zero (an AP at distance 0 weighs
+    inf).
+    """
+    classes = config.present_classes()
+    rngs: dict[ClassId, np.random.Generator] = {}
+    points: dict[ClassId, np.ndarray] = {}
+    pending: dict[ClassId, int] = {}  # closed PPP classes: count drawn, positions not yet
+    counts = np.zeros(len(classes))
+    for k, cls in enumerate(classes):
+        rng = rngs[cls.id] = _class_rng(settings.seed, trial, cls.id)
+        mode = _deployment_for(settings, cls.id)
+        if cls.id.is_open or mode == "grid":
+            points[cls.id] = sample_deployment(cls, settings, rng, mode)
+            counts[k] = points[cls.id].shape[0]
+        else:
+            counts[k] = pending[cls.id] = _ppp_count(cls, settings, rng)
+
+    best = None  # (ApClass, index, distance, weight); ties -> smallest ClassId
+    origin_d2: dict[ClassId, np.ndarray] = {}
     for cls in config.open_classes():
         pts = points[cls.id]
         if pts.shape[0] == 0:
             continue
-        d2 = (users[:, 0, None] - pts[None, :, 0]) ** 2 + (users[:, 1, None] - pts[None, :, 1]) ** 2
-        nn = d2.argmin(axis=1)
-        with np.errstate(divide="ignore"):
-            w = cls.weight * d2[np.arange(len(users)), nn] ** (-cls.exponent / 2.0)
-        better = w > best_w  # strict: earlier (smaller) ClassId wins ties
-        best_w[better] = w[better]
-        if cls.id == serving.id:
-            on_server = better & (nn == server_idx)
-        else:
-            on_server &= ~better
-    return int(on_server.sum())
-
-
-def _run_trial_full(config: NetworkConfig, settings: SimSettings, trial: int):
-    """One trial: (TrialOutcome, per-present-class AP counts)."""
-    classes = config.present_classes()
-    points: dict[ClassId, np.ndarray] = {}
-    gains: dict[ClassId, np.ndarray] = {}
-    counts = np.zeros(len(classes))
-    for k, cls in enumerate(classes):
-        rng = _class_rng(settings.seed, trial, cls.id)
-        pts = sample_deployment(cls, settings, rng)
-        points[cls.id] = pts
-        gains[cls.id] = rng.exponential(1.0, pts.shape[0])
-        counts[k] = pts.shape[0]
-
-    best = None  # (ApClass, index, distance, weight); ties -> smallest ClassId
-    for cls in classes:
-        if not cls.id.is_open:
-            continue
-        pts = points[cls.id]
-        if pts.shape[0] == 0:
-            continue
-        d2 = pts[:, 0] ** 2 + pts[:, 1] ** 2
+        d2 = origin_d2[cls.id] = pts[:, 0] ** 2 + pts[:, 1] ** 2
         i = int(np.argmin(d2))
         dist = math.sqrt(d2[i])
         weight = cls.weight * dist ** (-cls.exponent) if dist > 0.0 else math.inf
@@ -302,17 +332,22 @@ def _run_trial_full(config: NetworkConfig, settings: SimSettings, trial: int):
         return TrialOutcome(None, math.nan, 0.0, 1, 0.0), counts
     serving, sidx, sdist, _ = best
 
-    power_received = serving.power * gains[serving.id][sidx] * sdist ** (-serving.exponent)
+    # fading, and closed-AP positions, only where the serving RAT reads them;
+    # each comes from its class's stream right after the class's points
+    power_received = 0.0
     interference = 0.0
     for cls in config.classes_of_rat(serving.id.rat):
+        rng = rngs[cls.id]
+        if cls.id in pending:
+            points[cls.id] = _ppp_points(pending[cls.id], settings, rng)
         pts = points[cls.id]
         if pts.shape[0] == 0:
             continue
-        r2 = pts[:, 0] ** 2 + pts[:, 1] ** 2
-        with np.errstate(divide="ignore"):
-            contrib = cls.power * gains[cls.id] * r2 ** (-cls.exponent / 2.0)
+        r2 = origin_d2[cls.id] if cls.id in origin_d2 else pts[:, 0] ** 2 + pts[:, 1] ** 2
+        gains = rng.exponential(1.0, pts.shape[0])
+        contrib = cls.power * gains * r2 ** (-cls.exponent / 2.0)
         if cls.id == serving.id:
-            contrib = contrib.copy()
+            power_received = serving.power * gains[sidx] * sdist ** (-serving.exponent)
             contrib[sidx] = 0.0
         interference += float(contrib.sum())
     denom = interference + config.noise_for(serving.id.rat)
@@ -320,11 +355,10 @@ def _run_trial_full(config: NetworkConfig, settings: SimSettings, trial: int):
 
     load = 1
     if config.user_density > 0.0:
-        urng = _user_rng(settings.seed, trial)
-        w = settings.window_km
-        n_users = urng.poisson(config.user_density * w * w)
-        users = urng.uniform(-w / 2.0, w / 2.0, size=(n_users, 2))
-        load += _tagged_user_count(config, points, serving, sidx, users)
+        own = points[serving.id]
+        own_d2, reach2 = _octant_reach2(own, sidx, serving.density)
+        users = _users_near(config, settings, trial, own[sidx], math.sqrt(reach2.max()))
+        load += _tagged_user_count(config, points, serving, sidx, users, own_d2, reach2)
 
     rate = serving.bandwidth / load * math.log2(1.0 + sinr)
     return TrialOutcome(serving.id, sdist, sinr, load, rate), counts
@@ -332,7 +366,8 @@ def _run_trial_full(config: NetworkConfig, settings: SimSettings, trial: int):
 
 def run_trial(config: NetworkConfig, settings: SimSettings, trial_index: int) -> TrialOutcome:
     """Simulate a single trial (see module docstring for the procedure)."""
-    return _run_trial_full(config, settings, trial_index)[0]
+    with np.errstate(divide="ignore"):
+        return _run_trial_full(config, settings, trial_index)[0]
 
 
 def _run_block(config: NetworkConfig, settings: SimSettings, start: int, stop: int):
@@ -345,15 +380,16 @@ def _run_block(config: NetworkConfig, settings: SimSettings, start: int, stop: i
     load = np.empty(n, dtype=np.int64)
     rate = np.empty(n)
     count_sum = np.zeros(len(config.present_classes()))
-    for k in range(n):
-        out, counts = _run_trial_full(config, settings, start + k)
-        if out.serving is not None:
-            serving[k] = rank[out.serving]
-        dist[k] = out.distance_km
-        sinr[k] = out.sinr_linear
-        load[k] = out.load
-        rate[k] = out.rate_bps
-        count_sum += counts
+    with np.errstate(divide="ignore"):
+        for k in range(n):
+            out, counts = _run_trial_full(config, settings, start + k)
+            if out.serving is not None:
+                serving[k] = rank[out.serving]
+            dist[k] = out.distance_km
+            sinr[k] = out.sinr_linear
+            load[k] = out.load
+            rate[k] = out.rate_bps
+            count_sum += counts
     return serving, dist, sinr, load, rate, count_sum
 
 
@@ -376,6 +412,10 @@ def run_batch(
     require_valid(config)
     if settings.trials < 1:
         raise ValueError("need at least one trial")
+    if not (math.isfinite(settings.window_km) and settings.window_km > 0.0):
+        raise ValueError(f"window_km must be finite and > 0, got {settings.window_km}")
+    if settings.parallel_workers < 1:
+        raise ValueError(f"need at least one worker, got {settings.parallel_workers}")
     for cls in config.present_classes():
         _deployment_for(settings, cls.id)  # validate modes up front
     rate_grid = default_rate_grid() if rate_grid is None else np.asarray(rate_grid, dtype=float)

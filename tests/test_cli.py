@@ -232,6 +232,19 @@ def test_simulate_outputs(tmp_path):
     assert manifest["parameters"]["trials"] == 100
 
 
+@pytest.mark.parametrize("command", ["simulate", "compare"])
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--window-km", "0"), ("--window-km", "nan"), ("--window-km", "inf"), ("--workers", "0")],
+)
+def test_invalid_simulation_settings_exit_1(tmp_path, command, flag, value):
+    path = write_config(tmp_path)
+    out = tmp_path / "out"
+    args = [command, "--config", path, "--trials", "20", "--rho-grid", "1e4:1e7:3", flag, value]
+    assert main(args + ["-o", str(out)]) == 1
+    assert not (out / "manifest.json").exists()
+
+
 def test_sweep_bias_csv(tmp_path):
     path = write_config(tmp_path)
     out = tmp_path / "sweep"

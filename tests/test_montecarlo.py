@@ -9,11 +9,12 @@ from conftest import dual_rat_config, four_class_config, single_class_config, tw
 from hetnet_offload import ClassId, SimSettings, run_batch, run_trial, sample_deployment
 from hetnet_offload.montecarlo import (
     _class_rng,
-    _run_trial_full,
+    _octant_reach2,
     _tagged_user_count,
-    _tagged_user_count_reference,
     _user_rng,
+    _users_near,
 )
+from load_oracle import tagged_user_count_reference
 
 MACRO = ClassId(1, 1)
 SMALL = ClassId(2, 3)
@@ -66,11 +67,14 @@ def test_unknown_deployment_mode_rejected():
 
 
 def _trial_pieces(config, settings, trial):
-    """Re-derive one trial's deployment, serving AP and user set by contract."""
-    points = {}
+    """Re-derive one trial by contract, drawing everything eagerly: each
+    class's points then its fading, the serving AP, and a user PPP over the
+    whole window from the trial's user stream."""
+    points, gains = {}, {}
     for cls in config.present_classes():
         rng = _class_rng(settings.seed, trial, cls.id)
         points[cls.id] = sample_deployment(cls, settings, rng)
+        gains[cls.id] = rng.exponential(1.0, points[cls.id].shape[0])
     best = None
     for cls in config.open_classes():
         pts = points[cls.id]
@@ -86,10 +90,10 @@ def _trial_pieces(config, settings, trial):
     w_km = settings.window_km
     n_users = urng.poisson(config.user_density * w_km * w_km)
     users = urng.uniform(-w_km / 2.0, w_km / 2.0, size=(n_users, 2))
-    return points, best[0], best[1], users
+    return points, gains, best[0], best[1], users
 
 
-@pytest.mark.parametrize(
+LOAD_CASES = pytest.mark.parametrize(
     "config,n_trials",
     [
         (dual_rat_config(), 120),
@@ -98,14 +102,104 @@ def _trial_pieces(config, settings, trial):
     ],
     ids=["dual-rat", "four-class", "two-class-biased"],
 )
+
+
+@LOAD_CASES
 def test_pruned_count_equals_exhaustive_count(config, n_trials):
     """The octant-pruned tagged-load counter is exact, not approximate."""
     settings = SimSettings(window_km=8.0, trials=1, seed=11)
     for trial in range(n_trials):
-        points, serving, sidx, users = _trial_pieces(config, settings, trial)
-        fast = _tagged_user_count(config, points, serving, sidx, users)
-        slow = _tagged_user_count_reference(config, points, serving, sidx, users)
+        points, _, serving, sidx, users = _trial_pieces(config, settings, trial)
+        own_d2, reach2 = _octant_reach2(points[serving.id], sidx, serving.density)
+        fast = _tagged_user_count(config, points, serving, sidx, users, own_d2, reach2)
+        slow = tagged_user_count_reference(config, points, serving, sidx, users)
         assert fast == slow, f"trial {trial}: {fast} != {slow}"
+
+
+def test_octant_reach_is_the_sector_minimum():
+    """Per-sector nearest-neighbour distances, whichever AP set is searched first."""
+    rng = np.random.default_rng(8)
+    for trial in range(60):
+        own = rng.uniform(-4.0, 4.0, size=(int(rng.integers(1, 300)), 2))
+        idx = int(rng.integers(own.shape[0]))
+        want = np.full(8, np.inf)
+        for k, (x, y) in enumerate(own):
+            if k != idx:
+                dx, dy = x - own[idx, 0], y - own[idx, 1]
+                sector = (math.floor(math.atan2(dy, dx) / (math.pi / 4.0)) + 4) % 8
+                want[sector] = min(want[sector], dx * dx + dy * dy)
+        # density 1e6: no neighbour is near, every sector falls back to all APs;
+        # density 1e-6: every AP is near
+        for density in (own.shape[0] / 64.0, 1e6, 1e-6):
+            own_d2, reach2 = _octant_reach2(own, idx, density)
+            assert np.array_equal(reach2, want / 2.0), f"trial {trial}, density {density}"
+            assert own_d2[idx] == np.inf
+
+
+@LOAD_CASES
+def test_restricted_user_draw_loses_no_user(config, n_trials):
+    """No user outside the reach square R is ever on the tagged AP."""
+    settings = SimSettings(window_km=8.0, trials=1, seed=11)
+    for trial in range(n_trials):
+        points, _, serving, sidx, users = _trial_pieces(config, settings, trial)
+        _, reach2 = _octant_reach2(points[serving.id], sidx, serving.density)
+        reach = math.sqrt(reach2.max())
+        inside = np.all(np.abs(users - points[serving.id][sidx]) <= reach, axis=1)
+        full = tagged_user_count_reference(config, points, serving, sidx, users)
+        in_r = tagged_user_count_reference(config, points, serving, sidx, users[inside])
+        assert full == in_r, f"trial {trial}: {full} != {in_r}"
+
+
+def test_users_are_drawn_in_the_reach_square():
+    """The user draw fills R = [server +- reach]^2 clipped to the window."""
+    config = two_class_config(user_density=50.0)
+    settings = SimSettings(window_km=8.0, trials=1, seed=1)
+    server = np.array([3.5, -1.0])
+    users = _users_near(config, settings, 0, server, 1.0)
+    assert np.all(users[:, 0] >= 2.5) and np.all(users[:, 0] <= 4.0)
+    assert np.all(users[:, 1] >= -2.0) and np.all(users[:, 1] <= 0.0)
+    counts = [_users_near(config, settings, t, server, 1.0).shape[0] for t in range(300)]
+    want = 50.0 * 1.5 * 2.0
+    assert abs(np.mean(counts) - want) < 4.0 * math.sqrt(want / 300.0)
+    whole = _users_near(config, settings, 0, server, math.inf)
+    assert np.all(np.abs(whole) <= 4.0) and whole.shape[0] > 2000
+
+
+def _eager_sinr(config, settings, trial):
+    """(serving class, distance, SINR) from the eager re-derivation."""
+    points, gains, serving, sidx, _ = _trial_pieces(config, settings, trial)
+    x, y = points[serving.id][sidx]
+    dist = math.sqrt(x**2 + y**2)
+    signal = serving.power * gains[serving.id][sidx] * dist ** (-serving.exponent)
+    interference = 0.0
+    for cls in config.classes_of_rat(serving.id.rat):
+        pts = points[cls.id]
+        if pts.shape[0] == 0:
+            continue
+        contrib = cls.power * gains[cls.id] * (pts[:, 0] ** 2 + pts[:, 1] ** 2) ** (-cls.exponent / 2.0)
+        if cls.id == serving.id:
+            contrib[sidx] = 0.0
+        interference += float(contrib.sum())
+    return serving.id, dist, signal / (interference + config.noise_for(serving.id.rat))
+
+
+@pytest.mark.parametrize(
+    "config,deployment",
+    [(dual_rat_config(), "ppp"), (dual_rat_config(), "grid"), (four_class_config(), "ppp")],
+    ids=["dual-rat", "dual-rat-grid", "four-class"],
+)
+def test_lazy_draws_match_eager_derivation(config, deployment):
+    """Fading and closed-AP positions drawn on demand are the eager draws, bit for bit."""
+    settings = SimSettings(window_km=10.0, trials=1, seed=6, deployment=deployment)
+    served_rats = set()
+    for trial in range(40):
+        out = run_trial(config, settings, trial)
+        serving, dist, sinr = _eager_sinr(config, settings, trial)
+        assert out.serving == serving
+        assert out.distance_km == dist
+        assert out.sinr_linear == sinr
+        served_rats.add(serving.rat)
+    assert served_rats == {1, 2}  # each RAT served, so both fading paths ran
 
 
 def test_trial_outcome_is_internally_consistent():
@@ -187,3 +281,18 @@ def test_worker_count_does_not_change_results():
 def test_run_batch_rejects_empty_runs():
     with pytest.raises(ValueError, match="trial"):
         run_batch(dual_rat_config(), SimSettings(trials=0))
+
+
+@pytest.mark.parametrize(
+    "changes, message",
+    [
+        ({"window_km": 0.0}, "window_km"),
+        ({"window_km": -4.0}, "window_km"),
+        ({"window_km": math.nan}, "window_km"),
+        ({"window_km": math.inf}, "window_km"),
+        ({"parallel_workers": 0}, "worker"),
+    ],
+)
+def test_run_batch_rejects_invalid_settings(changes, message):
+    with pytest.raises(ValueError, match=message):
+        run_batch(dual_rat_config(), SimSettings(trials=1, **changes))
