@@ -29,8 +29,6 @@ from . import __version__
 from .coverage import (
     ClosedFormInapplicableError,
     rate_ccdf,
-    rate_coverage_closed_form,
-    rate_coverage_mean_load,
     sinr_ccdf,
 )
 from .model import (
@@ -51,6 +49,7 @@ from .offload import (
     OptimizationResult,
     SolverError,
     TwoRatScenario,
+    _rate_objective,
     bias_sweep,
     optimal_bias_rate,
     optimal_bias_sir,
@@ -246,11 +245,6 @@ def _cmd_analyze_sinr(args) -> int:
     return 0
 
 
-def _rate_curve(config, grid, method):
-    per_fn = rate_coverage_mean_load if method == "meanload" else rate_coverage_closed_form
-    return np.asarray([per_fn(config, rho_common=float(rho)) for rho in grid])
-
-
 def _cmd_analyze_rate(args) -> int:
     t0 = time.monotonic()
     config = load_config(args.config)
@@ -266,7 +260,8 @@ def _cmd_analyze_rate(args) -> int:
             for k in range(len(grid))
         ]
     else:
-        values = _rate_curve(config, grid, args.method)
+        objective = _rate_objective(args.method)
+        values = [objective(config, float(rho)) for rho in grid]
         header = ["rho_bps", "coverage"]
         rows = [[grid[k], values[k]] for k in range(len(grid))]
     _write_csv(outdir / "rate_ccdf.csv", header, rows)

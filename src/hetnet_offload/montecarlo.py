@@ -9,11 +9,21 @@ the same criterion, and counts the users landing on the tagged AP.  The
 trial rate is exactly (W_serving / load) * log2(1 + SINR).
 
 Reproducibility contract: the random stream of class (m,k) in trial t is
-derived from (seed, t, m, k, access) and the user stream from (seed, t),
-so results are bit-identical for any worker count or block schedule, and
-deleting a class leaves every other stream untouched (which is what makes
-"removing closed APs never lowers SINR at fixed seed" a per-trial
-property, not merely a distributional one).
+PCG64 seeded by SeedSequence(entropy=seed, spawn_key=(t, m, k, access)),
+access 1 for open and 2 for closed, and the user stream by spawn key
+(t, 0, 0, 0), so results are bit-identical for any worker count or block
+schedule, and deleting a class leaves every other stream untouched (which
+is what makes "removing closed APs never lowers SINR at fixed seed" a
+per-trial property, not merely a distributional one).
+
+Built one at a time those streams cost ~19 us each, so a block of trials
+(`run_trial` is a block of one) derives all of its stream states in one
+pass: SeedSequence's pool hashing redone on uint32 arrays (the seed's
+words once, each trial's words once for all its streams), then PCG64's
+128-bit seeding step, loaded into one reused generator per stream slot.
+These are the documented streams bit for bit; each block checks one of its
+states against numpy's own derivation and raises RuntimeError on a
+mismatch.
 
 A trial draws only what its outcome reads.  Each class stream yields the
 class's points, then its fading; fading is drawn only for classes of the
@@ -62,7 +72,8 @@ __all__ = [
     "default_sinr_grid",
 ]
 
-_ACCESS_CODE = {"open": 1, "closed": 2}  # user stream reserves (t, 0, 0, 0)
+_ACCESS_CODE = {"open": 1, "closed": 2}
+_USER_KEY = (0, 0, 0)  # the user stream of trial t is (t, 0, 0, 0)
 
 
 @dataclass(frozen=True)
@@ -132,13 +143,139 @@ def _deployment_for(settings: SimSettings, cid: ClassId) -> str:
     return out
 
 
+def _class_key(cid: ClassId) -> tuple[int, int, int]:
+    return (cid.rat, cid.tier, _ACCESS_CODE[cid.access])
+
+
+def _seeded_pcg64(seed: int, key: tuple[int, ...]) -> np.random.PCG64:
+    """The documented stream derivation: PCG64(SeedSequence(seed, spawn_key=key))."""
+    return np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=key))
+
+
+# the documented streams built one at a time: the reference the tests hold
+# the block derivation (and every lazy draw) to
 def _class_rng(seed: int, trial: int, cid: ClassId) -> np.random.Generator:
-    key = (trial, cid.rat, cid.tier, _ACCESS_CODE[cid.access])
-    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=key))
+    return np.random.Generator(_seeded_pcg64(seed, (trial, *_class_key(cid))))
 
 
 def _user_rng(seed: int, trial: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(trial, 0, 0, 0)))
+    return np.random.Generator(_seeded_pcg64(seed, (trial, *_USER_KEY)))
+
+
+def _check_seed(seed) -> int:
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+    return int(seed)
+
+
+# numpy's SeedSequence pool hashing (pool of 4 uint32 words) and PCG64 seeding
+_M32 = 0xFFFFFFFF
+_M128 = (1 << 128) - 1
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _words(n: int) -> list[int]:
+    """The uint32 words SeedSequence makes of a non-negative int, low first."""
+    out = [n & _M32]
+    n >>= 32
+    while n:
+        out.append(n & _M32)
+        n >>= 32
+    return out
+
+
+def _hashmix(value, hc: int, mult: int = _MULT_A):
+    """SeedSequence's hash of a uint32 array or int: (hashed, next hash constant)."""
+    hc2 = hc * mult & _M32
+    value = (value ^ hc) * hc2 & _M32
+    return value ^ (value >> 16), hc2
+
+
+def _mix(x, y):
+    r = (x * _MIX_L - (y * _MIX_R & _M32)) & _M32
+    return r ^ (r >> 16)
+
+
+def _seed_pool(seed: int) -> tuple[list[int], int]:
+    """SeedSequence's pool after the entropy words of `seed`, and the hash
+    constant the spawn-key words continue from.  A spawned sequence pads
+    its entropy to the 4-word pool before the key."""
+    words = _words(_check_seed(seed))
+    words += [0] * (4 - len(words))
+    hc = _INIT_A
+    pool = []
+    for w in words[:4]:
+        h, hc = _hashmix(w, hc)
+        pool.append(h)
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                h, hc = _hashmix(pool[src], hc)
+                pool[dst] = _mix(pool[dst], h)
+    return _mix_words(pool, hc, words[4:])
+
+
+def _mix_words(pool: list, hc: int, columns) -> tuple[list, int]:
+    """Mix further entropy words into the pool (in place), each column one
+    word position: ints, or uint32 arrays over a pool of arrays."""
+    for col in columns:
+        for dst in range(4):
+            h, hc = _hashmix(col, hc)
+            pool[dst] = _mix(pool[dst], h)
+    return pool, hc
+
+
+def _pcg64_states(pool: list[np.ndarray]) -> list[tuple[int, int]]:
+    """(state, inc) of a PCG64 seeded from each pool: generate_state(4, uint64),
+    then pcg64_set_seed's two 128-bit LCG steps."""
+    out = np.empty((pool[0].shape[0], 8), dtype=np.uint32)
+    hc = _INIT_B
+    for i in range(8):
+        out[:, i], hc = _hashmix(pool[i % 4], hc, _MULT_B)
+    states = []
+    for v0, v1, v2, v3 in out.astype("<u4").view("<u8").tolist():
+        inc = ((v2 << 65) | (v3 << 1) | 1) & _M128
+        states.append(((((v0 << 64 | v1) + inc) * _PCG_MULT + inc) & _M128, inc))
+    return states
+
+
+def _stream_states(seed: int, trials: range, keys) -> list[list[tuple[int, int]]]:
+    """(state, inc) of `_seeded_pcg64(seed, (t, *key))` for every key (outer
+    list) and every t in `trials` (inner list), hashed as uint32 arrays.
+
+    The seed part of the pool is hashed once; the trial words once per
+    trial, for all keys; a trial >= 2^32 is two key words (then three ...),
+    so trials are taken in runs of equal word count.
+    """
+    if trials.start < 0:
+        raise ValueError(f"trial index must be non-negative, got {trials.start}")
+    seed_pool, seed_hc = _seed_pool(seed)
+    out: list[list[tuple[int, int]]] = [[] for _ in keys]
+    start = trials.start
+    while start < trials.stop:
+        n_words = max(1, -(-start.bit_length() // 32))
+        stop = min(trials.stop, 1 << (32 * n_words))
+        t = np.arange(start, stop, dtype=object)
+        cols = [((t >> (32 * j)) & _M32).astype(np.uint32) for j in range(n_words)]
+        pool = [np.full(stop - start, w, dtype=np.uint32) for w in seed_pool]
+        pool, hc = _mix_words(pool, seed_hc, cols)
+        for key, states in zip(keys, out):
+            key_words = [w for x in key for w in _words(x)]
+            states += _pcg64_states(_mix_words(list(pool), hc, key_words)[0])
+        start = stop
+    return out
+
+
+def _load_state(bg: np.random.PCG64, state: tuple[int, int]) -> None:
+    bg.state = {
+        "bit_generator": "PCG64",
+        "state": {"state": state[0], "inc": state[1]},
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
 
 
 def _ppp_count(cls: ApClass, settings: SimSettings, rng: np.random.Generator) -> int:
@@ -178,12 +315,17 @@ def sample_deployment(
 
 
 def _min_dist2(points: np.ndarray, sites: np.ndarray, chunk: int = 512) -> np.ndarray:
-    """Squared distance from each point to its nearest site (chunked)."""
+    """Squared distance from each point to its nearest site (chunked; inf
+    when there is no site)."""
     out = np.empty(points.shape[0])
     for s in range(0, points.shape[0], chunk):
         blk = points[s : s + chunk]
-        d2 = (blk[:, 0, None] - sites[None, :, 0]) ** 2 + (blk[:, 1, None] - sites[None, :, 1]) ** 2
-        out[s : s + chunk] = d2.min(axis=1)
+        d2 = np.subtract.outer(blk[:, 0], sites[:, 0])
+        d2 *= d2
+        dy = np.subtract.outer(blk[:, 1], sites[:, 1])
+        dy *= dy
+        d2 += dy
+        out[s : s + chunk] = d2.min(axis=1, initial=np.inf)
     return out
 
 
@@ -219,9 +361,14 @@ def _octant_reach2(own: np.ndarray, server_idx: int, density: float) -> tuple[np
 
 
 def _users_near(
-    config: NetworkConfig, settings: SimSettings, trial: int, server: np.ndarray, reach: float
+    config: NetworkConfig,
+    settings: SimSettings,
+    rng: np.random.Generator,
+    server: np.ndarray,
+    reach: float,
 ) -> np.ndarray:
-    """The trial's user PPP restricted to [server +- reach]^2 within the window.
+    """The trial's user PPP, drawn from its user stream `rng`, restricted to
+    [server +- reach]^2 within the window.
 
     No user outside that square can be on the tagged AP, and a PPP
     restricted to a set is a PPP on it, so the load law is unchanged.
@@ -229,7 +376,6 @@ def _users_near(
     half = settings.window_km / 2.0
     lo = np.maximum(server - reach, -half)
     hi = np.minimum(server + reach, half)
-    rng = _user_rng(settings.seed, trial)
     n_users = rng.poisson(config.user_density * float((hi[0] - lo[0]) * (hi[1] - lo[1])))
     return rng.uniform(lo, hi, size=(n_users, 2))
 
@@ -296,57 +442,98 @@ def _tagged_user_count(
     return int(cu.shape[0])
 
 
-def _run_trial_full(config: NetworkConfig, settings: SimSettings, trial: int):
-    """One trial: (TrialOutcome, per-present-class AP counts).
+class _Plan:
+    """What the trials of a block share, built once per block.
+
+    Present classes are addressed by slot, their index in ClassId order.
+    Each slot, and the user stream after them when users are on, owns one
+    reused generator; a trial loads its stream states into them.
+    """
+
+    def __init__(self, config: NetworkConfig, settings: SimSettings):
+        self.config = config
+        self.settings = settings
+        self.classes = config.present_classes()
+        self.modes = [_deployment_for(settings, c.id) for c in self.classes]
+        # open classes and grids are placed before serving; a closed PPP
+        # draws its count then and its positions only if its RAT serves
+        self.placed = [c.id.is_open or m == "grid" for c, m in zip(self.classes, self.modes)]
+        self.open_slots = [k for k, c in enumerate(self.classes) if c.id.is_open]
+        self.rat_slots = {
+            rat: [k for k, c in enumerate(self.classes) if c.id.rat == rat] for rat in config.rats()
+        }
+        self.keys = [_class_key(c.id) for c in self.classes]
+        if config.user_density > 0.0:
+            self.keys.append(_USER_KEY)
+        self.bit_generators = [np.random.PCG64(0) for _ in self.keys]
+        self.rngs = [np.random.Generator(bg) for bg in self.bit_generators]
+
+    def stream_states(self, start: int, stop: int) -> list[list[tuple[int, int]]]:
+        """Every stream state of trials start..stop-1 (per slot, per trial);
+        the last one is checked against numpy's own derivation."""
+        seed = self.settings.seed
+        states = _stream_states(seed, range(start, stop), self.keys)
+        if self.keys:
+            want = _seeded_pcg64(seed, (stop - 1, *self.keys[-1])).state["state"]
+            if states[-1][-1] != (want["state"], want["inc"]):
+                raise RuntimeError(
+                    f"derived stream state of trial {stop - 1} differs from numpy's SeedSequence"
+                )
+        return states
+
+
+def _trial(plan: _Plan, states) -> tuple[int, float, float, int, float, list[int]]:
+    """One trial from its stream states, one per slot: (open rank of the
+    serving class or -1, distance, SINR, load, rate, per-slot AP counts).
 
     Expects the caller to ignore divide-by-zero (an AP at distance 0 weighs
     inf).
     """
-    classes = config.present_classes()
-    rngs: dict[ClassId, np.random.Generator] = {}
-    points: dict[ClassId, np.ndarray] = {}
-    pending: dict[ClassId, int] = {}  # closed PPP classes: count drawn, positions not yet
-    counts = np.zeros(len(classes))
+    for bg, state in zip(plan.bit_generators, states):
+        _load_state(bg, state)
+    config, settings, classes, rngs = plan.config, plan.settings, plan.classes, plan.rngs
+    points: list[np.ndarray | None] = [None] * len(classes)
+    counts = [0] * len(classes)
     for k, cls in enumerate(classes):
-        rng = rngs[cls.id] = _class_rng(settings.seed, trial, cls.id)
-        mode = _deployment_for(settings, cls.id)
-        if cls.id.is_open or mode == "grid":
-            points[cls.id] = sample_deployment(cls, settings, rng, mode)
-            counts[k] = points[cls.id].shape[0]
+        if plan.placed[k]:
+            points[k] = sample_deployment(cls, settings, rngs[k], plan.modes[k])
+            counts[k] = points[k].shape[0]
         else:
-            counts[k] = pending[cls.id] = _ppp_count(cls, settings, rng)
+            counts[k] = _ppp_count(cls, settings, rngs[k])
 
-    best = None  # (ApClass, index, distance, weight); ties -> smallest ClassId
-    origin_d2: dict[ClassId, np.ndarray] = {}
-    for cls in config.open_classes():
-        pts = points[cls.id]
+    best = None  # (rank, slot, index, distance, weight); ties -> smallest ClassId
+    origin_d2: list[np.ndarray | None] = [None] * len(classes)
+    for rank, k in enumerate(plan.open_slots):
+        pts = points[k]
         if pts.shape[0] == 0:
             continue
-        d2 = origin_d2[cls.id] = pts[:, 0] ** 2 + pts[:, 1] ** 2
+        cls = classes[k]
+        d2 = origin_d2[k] = pts[:, 0] ** 2 + pts[:, 1] ** 2
         i = int(np.argmin(d2))
         dist = math.sqrt(d2[i])
         weight = cls.weight * dist ** (-cls.exponent) if dist > 0.0 else math.inf
-        if best is None or weight > best[3]:
-            best = (cls, i, dist, weight)
+        if best is None or weight > best[4]:
+            best = (rank, k, i, dist, weight)
     if best is None:
-        return TrialOutcome(None, math.nan, 0.0, 1, 0.0), counts
-    serving, sidx, sdist, _ = best
+        return -1, math.nan, 0.0, 1, 0.0, counts
+    rank, slot, sidx, sdist, _ = best
+    serving = classes[slot]
 
     # fading, and closed-AP positions, only where the serving RAT reads them;
     # each comes from its class's stream right after the class's points
     power_received = 0.0
     interference = 0.0
-    for cls in config.classes_of_rat(serving.id.rat):
-        rng = rngs[cls.id]
-        if cls.id in pending:
-            points[cls.id] = _ppp_points(pending[cls.id], settings, rng)
-        pts = points[cls.id]
+    for k in plan.rat_slots[serving.id.rat]:
+        cls, rng = classes[k], rngs[k]
+        if points[k] is None:
+            points[k] = _ppp_points(counts[k], settings, rng)
+        pts = points[k]
         if pts.shape[0] == 0:
             continue
-        r2 = origin_d2[cls.id] if cls.id in origin_d2 else pts[:, 0] ** 2 + pts[:, 1] ** 2
+        r2 = origin_d2[k] if origin_d2[k] is not None else pts[:, 0] ** 2 + pts[:, 1] ** 2
         gains = rng.exponential(1.0, pts.shape[0])
         contrib = cls.power * gains * r2 ** (-cls.exponent / 2.0)
-        if cls.id == serving.id:
+        if k == slot:
             power_received = serving.power * gains[sidx] * sdist ** (-serving.exponent)
             contrib[sidx] = 0.0
         interference += float(contrib.sum())
@@ -355,42 +542,40 @@ def _run_trial_full(config: NetworkConfig, settings: SimSettings, trial: int):
 
     load = 1
     if config.user_density > 0.0:
-        own = points[serving.id]
+        own = points[slot]
         own_d2, reach2 = _octant_reach2(own, sidx, serving.density)
-        users = _users_near(config, settings, trial, own[sidx], math.sqrt(reach2.max()))
-        load += _tagged_user_count(config, points, serving, sidx, users, own_d2, reach2)
+        users = _users_near(config, settings, rngs[-1], own[sidx], math.sqrt(reach2.max()))
+        open_points = {classes[k].id: points[k] for k in plan.open_slots}
+        load += _tagged_user_count(config, open_points, serving, sidx, users, own_d2, reach2)
 
     rate = serving.bandwidth / load * math.log2(1.0 + sinr)
-    return TrialOutcome(serving.id, sdist, sinr, load, rate), counts
+    return rank, sdist, sinr, load, rate, counts
 
 
 def run_trial(config: NetworkConfig, settings: SimSettings, trial_index: int) -> TrialOutcome:
     """Simulate a single trial (see module docstring for the procedure)."""
+    plan = _Plan(config, settings)
+    states = plan.stream_states(trial_index, trial_index + 1)
     with np.errstate(divide="ignore"):
-        return _run_trial_full(config, settings, trial_index)[0]
+        rank, dist, sinr, load, rate, _ = _trial(plan, [s[0] for s in states])
+    serving = plan.classes[plan.open_slots[rank]].id if rank >= 0 else None
+    return TrialOutcome(serving, dist, sinr, load, rate)
 
 
 def _run_block(config: NetworkConfig, settings: SimSettings, start: int, stop: int):
+    plan = _Plan(config, settings)
+    states = plan.stream_states(start, stop)
     n = stop - start
-    open_ids = [c.id for c in config.open_classes()]
-    rank = {cid: k for k, cid in enumerate(open_ids)}
-    serving = np.full(n, -1, dtype=np.int16)
+    serving = np.empty(n, dtype=np.int16)
     dist = np.empty(n)
     sinr = np.empty(n)
     load = np.empty(n, dtype=np.int64)
     rate = np.empty(n)
-    count_sum = np.zeros(len(config.present_classes()))
+    counts = np.empty((n, len(plan.classes)), dtype=np.int64)
     with np.errstate(divide="ignore"):
-        for k in range(n):
-            out, counts = _run_trial_full(config, settings, start + k)
-            if out.serving is not None:
-                serving[k] = rank[out.serving]
-            dist[k] = out.distance_km
-            sinr[k] = out.sinr_linear
-            load[k] = out.load
-            rate[k] = out.rate_bps
-            count_sum += counts
-    return serving, dist, sinr, load, rate, count_sum
+        for k, trial_states in enumerate(zip(*states)):
+            serving[k], dist[k], sinr[k], load[k], rate[k], counts[k] = _trial(plan, trial_states)
+    return serving, dist, sinr, load, rate, counts.sum(axis=0)
 
 
 def _block_worker(args):
@@ -416,6 +601,7 @@ def run_batch(
         raise ValueError(f"window_km must be finite and > 0, got {settings.window_km}")
     if settings.parallel_workers < 1:
         raise ValueError(f"need at least one worker, got {settings.parallel_workers}")
+    _check_seed(settings.seed)
     for cls in config.present_classes():
         _deployment_for(settings, cls.id)  # validate modes up front
     rate_grid = default_rate_grid() if rate_grid is None else np.asarray(rate_grid, dtype=float)

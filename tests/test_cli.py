@@ -235,7 +235,13 @@ def test_simulate_outputs(tmp_path):
 @pytest.mark.parametrize("command", ["simulate", "compare"])
 @pytest.mark.parametrize(
     "flag, value",
-    [("--window-km", "0"), ("--window-km", "nan"), ("--window-km", "inf"), ("--workers", "0")],
+    [
+        ("--window-km", "0"),
+        ("--window-km", "nan"),
+        ("--window-km", "inf"),
+        ("--workers", "0"),
+        ("--seed", "-1"),
+    ],
 )
 def test_invalid_simulation_settings_exit_1(tmp_path, command, flag, value):
     path = write_config(tmp_path)

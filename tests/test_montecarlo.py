@@ -4,12 +4,31 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import settings as hypothesis_settings
+from hypothesis import strategies as st
 
 from conftest import dual_rat_config, four_class_config, single_class_config, two_class_config
-from hetnet_offload import ClassId, SimSettings, run_batch, run_trial, sample_deployment
+from hetnet_offload import (
+    ClassId,
+    NetworkConfig,
+    SimSettings,
+    make_class,
+    run_batch,
+    run_trial,
+    sample_deployment,
+)
+from hetnet_offload import montecarlo
 from hetnet_offload.montecarlo import (
+    _ACCESS_CODE,
+    _USER_KEY,
+    _class_key,
     _class_rng,
+    _load_state,
+    _min_dist2,
     _octant_reach2,
+    _seeded_pcg64,
+    _stream_states,
     _tagged_user_count,
     _user_rng,
     _users_near,
@@ -155,13 +174,15 @@ def test_users_are_drawn_in_the_reach_square():
     config = two_class_config(user_density=50.0)
     settings = SimSettings(window_km=8.0, trials=1, seed=1)
     server = np.array([3.5, -1.0])
-    users = _users_near(config, settings, 0, server, 1.0)
+    users = _users_near(config, settings, _user_rng(1, 0), server, 1.0)
     assert np.all(users[:, 0] >= 2.5) and np.all(users[:, 0] <= 4.0)
     assert np.all(users[:, 1] >= -2.0) and np.all(users[:, 1] <= 0.0)
-    counts = [_users_near(config, settings, t, server, 1.0).shape[0] for t in range(300)]
+    counts = [
+        _users_near(config, settings, _user_rng(1, t), server, 1.0).shape[0] for t in range(300)
+    ]
     want = 50.0 * 1.5 * 2.0
     assert abs(np.mean(counts) - want) < 4.0 * math.sqrt(want / 300.0)
-    whole = _users_near(config, settings, 0, server, math.inf)
+    whole = _users_near(config, settings, _user_rng(1, 0), server, math.inf)
     assert np.all(np.abs(whole) <= 4.0) and whole.shape[0] > 2000
 
 
@@ -214,6 +235,12 @@ def test_trial_outcome_is_internally_consistent():
         cls = config.class_for(out.serving)
         want_rate = cls.bandwidth / out.load * math.log2(1.0 + out.sinr_linear)
         assert out.rate_bps == pytest.approx(want_rate, rel=1e-12)
+
+
+def test_trial_without_aps_has_no_server():
+    config = single_class_config(density=0.0)
+    out = run_trial(config, SimSettings(trials=1, seed=1), 3)
+    assert out.serving is None and out.load == 1 and out.rate_bps == 0.0
 
 
 def test_same_seed_reproduces_trials():
@@ -291,8 +318,127 @@ def test_run_batch_rejects_empty_runs():
         ({"window_km": math.nan}, "window_km"),
         ({"window_km": math.inf}, "window_km"),
         ({"parallel_workers": 0}, "worker"),
+        ({"seed": -1}, "seed"),
+        ({"seed": 2.5}, "seed"),
+        ({"seed": "7"}, "seed"),
     ],
 )
 def test_run_batch_rejects_invalid_settings(changes, message):
     with pytest.raises(ValueError, match=message):
         run_batch(dual_rat_config(), SimSettings(trials=1, **changes))
+
+
+def test_run_trial_rejects_negative_seed_and_trial():
+    with pytest.raises(ValueError, match="seed"):
+        run_trial(dual_rat_config(), SimSettings(trials=1, seed=-3), 0)
+    with pytest.raises(ValueError, match="trial"):
+        run_trial(dual_rat_config(), SimSettings(trials=1), -1)
+
+
+# one key of every access code, and the user stream
+STREAM_KEYS = [_class_key(ClassId(2, 3, access)) for access in _ACCESS_CODE] + [_USER_KEY]
+
+
+@hypothesis_settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    seed=st.one_of(
+        st.sampled_from([0, 2**32 - 1, 2**32]),
+        st.integers(0, 2**32),
+        st.integers(2**64 + 1, 2**65),
+        st.integers(2**128 + 1, 2**130),
+    ),
+    start=st.one_of(st.integers(0, 10**6), st.integers(2**32 - 8, 2**32 + 4)),
+    n=st.integers(1, 12),
+)
+@example(seed=2**32, start=2**32 - 3, n=6)
+def test_block_stream_states_match_numpy(seed, start, n):
+    """Block-derived (state, inc) and first draws equal PCG64(SeedSequence(...))."""
+    trials = range(start, start + n)
+    states = _stream_states(seed, trials, STREAM_KEYS)
+    bg = np.random.PCG64(0)
+    for key, key_states in zip(STREAM_KEYS, states):
+        assert len(key_states) == n
+        for t, state in zip(trials, key_states):
+            want = _seeded_pcg64(seed, (t, *key))
+            assert state == (want.state["state"]["state"], want.state["state"]["inc"])
+            _load_state(bg, state)
+            assert np.array_equal(np.random.Generator(bg).random(3), np.random.Generator(want).random(3))
+
+
+def test_corrupted_stream_state_fails_the_spot_check(monkeypatch):
+    derive = montecarlo._stream_states
+
+    def corrupted(seed, trials, keys):
+        return [[(state ^ 1, inc) for state, inc in per_key] for per_key in derive(seed, trials, keys)]
+
+    monkeypatch.setattr(montecarlo, "_stream_states", corrupted)
+    with pytest.raises(RuntimeError, match="SeedSequence"):
+        run_trial(dual_rat_config(), SimSettings(trials=1, seed=3), 5)
+    with pytest.raises(RuntimeError, match="SeedSequence"):
+        run_batch(dual_rat_config(), SimSettings(window_km=8.0, trials=20, seed=3))
+
+
+def _broadcast_min_dist2(points, sites):
+    d2 = (points[:, 0, None] - sites[None, :, 0]) ** 2 + (points[:, 1, None] - sites[None, :, 1]) ** 2
+    return d2.min(axis=1, initial=np.inf)
+
+
+@pytest.mark.parametrize("n_points", [0, 1, 37, 512, 1300])
+@pytest.mark.parametrize("n_sites", [0, 1, 42])
+def test_min_dist2_equals_broadcast_formula(n_points, n_sites):
+    """The in-place kernel is the broadcast formula bit for bit (inf with no site)."""
+    rng = np.random.default_rng(n_points * 100 + n_sites)
+    points = rng.uniform(-3.0, 3.0, size=(n_points, 2))
+    sites = rng.uniform(-3.0, 3.0, size=(n_sites, 2))
+    got = _min_dist2(points, sites)
+    assert got.shape == (n_points,)
+    assert np.array_equal(got, _broadcast_min_dist2(points, sites))
+    if n_sites == 0:
+        assert np.all(np.isinf(got))
+
+
+_LOAD_IDS = [ClassId(1, 1), ClassId(1, 2), ClassId(2, 2), ClassId(2, 3)]
+
+
+@hypothesis_settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    n_classes=st.integers(2, 4),
+    params=st.lists(
+        st.tuples(
+            st.floats(0.5, 8.0),  # density per km^2
+            st.floats(20.0, 50.0),  # power, dBm
+            st.floats(2.5, 5.0),  # exponent
+            st.floats(-10.0, 10.0),  # bias, dB
+        ),
+        min_size=4,
+        max_size=4,
+    ),
+    user_density=st.floats(20.0, 500.0),
+    draw_seed=st.integers(0, 2**32 - 1),
+)
+def test_pruned_count_equals_oracle_on_random_configs(n_classes, params, user_density, draw_seed):
+    """Over random valid configs, the pruned load count is the unpruned oracle's."""
+    classes = tuple(
+        make_class(cid.rat, cid.tier, density=lam, power_dbm=p, exponent=a, bias_db=b)
+        for cid, (lam, p, a, b) in zip(_LOAD_IDS[:n_classes], params)
+    )
+    config = NetworkConfig(classes=classes, user_density=user_density)
+    rng = np.random.default_rng(draw_seed)
+    half = 2.0  # a 4 km window keeps the unpruned oracle small
+    points, best = {}, None
+    for cls in config.open_classes():
+        pts = rng.uniform(-half, half, size=(rng.poisson(cls.density * 16.0), 2))
+        points[cls.id] = pts
+        if pts.shape[0]:
+            i = int(np.argmin(pts[:, 0] ** 2 + pts[:, 1] ** 2))
+            w = cls.weight * math.hypot(*pts[i]) ** (-cls.exponent)
+            if best is None or w > best[2]:
+                best = (cls, i, w)
+    if best is None:
+        return
+    serving, sidx, _ = best
+    users = rng.uniform(-half, half, size=(rng.poisson(user_density * 16.0), 2))
+    own_d2, reach2 = _octant_reach2(points[serving.id], sidx, serving.density)
+    with np.errstate(divide="ignore"):
+        fast = _tagged_user_count(config, points, serving, sidx, users, own_d2, reach2)
+    assert fast == tagged_user_count_reference(config, points, serving, sidx, users)
