@@ -23,7 +23,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.special
 
 from .model import ClassId, NetworkConfig
 from .numerics import (
@@ -155,56 +154,88 @@ class LoadDistribution:
 _MAX_PMF_TERMS = 10_000_000  # 80 MB of pmf; r ~ 1e6 needs about that many
 _TAIL_MASS = 1e-10
 _TAIL_MEAN = 1e-9  # times (1 + r)
+_PMF_BLOCK = 2**16  # longest block of terms computed at once
+
+
+def _running_sum(steps: np.ndarray, row: int = 256) -> np.ndarray:
+    """[0, cumsum(steps)], summed in rows of `row` terms and then across rows.
+
+    A plain running sum adds tens of thousands of small terms to a much
+    larger total, and its rounding drifts: by ~2e-13 over a 65k-term block
+    of log ratios, which shifted the pmf's end by tens of terms at
+    r = 7.35e4.  Summing short rows first keeps the drift near 2e-14.
+    """
+    if steps.size < row:  # one row: the plain running sum, bit for bit
+        sums = np.empty(steps.size + 1)
+        sums[0] = 0.0
+        np.cumsum(steps, out=sums[1:])
+        return sums
+    sums = np.zeros(-(-(steps.size + 1) // row) * row)
+    sums[1 : steps.size + 1] = steps
+    rows = sums.reshape(-1, row)
+    np.cumsum(rows, axis=1, out=rows)
+    if len(rows) > 1:
+        rows[1:] += np.cumsum(rows[:-1, -1])[:, None]
+    return sums[: steps.size + 1]
 
 
 def _nb_pmf(r: float, shape: float, n_max: int | None) -> np.ndarray:
     """Negative-binomial pmf with Gamma mixing shape `shape` and rate 3.5.
 
     P(O = n) = Gamma(n+shape) / (Gamma(shape) n!) (1-q)^shape q^n with
-    q = r/(3.5+r), evaluated in log space, so any r costs one array pass.
+    q = r/(3.5+r).  The pmf is built in blocks of terms, in log space, from
+    the term ratio P(n+1)/P(n) = q (n+shape)/(n+1); each block carries on
+    from the log coefficient at the end of the one before.
 
-    With n_max=None the pmf ends at the first n where the discarded tail
-    mass P(O > n) = I_q(n+1, shape) is below 1e-10 and the discarded tail
-    of the mean, E[O; O > n] = shape r/3.5 * I_q(n, shape+1), is below
-    1e-9 * (1+r); I is the regularized incomplete beta function and both
-    tails fall with n, so a bisection finds that n.
+    With n_max=None the walk stops at the first n where the discarded tail
+    mass P(O > n) is at most 1e-10 and the discarded tail of the mean,
+    E[O; O > n] = shape r/3.5 - E[O; O <= n], at most 1e-9 * (1+r); both
+    are read off the running sums of the blocks, so no block is computed
+    past the one that holds that n.
     """
     if not r >= 0.0:
         raise ValueError(f"load ratio must be non-negative (got {r})")
     if n_max is not None and n_max < 0:
         raise ValueError("n_max must be non-negative")
+    if n_max is not None and n_max >= _MAX_PMF_TERMS:
+        raise NumericalError(f"load pmf needs {n_max + 1} terms (r={r}); the limit is {_MAX_PMF_TERMS}")
     rate = TYPICAL_CELL_SHAPE  # 3.5, shared by both load laws
     q = r / (rate + r)
-
-    if n_max is None:
-
-        def tail_ok(n: int) -> bool:
-            mass = scipy.special.betainc(n + 1.0, shape, q)
-            mean = shape * r / rate * scipy.special.betainc(float(n), shape + 1.0, q)
-            return mass <= _TAIL_MASS and mean <= _TAIL_MEAN * (1.0 + r)
-
-        lo, hi = 0, max(16, math.ceil(8.0 * r))
-        while not tail_ok(hi) and hi < _MAX_PMF_TERMS:
-            lo, hi = hi + 1, 2 * hi
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if tail_ok(mid):
-                hi = mid
-            else:
-                lo = mid + 1
-        n_max = hi
-    if n_max >= _MAX_PMF_TERMS:
-        raise NumericalError(f"load pmf needs {n_max + 1} terms (r={r}); the limit is {_MAX_PMF_TERMS}")
-
-    n = np.arange(n_max + 1, dtype=float)
-    log_pmf = (
-        scipy.special.gammaln(n + shape)
-        - scipy.special.gammaln(shape)
-        - scipy.special.gammaln(n + 1.0)
-        + shape * math.log(rate / (rate + r))
-        + scipy.special.xlogy(n, q)
-    )
-    return np.exp(log_pmf)
+    if q == 0.0:  # r = 0, or so small that q underflows
+        pmf = np.zeros(1 if n_max is None else n_max + 1)
+        pmf[0] = 1.0
+        return pmf
+    log_q = math.log(q) if q < 0.5 else -math.log1p(rate / r)
+    log_p0 = -shape * math.log1p(r / rate)  # log P(O = 0)
+    mean = shape * r / rate
+    # about the terms the tail criteria need, so one block usually does
+    block = min(_PMF_BLOCK, 64 + math.ceil(12.0 * r))
+    blocks = []
+    mass = first_moment = log_coef = 0.0
+    start = 0
+    while n_max is None or start <= n_max:
+        if start >= _MAX_PMF_TERMS:
+            raise NumericalError(f"load pmf needs more than {_MAX_PMF_TERMS} terms (r={r})")
+        stop = start + block if n_max is None else min(start + block, n_max + 1)
+        n = np.arange(start, stop, dtype=float)
+        # log Gamma(n+shape) / (Gamma(shape) n!): its value at the block's
+        # start plus the running sum of log term ratios within the block
+        log_pmf = _running_sum(np.log1p((shape - 1.0) / n[1:]))
+        block_sum = float(log_pmf[-1])
+        log_pmf += n * log_q + (log_coef + log_p0)
+        log_coef += block_sum + math.log1p((shape - 1.0) / stop)
+        pmf = np.exp(log_pmf)
+        if n_max is None:
+            mass_upto = mass + _running_sum(pmf)[1:]
+            moment_upto = first_moment + _running_sum(n * pmf)[1:]
+            done = (1.0 - mass_upto <= _TAIL_MASS) & (mean - moment_upto <= _TAIL_MEAN * (1.0 + r))
+            if done.any():
+                blocks.append(pmf[: int(np.argmax(done)) + 1])
+                break
+            mass, first_moment = float(mass_upto[-1]), float(moment_upto[-1])
+        blocks.append(pmf)
+        start = stop
+    return np.concatenate(blocks)
 
 
 def tagged_load_distribution(

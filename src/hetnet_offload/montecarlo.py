@@ -283,9 +283,21 @@ def _ppp_count(cls: ApClass, settings: SimSettings, rng: np.random.Generator) ->
     return int(rng.poisson(cls.density * w * w))
 
 
+def _uniform(rng: np.random.Generator, lo, hi, size) -> np.ndarray:
+    """rng.uniform(lo, hi, size) bit for bit, without its argument checks.
+
+    numpy draws lo + (hi - lo) * U from U = rng.random(); the same two
+    operations on the same doubles give the same bits.
+    """
+    u = rng.random(size)
+    u *= hi - lo
+    u += lo
+    return u
+
+
 def _ppp_points(n: int, settings: SimSettings, rng: np.random.Generator) -> np.ndarray:
     half = settings.window_km / 2.0
-    return rng.uniform(-half, half, size=(n, 2))
+    return _uniform(rng, -half, half, (n, 2))
 
 
 def sample_deployment(
@@ -307,7 +319,7 @@ def sample_deployment(
     if mode == "ppp":
         return _ppp_points(_ppp_count(cls, settings, rng), settings, rng)
     spacing = 1.0 / math.sqrt(cls.density)
-    off = rng.uniform(0.0, spacing, size=2)
+    off = _uniform(rng, 0.0, spacing, 2)
     xs = np.arange(off[0], w, spacing) - half
     ys = np.arange(off[1], w, spacing) - half
     gx, gy = np.meshgrid(xs, ys, indexing="ij")
@@ -377,7 +389,7 @@ def _users_near(
     lo = np.maximum(server - reach, -half)
     hi = np.minimum(server + reach, half)
     n_users = rng.poisson(config.user_density * float((hi[0] - lo[0]) * (hi[1] - lo[1])))
-    return rng.uniform(lo, hi, size=(n_users, 2))
+    return _uniform(rng, lo, hi, (n_users, 2))
 
 
 def _tagged_user_count(

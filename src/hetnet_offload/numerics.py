@@ -17,6 +17,11 @@ between 1 and K whatever the coefficients, so every row puts its decay
 in the same, well-resolved part of the t range, and the map's
 double-exponential decay at both ends of t makes the truncated tails
 negligible.
+
+The interference kernel `z_integral` is an incomplete beta function
+B_x(s, 1-s), summed from its hypergeometric series (DLMF 8.17.7) on
+whichever side of 1/2 its argument lies, with the complete value
+B(s, 1-s) = pi / sin(pi s) (DLMF 5.12.1 with 5.5.3).
 """
 
 from __future__ import annotations
@@ -25,7 +30,6 @@ import math
 from functools import lru_cache
 
 import numpy as np
-import scipy.special
 
 __all__ = [
     "NumericalError",
@@ -94,6 +98,84 @@ def decay_integral(coefs, expos) -> np.ndarray:
     return out
 
 
+# Terms of the incomplete-beta series.  Its coefficients fall and its
+# argument w is at most 1/2, so after n terms the rest is below 2 w^n of
+# the sum; n = 54 takes that to 2^-53 at w = 1/2.
+_BETA_TERMS = 54
+_LOG_BETA_TOL = math.log(2.0**-54)
+# Up to this many (terms x elements), every element of a block takes the
+# terms its largest argument needs; past it, every element takes the first
+# _BETA_HEAD and only the arguments that need more take the rest.
+_BETA_FULL = 2**14
+_BETA_HEAD = 8
+_BETA_CHUNK = 2048  # elements per block: a full power matrix is 0.9 MB
+
+
+@lru_cache(maxsize=None)
+def _beta_coefs(s: float) -> np.ndarray:
+    """Series coefficients c_k(e) = (e)_k / (k! (e+k)), rows e = s and e = 1-s.
+
+    B_w(e, 1-e) = w^e sum_k c_k(e) w^k (DLMF 8.17.7 with b = 1-e).
+    """
+    k = np.arange(_BETA_TERMS, dtype=float)
+    rows = []
+    for e in (s, 1.0 - s):
+        pochhammer = np.cumprod(np.concatenate(([1.0], (e + k[:-1]) / (k[:-1] + 1.0))))
+        rows.append(pochhammer / (e + k))
+    return np.array(rows)
+
+
+def _powers(w: np.ndarray, n: int) -> np.ndarray:
+    """(n, w.size) array of w^k for k < n, by doubling blocks of rows."""
+    p = np.empty((n, w.size))
+    p[0] = 1.0
+    p[1:2] = w
+    m = 2  # rows below m are done
+    while m < n:
+        stop = min(2 * m - 1, n)
+        np.multiply(p[1 : stop - m + 1], p[m - 1], out=p[m:stop])  # w^(j+1) w^(m-1)
+        m = stop
+    return p
+
+
+def _series_sums(coefs: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """sum_k coefs[j, k] w^k for both rows j, at every w in [0, 1/2]."""
+    w_max = float(w.max())  # its terms: the least n with w^n <= 2^-54
+    top = min(_BETA_TERMS, math.ceil(_LOG_BETA_TOL / math.log(w_max))) if w_max > 0.0 else 1
+    head = top if top * w.size <= _BETA_FULL else min(top, _BETA_HEAD)
+    # `@`, unlike decay_integral's einsum: a two-row product of at most
+    # 2048 columns woke no OpenBLAS worker thread (per-thread CPU counts)
+    sums = coefs[:, :head] @ _powers(w, head)
+    if head < top:
+        wide = np.flatnonzero(w > math.exp(_LOG_BETA_TOL / head))
+        sums[:, wide] += coefs[:, head:top] @ _powers(w[wide], top)[head:]
+    return sums
+
+
+def _complete_beta(s: float) -> float:
+    """B(s, 1-s) = pi / sin(pi s) for 0 < s < 1."""
+    return math.pi / math.sin(math.pi * s)
+
+
+def _incomplete_beta(s: float, a: np.ndarray, c: float) -> np.ndarray:
+    """B_x(s, 1-s) at x = a/(a+c) for a 1-D array a >= 0; 0 < s < 1, 0 < c < inf.
+
+    Below x = 1/2 the series runs in x; above it, B_x(s, 1-s) = B(s, 1-s) -
+    B_y(1-s, s) with y = c/(a+c) taken directly, not as 1 - x, so that the
+    series argument never exceeds 1/2 and keeps its digits.
+    """
+    low = a <= c  # x <= 1/2
+    w = np.minimum(a, c) / (a + c)  # x or y: 0 at a = 0 and at a = inf
+    coefs = _beta_coefs(s)
+    part = np.empty(w.size)
+    for i in range(0, w.size, _BETA_CHUNK):
+        block = slice(i, i + _BETA_CHUNK)
+        sums = _series_sums(coefs, w[block])
+        part[block] = np.where(low[block], sums[0], sums[1])
+    part *= w ** np.where(low, s, 1.0 - s)
+    return np.subtract(_complete_beta(s), part, out=part, where=~low)
+
+
 def z_integral(a, b: float, c: float):
     """Z(a, b, c) = a^(2/b) * integral_{(c/a)^(2/b)}^inf du / (1 + u^(b/2)).
 
@@ -106,21 +188,24 @@ def z_integral(a, b: float, c: float):
     if b <= 2.0:
         raise ValueError(f"path-loss exponent must exceed 2 (got {b})")
     a_arr = np.asarray(a, dtype=float)
-    if c < 0.0 or not np.all(a_arr >= 0.0):
+    if c < 0.0 or not (a_arr >= 0.0).all():
         raise ValueError(f"Z arguments must be non-negative (a={a}, c={c})")
-    with np.errstate(divide="ignore", invalid="ignore"):
-        if b == 4.0:
-            # For exponent 4 the integrand 1/(1+u^2) has an arctan primitive.
+    s = 1.0 - 2.0 / b
+    if b == 4.0:
+        # For exponent 4 the integrand 1/(1+u^2) has an arctan primitive.
+        with np.errstate(divide="ignore", invalid="ignore"):
             z = np.sqrt(a_arr) * (math.pi / 2.0 - np.arctan(np.sqrt(c / a_arr)))
-        else:
-            # integral_L^inf du/(1+u^p) with L=(c/a)^(2/b) reduces to an
-            # incomplete Beta function whose argument simplifies to a/(a+c).
-            p = b / 2.0
-            t0 = a_arr / (a_arr + c) if not math.isinf(c) else np.zeros_like(a_arr)
-            complete = scipy.special.beta(1.0 - 1.0 / p, 1.0 / p)
-            frac = scipy.special.betainc(1.0 - 1.0 / p, 1.0 / p, t0)
-            z = a_arr ** (2.0 / b) * complete * frac / p
-    z = np.where(a_arr == 0.0, 0.0, np.where(np.isinf(a_arr), math.inf, z))
+        z = np.where(a_arr == 0.0, 0.0, np.where(np.isinf(a_arr), math.inf, z))
+    elif math.isinf(c):
+        z = np.where(np.isinf(a_arr), math.inf, 0.0)
+    elif c == 0.0:
+        z = (1.0 - s) * _complete_beta(s) * a_arr ** (1.0 - s)
+    else:
+        # integral_L^inf du/(1+u^p) with L=(c/a)^(1/p) is (1/p) B_x(1-1/p, 1/p)
+        # with x = a/(a+c) and p = b/2 = 1/(1-s)
+        z = _incomplete_beta(s, a_arr.ravel(), c).reshape(a_arr.shape)
+        z *= a_arr ** (1.0 - s)
+        z *= 1.0 - s
     return float(z) if z.ndim == 0 else z
 
 

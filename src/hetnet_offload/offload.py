@@ -220,6 +220,18 @@ def _rate_objective(method: str):
     raise ValueError(f"unknown method {method!r}")
 
 
+def _default_target(config: NetworkConfig) -> ClassId:
+    """The open class on the second RAT, if exactly two open classes sit on two RATs."""
+    open_classes = config.open_classes()
+    if len(open_classes) == 2 and open_classes[0].id.rat != open_classes[1].id.rat:
+        return open_classes[1].id
+    labels = ", ".join(c.id.label() for c in open_classes)
+    raise ValueError(
+        f"no default class to tune among the open classes {labels}; "
+        "name one (--class RAT,TIER on the command line)"
+    )
+
+
 def optimal_bias_rate(
     config: NetworkConfig,
     target: ClassId | None = None,
@@ -236,14 +248,15 @@ def optimal_bias_rate(
     coverage).  Search: evaluate a coarse dB grid over `bracket_db` (which
     must span at least 40 dB), then refine around the best grid point with
     golden-section search down to `tol_db`.  If the coarse maximum sits on
-    the bracket edge the result carries boundary_warning=True.
+    the bracket edge the result carries boundary_warning=True.  Without a
+    target, the open class on the second RAT is tuned when exactly two open
+    classes sit on two RATs.
     """
     lo_db, hi_db = bracket_db
     if hi_db - lo_db < 40.0:
         raise ValueError("bias bracket must span at least 40 dB")
     if target is None:
-        scenario = TwoRatScenario.from_config(config)
-        target = scenario.class2
+        target = _default_target(config)
     if not target.is_open:
         raise ValueError(f"target class {target.label()} must be open")
     config.class_for(target)  # raise early on unknown class

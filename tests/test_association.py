@@ -4,10 +4,13 @@ import math
 
 import numpy as np
 import pytest
+import scipy.special
+import scipy.stats
 
 from conftest import dual_rat_config, four_class_config, single_class_config, two_class_config
 from hetnet_offload import (
     ClassId,
+    NumericalError,
     association_probabilities,
     association_probability,
     load_ratio,
@@ -20,6 +23,7 @@ from hetnet_offload import (
     tagged_load_moment,
     typical_load_pmf,
 )
+from hetnet_offload.association import _nb_pmf, _running_sum
 from quad_oracle import TIGHT_SETTINGS, decaying_integral, semi_infinite_integral
 
 MACRO = ClassId(1, 1)
@@ -153,14 +157,66 @@ def test_tagged_load_truncation_scales_with_ratio():
 
 def test_tagged_load_pmf_at_dense_venue_load():
     """Macro class at 1e5 users/km^2 (r ~ 7.35e4): mass 1 and the nbinom law."""
-    import scipy.stats  # the package itself does not import scipy.stats
-
     dist = tagged_load_distribution(dual_rat_config(user_density=1e5), MACRO)
     assert dist.ratio == pytest.approx(7.35e4, rel=0.01)
     assert abs(dist.total_mass() - 1.0) <= 1e-9
     want = scipy.stats.nbinom(4.5, 3.5 / (3.5 + dist.ratio)).pmf(np.arange(dist.pmf.size))
     assert np.max(np.abs(dist.pmf - want)) <= 1e-9
     assert dist.mean() == pytest.approx(9.0 / 7.0 * dist.ratio, rel=1e-6)
+
+
+def _betainc_tails(r: float, shape: float, n: int) -> tuple[float, float]:
+    """The discarded tails at n from scipy's incomplete beta: P(O > n) =
+    I_q(n+1, shape) and E[O; O > n] = shape r/3.5 I_q(n, shape+1)."""
+    q = r / (3.5 + r)
+    mass = scipy.special.betainc(n + 1.0, shape, q)
+    mean = shape * r / 3.5 * scipy.special.betainc(float(n), shape + 1.0, q) if n > 0 else shape * r / 3.5
+    return mass, mean
+
+
+@pytest.mark.parametrize("shape", [4.5, 3.5])
+@pytest.mark.parametrize("r", [0.0, 1e-3, 1.0, 3.0, 170.0, 3.5e3, 7.35e4])
+def test_nb_pmf_matches_nbinom_and_betainc_cutoff(r, shape):
+    """Each term equals scipy.stats.nbinom, and n_max is the first n where
+    the betainc tails meet the bounds (1e-10 on the mass, 1e-9 (1+r) on the
+    mean; at r = 3 the mean's bound is the one that sets n_max).  The pmf reads its tails off running sums, good to ~1e-13 on the
+    mass; so the tails may miss the bounds by 0.1%, which at r = 7.35e4 is
+    a few of the 691k terms and for small r never moves n_max."""
+    pmf = _nb_pmf(r, shape, None)
+    if r == 0.0:
+        assert pmf.tolist() == [1.0]
+        return
+    want = scipy.stats.nbinom(shape, 3.5 / (3.5 + r)).pmf(np.arange(pmf.size))
+    assert np.allclose(pmf, want, rtol=1e-8, atol=1e-15)
+    bounds = np.array([1e-10, 1e-9 * (1.0 + r)])
+    n_max = pmf.size - 1
+    assert np.all(np.array(_betainc_tails(r, shape, n_max)) <= bounds * (1.0 + 1e-3))
+    assert np.any(np.array(_betainc_tails(r, shape, n_max - 1)) > bounds * (1.0 - 1e-3))
+
+
+def test_nb_pmf_edges():
+    """Explicit lengths, a vanishing ratio, and the term limit."""
+    assert _nb_pmf(0.0, 4.5, 3).tolist() == [1.0, 0.0, 0.0, 0.0]
+    assert _nb_pmf(5e-324, 4.5, None).tolist() == [1.0]  # q underflows to 0
+    assert _nb_pmf(2.0, 4.5, 0).size == 1
+    with pytest.raises(ValueError):
+        _nb_pmf(-1.0, 4.5, None)
+    with pytest.raises(NumericalError, match="limit"):
+        _nb_pmf(1.0, 4.5, 10_000_000)
+
+
+def test_running_sum_is_exact_prefix_sums():
+    """[0, cumsum]: one row is numpy's running sum bit for bit; longer
+    inputs, summed in rows and then across, stay within 1e-14 of fsum."""
+    rng = np.random.default_rng(4)
+    for size in (0, 1, 200, 255, 256, 257, 5000):
+        steps = rng.random(size)
+        got = _running_sum(steps)
+        assert got.size == size + 1 and got[0] == 0.0
+        if size < 256:
+            assert np.array_equal(got[1:], np.cumsum(steps))
+        exact = [math.fsum(steps[:k]) for k in range(0, size + 1, 97)]
+        assert np.allclose(got[::97], exact, rtol=1e-14, atol=0.0)
 
 
 def test_explicit_truncation_is_a_prefix():

@@ -2,6 +2,7 @@
 
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -294,6 +295,33 @@ def test_optimize_bias_rate_json(tmp_path):
     assert not blob["boundary_warning"]
     assert len(blob["trace"]) > 50
     assert 0.0 < blob["offload_fraction"] < 1.0
+
+
+def test_optimize_bias_rate_default_class(tmp_path, capsys):
+    """Without --class, rate mode tunes the second RAT's open class when
+    exactly two open classes sit on two RATs (closed layers aside), and
+    otherwise names --class in its error."""
+    config = str(Path(__file__).resolve().parents[1] / "configs" / "two_rat_three_tier.json")
+    blobs = []
+    for k, cls in enumerate(([], ["--class", "2,3"])):
+        out = tmp_path / f"opt{k}"
+        args = ["optimize", "bias", "--config", config, "--mode", "rate", "--method", "meanload", *cls]
+        assert main([*args, "-o", str(out)]) == 0
+        blobs.append(json.loads((out / "optimize_bias.json").read_text()))
+    assert blobs[0] == blobs[1]
+
+    data = base_config_dict()
+    data["classes"].append({**data["classes"][1], "tier": 4})  # a third open class
+    three = write_config(tmp_path, data, "three.json")
+    capsys.readouterr()
+    assert main(["optimize", "bias", "--config", three, "--mode", "rate", "-o", str(tmp_path / "x")]) == 1
+    assert "--class" in capsys.readouterr().err
+
+    data = base_config_dict()
+    data["classes"][0]["rat"] = 2  # two open classes on one RAT
+    same_rat = write_config(tmp_path, data, "same_rat.json")
+    assert main(["optimize", "bias", "--config", same_rat, "--mode", "rate", "-o", str(tmp_path / "y")]) == 1
+    assert "--class" in capsys.readouterr().err
 
 
 def test_compare_reports_max_gap(tmp_path):

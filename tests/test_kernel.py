@@ -17,6 +17,7 @@ check for gross errors, and to the exact equal-exponent closed form
 within 1e-12.
 """
 
+import json
 import math
 import os
 import subprocess
@@ -173,13 +174,27 @@ def test_coverage_makes_no_adaptive_quadrature(monkeypatch):
     assert calls == []
 
 
-def test_cli_import_leaves_out_integrate_and_stats():
-    """The CLI's import pulls in neither scipy.integrate nor scipy.stats (set-up cost)."""
+def test_cli_import_leaves_out_integrate_and_stats(tmp_path):
+    """No scipy module is loaded by the CLI, neither by its import nor by
+    its commands: analyze sinr, analyze rate (theorem1), optimize bias and
+    a small simulate, all in one fresh process (scipy is a test oracle only)."""
+    config = str(Path(__file__).resolve().parents[1] / "configs" / "two_class_sir.json")
+    commands = [
+        ["analyze", "sinr", "--tau-grid-db", "-10:30:1"],
+        ["analyze", "rate", "--method", "theorem1", "--rho-grid", "1e4:1e8:5"],
+        ["optimize", "bias", "--mode", "rate", "--bracket-lo-db=-10", "--bracket-hi-db=45"],
+        ["simulate", "--trials", "50", "--seed", "3"],
+    ]
     code = (
-        "import sys, hetnet_offload.cli; "
-        "print(sorted(m for m in ('scipy.integrate', 'scipy.stats') if m in sys.modules))"
+        "import json, sys\n"
+        "from hetnet_offload import cli\n"
+        "loaded = [sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')]\n"
+        f"for k, args in enumerate({commands!r}):\n"
+        f"    assert cli.main([*args, '--config', {config!r}, '-o', {str(tmp_path)!r} + f'/out{{k}}']) == 0\n"
+        "    loaded.append(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        "print(json.dumps(loaded))\n"
     )
     src = str(Path(hetnet_offload.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    assert json.loads(out.stdout.strip().splitlines()[-1]) == [[]] * (len(commands) + 1)

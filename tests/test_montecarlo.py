@@ -30,6 +30,7 @@ from hetnet_offload.montecarlo import (
     _seeded_pcg64,
     _stream_states,
     _tagged_user_count,
+    _uniform,
     _user_rng,
     _users_near,
 )
@@ -442,3 +443,20 @@ def test_pruned_count_equals_oracle_on_random_configs(n_classes, params, user_de
     with np.errstate(divide="ignore"):
         fast = _tagged_user_count(config, points, serving, sidx, users, own_d2, reach2)
     assert fast == tagged_user_count_reference(config, points, serving, sidx, users)
+
+
+@pytest.mark.parametrize("seed", [3, 2**33 + 5])
+def test_uniform_helper_equals_numpy_uniform(seed):
+    """_uniform draws rng.uniform's exact bits, for scalar and for array bounds."""
+    cases = [
+        (-2.5, 2.5, (4000, 2)),  # the AP window
+        (0.0, 0.37, 2),  # a grid offset
+        (np.array([-1.3, 0.2]), np.array([0.4, 2.5]), (2500, 2)),  # the users' reach square
+        (np.array([1e-9, -1e9]), np.array([3e-9, 1e9]), (7, 2)),
+        (0.0, 1.0, (0, 2)),
+    ]
+    for lo, hi, size in cases:
+        got = _uniform(np.random.default_rng(seed), lo, hi, size)
+        want = np.random.default_rng(seed).uniform(lo, hi, size=size)
+        assert got.shape == want.shape
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))

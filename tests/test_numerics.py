@@ -4,13 +4,16 @@ closed forms.
 The z_integral reference values were produced by an independent
 composite-Simpson integrator with an alternating-series tail bound,
 evaluated far past convergence; they are frozen here to pin the
-incomplete-beta closed form to the defining integral.
+incomplete-beta closed form to the defining integral.  scipy's `betainc`
+is the oracle for the package's own incomplete-beta series, and a
+40-digit mpmath value where `betainc`'s argument is rounded away.
 """
 
 import math
 
 import numpy as np
 import pytest
+import scipy.special
 
 from hetnet_offload import NumericalError, pv_area_moment, stirling2, z_integral
 from hetnet_offload.numerics import decay_integral
@@ -55,6 +58,63 @@ def test_z_integral_edge_cases():
     assert got.shape == (3,)
     assert got[0] == 0.0 and math.isinf(got[2])
     assert got[1] == pytest.approx(Z_REFERENCE[(2.0, 3.5, 1.0)], rel=1e-12)
+
+
+def betainc_z(a: np.ndarray, b: float, c: float) -> np.ndarray:
+    """Z from scipy: (2/b) a^(2/b) B(s, 1-s) I_x(s, 1-s), s = 1 - 2/b, x = a/(a+c).
+
+    Above x = 1/2 it takes 1 - I_y(1-s, s) with y = c/(a+c) (DLMF 8.17.4),
+    so that betainc's argument is never x = 1 - y rounded: at a/c = 1e6
+    and b = 50 that rounding alone moves the plain route by 3.3e-12.
+    """
+    if math.isinf(c):
+        return np.zeros_like(a)
+    s = 1.0 - 2.0 / b
+    x, y = a / (a + c), c / (a + c)
+    frac = np.where(x <= 0.5, scipy.special.betainc(s, 1.0 - s, x), 1.0 - scipy.special.betainc(1.0 - s, s, y))
+    return (2.0 / b) * a ** (2.0 / b) * scipy.special.beta(s, 1.0 - s) * frac
+
+
+@pytest.mark.parametrize("c", [0.0, 1e-6, 1e-3, 1.0, 1e3, 1e6, math.inf])
+def test_z_integral_matches_betainc(c):
+    """The series kernel equals scipy's incomplete beta within 1e-12 relative,
+    for exponents 2.05..50 and a/c from 1e-6 to 1e6, as arrays and as scalars."""
+    a = (c if 0.0 < c < math.inf else 1.0) * np.logspace(-6.0, 6.0, 49)
+    for b in [*np.linspace(2.05, 50.0, 34), 4.0]:
+        got = z_integral(a, b, c)
+        want = betainc_z(a, b, c)
+        if math.isinf(c):
+            assert np.all(got == 0.0)
+            continue
+        assert np.max(np.abs(got / want - 1.0)) <= 1e-12, b
+        for k in (0, 24, 48):
+            assert z_integral(float(a[k]), b, c) == pytest.approx(want[k], rel=1e-12)
+
+
+def test_z_integral_large_arrays_match_betainc():
+    """Arrays too large for one power matrix (every element takes 8 terms,
+    only those that need more take the rest, in blocks of 2048) agree with
+    scipy as closely as small ones do."""
+    rng = np.random.default_rng(11)
+    a = np.concatenate([np.logspace(-6.0, 6.0, 12_001), 10.0 ** rng.uniform(-6.0, 6.0, 9_000)])
+    for b in (2.05, 3.5, 5.0, 50.0):
+        for c in (1e-3, 1.0):
+            got = z_integral(a * c, b, c)
+            assert np.max(np.abs(got / betainc_z(a * c, b, c) - 1.0)) <= 1e-12, (b, c)
+
+
+def test_z_integral_beyond_betainc_range():
+    """At a/c far outside 1e-6..1e6 the series keeps its digits (40-digit mpmath)."""
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 40
+    for b in (2.05, 3.5, 10.0, 50.0):
+        s = 1 - 2 / mpmath.mpf(b)
+        for c in (1e-6, 1.0):
+            for ratio in (1e-12, 1e-9, 1e9, 1e12):
+                a = ratio * c
+                x = mpmath.mpf(a) / (mpmath.mpf(a) + mpmath.mpf(c))
+                want = 2 / mpmath.mpf(b) * mpmath.mpf(a) ** (2 / mpmath.mpf(b)) * mpmath.betainc(s, 1 - s, 0, x)
+                assert z_integral(a, b, c) == pytest.approx(float(want), rel=1e-13), (b, c, ratio)
 
 
 def test_z_integral_monotonicity():
