@@ -5,6 +5,10 @@ process; a typical user associates with the strongest biased-weight
 candidate.  The package computes association probabilities, per-cell load
 distributions, SINR and rate coverage, and offload-optimal biases, and
 cross-checks everything against a Monte Carlo simulator.
+
+This namespace holds what a user of the library calls; the building blocks
+behind it (kernels, load moments, single-class coverage, the solvers'
+helpers, one Monte Carlo trial) are imported from their modules.
 """
 
 from .model import (
@@ -14,66 +18,36 @@ from .model import (
     ClassId,
     ConfigValidationError,
     NetworkConfig,
-    ValidationReport,
     db_to_linear,
-    dbm_to_watts,
-    from_decibel_units,
     linear_to_db,
     make_class,
     require_valid,
-    watts_to_dbm,
 )
-from .numerics import (
-    NumericalError,
-    pv_area_moment,
-    stirling2,
-    z_integral,
-)
+from .numerics import NumericalError
 from .association import (
     LoadDistribution,
     association_probabilities,
-    association_probability,
-    load_ratio,
-    mean_association_area,
     rat_offload_fraction,
-    served_distance_pdf,
     tagged_load_distribution,
-    tagged_load_moment,
-    typical_load_pmf,
 )
 from .coverage import (
     CcdfCurve,
     ClosedFormInapplicableError,
-    d_coefficient,
     rate_ccdf,
     rate_coverage,
-    rate_coverage_closed_form,
-    rate_coverage_mean_load,
-    shannon_threshold,
     sinr_ccdf,
     sinr_coverage,
-    sinr_coverage_conditioned,
 )
 from .offload import (
     OptimizationResult,
     SolverError,
     TwoRatScenario,
     bias_sweep,
-    golden_section_max,
     optimal_bias_rate,
     optimal_bias_sir,
-    optimal_density_sir,
     percentile_rate,
-    two_class_sir_coverage,
 )
-from .montecarlo import (
-    EmpiricalSummary,
-    SimSettings,
-    TrialOutcome,
-    run_batch,
-    run_trial,
-    sample_deployment,
-)
+from .montecarlo import EmpiricalSummary, SimSettings, run_batch
 
 __version__ = "0.1.0"
 
@@ -92,44 +66,21 @@ __all__ = [
     "OptimizationResult",
     "SimSettings",
     "SolverError",
-    "TrialOutcome",
     "TwoRatScenario",
-    "ValidationReport",
     "association_probabilities",
-    "association_probability",
     "bias_sweep",
-    "d_coefficient",
     "db_to_linear",
-    "dbm_to_watts",
-    "from_decibel_units",
-    "golden_section_max",
     "linear_to_db",
-    "load_ratio",
     "make_class",
-    "mean_association_area",
     "optimal_bias_rate",
     "optimal_bias_sir",
-    "optimal_density_sir",
     "percentile_rate",
-    "pv_area_moment",
     "rat_offload_fraction",
     "rate_ccdf",
     "rate_coverage",
-    "rate_coverage_closed_form",
-    "rate_coverage_mean_load",
     "require_valid",
     "run_batch",
-    "run_trial",
-    "sample_deployment",
-    "served_distance_pdf",
-    "shannon_threshold",
     "sinr_ccdf",
     "sinr_coverage",
-    "sinr_coverage_conditioned",
-    "stirling2",
     "tagged_load_distribution",
-    "tagged_load_moment",
-    "typical_load_pmf",
-    "watts_to_dbm",
-    "z_integral",
 ]

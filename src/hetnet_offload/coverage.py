@@ -305,10 +305,11 @@ def rate_coverage_closed_form(config: NetworkConfig, rho_common: float | None = 
     Raises ClosedFormInapplicableError otherwise.  Under these conditions
     the mean-load route takes exactly this closed form for every class.
     """
+    use = "; use method meanload or theorem1 (--method on the command line)"
     exps = {c.exponent for c in config.present_classes()}
     if len(exps) > 1:
-        raise ClosedFormInapplicableError(f"exponents must all match (got {sorted(exps)})")
+        raise ClosedFormInapplicableError(f"exponents must all match (got {sorted(exps)}){use}")
     noisy = [rat for rat in config.rats() if config.noise_for(rat) != 0.0]
     if noisy:
-        raise ClosedFormInapplicableError(f"noise must be zero for all RATs (RATs {noisy} are noisy)")
+        raise ClosedFormInapplicableError(f"noise must be zero for all RATs (RATs {noisy} are noisy){use}")
     return rate_coverage_mean_load(config, rho_common=rho_common)

@@ -50,11 +50,6 @@ def watts_to_dbm(p_watts: float) -> float:
     return 30.0 + 10.0 * math.log10(p_watts)
 
 
-def from_decibel_units(power_dbm: float, bias_db: float = 0.0) -> tuple[float, float]:
-    """Map external (dBm, dB) class parameters to internal (watts, linear)."""
-    return dbm_to_watts(power_dbm), db_to_linear(bias_db)
-
-
 @dataclass(frozen=True, order=True)
 class ClassId:
     """Identifier of an AP class: RAT index, tier index, access mode.
@@ -259,39 +254,6 @@ def require_valid(config: NetworkConfig) -> NetworkConfig:
     return config
 
 
-@dataclass(frozen=True)
-class NormalizedClassView:
-    """Per-class parameter ratios relative to a serving class.
-
-    For serving class (i,j), each present class (m,k) is described by
-    P_mk/P_ij, B_mk/B_ij, T_mk/T_ij and alpha_mk/alpha_ij.  The serving
-    class maps to (1, 1, 1, 1) exactly.
-    """
-
-    serving: ClassId
-    power_ratio: Mapping[ClassId, float]
-    bias_ratio: Mapping[ClassId, float]
-    weight_ratio: Mapping[ClassId, float]
-    exponent_ratio: Mapping[ClassId, float]
-
-
-def normalize(config: NetworkConfig, serving: ClassId) -> NormalizedClassView:
-    """Normalized parameters of every present class w.r.t. one open class."""
-    ref = config.class_for(serving)
-    if not serving.is_open:
-        raise ValueError(f"serving class {serving.label()} must be open")
-    power = {}
-    bias = {}
-    weight = {}
-    expo = {}
-    for cls in config.present_classes():
-        power[cls.id] = cls.power / ref.power
-        bias[cls.id] = cls.bias / ref.bias
-        weight[cls.id] = cls.weight / ref.weight
-        expo[cls.id] = cls.exponent / ref.exponent
-    return NormalizedClassView(serving, power, bias, weight, expo)
-
-
 def make_class(
     rat: int,
     tier: int,
@@ -303,12 +265,11 @@ def make_class(
     access: str = OPEN,
 ) -> ApClass:
     """Convenience constructor taking dB-units, mirroring config files."""
-    power, bias = from_decibel_units(power_dbm, bias_db)
     return ApClass(
         id=ClassId(rat, tier, access),
         density=density,
-        power=power,
+        power=dbm_to_watts(power_dbm),
         exponent=exponent,
-        bias=bias,
+        bias=db_to_linear(bias_db),
         bandwidth=bandwidth,
     )

@@ -246,13 +246,15 @@ def optimal_bias_rate(
     per the equal-exponent zero-noise regime it was derived for; `method`
     can switch to the quadrature mean-load route or the full load-averaged
     coverage).  Search: evaluate a coarse dB grid over `bracket_db` (which
-    must span at least 40 dB), then refine around the best grid point with
-    golden-section search down to `tol_db`.  If the coarse maximum sits on
-    the bracket edge the result carries boundary_warning=True.  Without a
-    target, the open class on the second RAT is tuned when exactly two open
-    classes sit on two RATs.
+    must be finite and span at least 40 dB), then refine around the best
+    grid point with golden-section search down to `tol_db`.  If the coarse
+    maximum sits on the bracket edge the result carries
+    boundary_warning=True.  Without a target, the open class on the second
+    RAT is tuned when exactly two open classes sit on two RATs.
     """
     lo_db, hi_db = bracket_db
+    if not (math.isfinite(lo_db) and math.isfinite(hi_db)):
+        raise ValueError(f"bias bracket must be finite (got {lo_db} ... {hi_db} dB)")
     if hi_db - lo_db < 40.0:
         raise ValueError("bias bracket must span at least 40 dB")
     if target is None:

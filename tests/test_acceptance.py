@@ -31,24 +31,22 @@ from hetnet_offload import (
     SimSettings,
     TwoRatScenario,
     association_probabilities,
-    association_probability,
     bias_sweep,
     db_to_linear,
     linear_to_db,
-    load_ratio,
     make_class,
     optimal_bias_sir,
     percentile_rate,
     rate_ccdf,
-    rate_coverage_closed_form,
-    rate_coverage_mean_load,
     run_batch,
     sinr_ccdf,
     sinr_coverage,
     tagged_load_distribution,
-    two_class_sir_coverage,
 )
+from hetnet_offload.association import association_probability, load_ratio
+from hetnet_offload.coverage import rate_coverage_closed_form, rate_coverage_mean_load
 from hetnet_offload.numerics import AREA_BIAS_FACTOR
+from hetnet_offload.offload import two_class_sir_coverage
 from quad_oracle import TIGHT_SETTINGS, decaying_integral
 
 MACRO = ClassId(1, 1)

@@ -12,18 +12,20 @@ from hetnet_offload import (
     ClassId,
     NumericalError,
     association_probabilities,
+    rat_offload_fraction,
+    tagged_load_distribution,
+)
+from hetnet_offload.association import (
+    _nb_pmf,
+    _running_sum,
     association_probability,
     load_ratio,
     mean_association_area,
-    pv_area_moment,
-    rat_offload_fraction,
     served_distance_pdf,
-    stirling2,
-    tagged_load_distribution,
     tagged_load_moment,
     typical_load_pmf,
 )
-from hetnet_offload.association import _nb_pmf, _running_sum
+from hetnet_offload.numerics import pv_area_moment, stirling2
 from quad_oracle import TIGHT_SETTINGS, decaying_integral, semi_infinite_integral
 
 MACRO = ClassId(1, 1)

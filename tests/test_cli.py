@@ -2,16 +2,20 @@
 
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from hetnet_offload import ClassId, ConfigValidationError, db_to_linear, dbm_to_watts, sinr_ccdf
+import hetnet_offload
+from hetnet_offload import ClassId, ConfigValidationError, db_to_linear, sinr_ccdf
 from hetnet_offload.cli import ConfigSchemaError, load_config, main
+from hetnet_offload.model import dbm_to_watts
 
 MACRO = ClassId(1, 1)
 SMALL = ClassId(2, 3)
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def base_config_dict(alpha2: float = 3.5) -> dict:
@@ -109,7 +113,7 @@ def test_load_config_schema_errors(tmp_path):
         load_config(path)
 
 
-def test_exit_codes(tmp_path):
+def test_exit_codes(tmp_path, capsys):
     ok = write_config(tmp_path)
     out = str(tmp_path / "out")
     assert main(["analyze", "sinr", "--config", ok, "--tau-grid-db", "0:10:5", "-o", out]) == 0
@@ -134,6 +138,49 @@ def test_exit_codes(tmp_path):
         ]
     )
     assert code == 2
+
+    # a bad grid or bracket is a bad argument: exit 1, naming the flag, before any output
+    bad_args = [
+        (["analyze", "rate", "--rho-grid", "1e4:1e6:2.9"], "--rho-grid"),
+        (["simulate", "--trials", "5", "--rho-grid", "1e4:inf:3"], "--rho-grid"),
+        (["analyze", "sinr", "--tau-grid-db", "-10:inf:1"], "--tau-grid-db"),
+        (["sweep", "bias", "--class", "2,3", "--range-db", "0:nan:1", "--metric", "sir"], "--range-db"),
+        (["optimize", "bias", "--mode", "rate", "--bracket-hi-db", "inf"], "bias bracket must be finite"),
+        (["optimize", "bias", "--mode", "rate", "--bracket-lo-db", "nan"], "bias bracket must be finite"),
+    ]
+    fresh = tmp_path / "fresh"
+    for args, named in bad_args:
+        capsys.readouterr()
+        assert main([*args, "--config", ok, "-o", str(fresh)]) == 1, args
+        assert named in capsys.readouterr().err, args
+        assert not fresh.exists()
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["optimize", "bias", "--mode", "foo"],
+        ["analyze", "sinr", "--trials", "3"],
+        ["sweep", "bias", "--range-db", "0:5:5", "--metric", "sir"],  # no --class
+        ["analyze"],
+        ["bogus"],
+    ],
+)
+def test_usage_errors_exit_1(tmp_path, capsys, args):
+    """argparse's own exit code, 2, is the documented numerical-failure code."""
+    out = tmp_path / "out"
+    assert main([*args, "--config", write_config(tmp_path), "-o", str(out)]) == 1
+    assert "usage: hetnet-offload" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_help_and_version_exit_0(capsys):
+    assert main(["--help"]) == 0
+    assert "analyze" in capsys.readouterr().out
+    assert main(["sweep", "bias", "--help"]) == 0
+    assert "--coverage-target" in capsys.readouterr().out
+    assert main(["--version"]) == 0
+    assert capsys.readouterr().out == f"hetnet-offload {hetnet_offload.__version__}\n"
 
 
 @pytest.mark.parametrize(
@@ -205,12 +252,14 @@ def test_analyze_rate_methods(tmp_path):
          "--method", "closedform", "-o", str(out2)]
     )
     assert code == 0
-    # mixed exponents through the closed form must fail cleanly, not crash
+    # mixed exponents through the closed form must fail cleanly, not crash, and write nothing
+    out3 = tmp_path / "rate-mx"
     code = main(
         ["analyze", "rate", "--config", write_config(tmp_path, base_config_dict(alpha2=4.0), "mx.json"),
-         "--rho-grid", "1e4:1e7:6", "--method", "closedform", "-o", str(out2)]
+         "--rho-grid", "1e4:1e7:6", "--method", "closedform", "-o", str(out3)]
     )
     assert code == 1
+    assert not out3.exists()
 
 
 def test_simulate_outputs(tmp_path):
@@ -242,6 +291,7 @@ def test_simulate_outputs(tmp_path):
         ("--window-km", "inf"),
         ("--workers", "0"),
         ("--seed", "-1"),
+        ("--trials", "0"),
     ],
 )
 def test_invalid_simulation_settings_exit_1(tmp_path, command, flag, value):
@@ -249,7 +299,7 @@ def test_invalid_simulation_settings_exit_1(tmp_path, command, flag, value):
     out = tmp_path / "out"
     args = [command, "--config", path, "--trials", "20", "--rho-grid", "1e4:1e7:3", flag, value]
     assert main(args + ["-o", str(out)]) == 1
-    assert not (out / "manifest.json").exists()
+    assert not out.exists()
 
 
 def test_sweep_bias_csv(tmp_path):
@@ -301,7 +351,7 @@ def test_optimize_bias_rate_default_class(tmp_path, capsys):
     """Without --class, rate mode tunes the second RAT's open class when
     exactly two open classes sit on two RATs (closed layers aside), and
     otherwise names --class in its error."""
-    config = str(Path(__file__).resolve().parents[1] / "configs" / "two_rat_three_tier.json")
+    config = str(ROOT / "configs" / "two_rat_three_tier.json")
     blobs = []
     for k, cls in enumerate(([], ["--class", "2,3"])):
         out = tmp_path / f"opt{k}"
@@ -309,6 +359,13 @@ def test_optimize_bias_rate_default_class(tmp_path, capsys):
         assert main([*args, "-o", str(out)]) == 0
         blobs.append(json.loads((out / "optimize_bias.json").read_text()))
     assert blobs[0] == blobs[1]
+
+    # the default method, closedform, needs one exponent: the error names the routes that apply
+    capsys.readouterr()
+    assert main(["optimize", "bias", "--config", config, "--mode", "rate", "-o", str(tmp_path / "cf")]) == 1
+    err = capsys.readouterr().err
+    assert "meanload" in err and "theorem1" in err and "--method" in err
+    assert not (tmp_path / "cf").exists()
 
     data = base_config_dict()
     data["classes"].append({**data["classes"][1], "tier": 4})  # a third open class
@@ -338,3 +395,62 @@ def test_compare_reports_max_gap(tmp_path):
     assert lines[0] == "rho_bps,analytic,empirical,abs_gap"
     gaps = [float(l.split(",")[3]) for l in lines[1:]]
     assert max(gaps) == pytest.approx(blob["max_gap"], rel=5e-9)  # CSV carries 9 digits
+
+
+SIM_ARGS = ["--trials", "40", "--seed", "5", "--window-km", "6", "--rho-grid", "1e4:1e7:3"]
+SIM_PARAMS = {"trials": 40, "workers": 1, "deployment": "ppp", "window_km": 6.0, "rho_grid": "1e4:1e7:3"}
+
+
+@pytest.mark.parametrize(
+    "args, params, seed",
+    [
+        (["analyze", "sinr", "--tau-grid-db", "0:10:5"], {"tau_grid_db": "0:10:5"}, None),
+        (
+            ["analyze", "rate", "--rho-grid", "1e4:1e7:3", "--method", "meanload"],
+            {"rho_grid": "1e4:1e7:3", "method": "meanload"},
+            None,
+        ),
+        (["simulate", *SIM_ARGS], SIM_PARAMS, 5),
+        (
+            ["sweep", "bias", "--class", "2,3", "--range-db", "0:5:5", "--metric", "sir"],
+            {"class": "2,3", "range_db": "0:5:5", "metric": "sir", "method": "theorem1", "coverage_target": 0.95},
+            None,
+        ),
+        (
+            ["optimize", "bias", "--mode", "rate", "--method", "meanload",
+             "--bracket-lo-db", "-10", "--bracket-hi-db", "30"],
+            {"mode": "rate", "class": None, "bracket_db": [-10.0, 30.0], "method": "meanload"},
+            None,
+        ),
+        (["compare", *SIM_ARGS, "--deployment", "grid"], {**SIM_PARAMS, "deployment": "grid"}, 5),
+    ],
+)
+def test_manifest_records_every_flag(tmp_path, args, params, seed):
+    """Each flag but --config, --output and --seed, under its own name; --seed in its own field."""
+    path = write_config(tmp_path)
+    out = tmp_path / "out"
+    assert main([*args, "--config", path, "-o", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    command = " ".join(a for a in args[:2] if not a.startswith("-"))
+    assert set(manifest) == {"config_path", "command", "parameters", "seed", "tool_version", "duration_seconds"}
+    assert manifest["command"] == command
+    assert manifest["config_path"] == path
+    assert manifest["parameters"] == params
+    assert manifest["seed"] == seed
+    assert manifest["tool_version"] == hetnet_offload.__version__
+
+
+def test_package_surface_resolves():
+    names = hetnet_offload.__all__
+    assert len(names) == len(set(names))
+    for name in names:
+        assert getattr(hetnet_offload, name) is not None, name
+
+
+def test_readme_library_imports_are_public():
+    readme = (ROOT / "README.md").read_text()
+    block = readme.split("## Library use", 1)[1].split("```python", 1)[1].split("```", 1)[0]
+    imported = re.search(r"from hetnet_offload import \(([^)]*)\)", block).group(1)
+    names = [n.strip() for n in imported.replace("\n", ",").split(",") if n.strip()]
+    assert names
+    assert set(names) <= set(hetnet_offload.__all__)

@@ -11,15 +11,17 @@ from hetnet_offload import (
     ClosedFormInapplicableError,
     NetworkConfig,
     association_probabilities,
-    d_coefficient,
     make_class,
     rate_ccdf,
     rate_coverage,
+    sinr_ccdf,
+    sinr_coverage,
+)
+from hetnet_offload.coverage import (
+    d_coefficient,
     rate_coverage_closed_form,
     rate_coverage_mean_load,
     shannon_threshold,
-    sinr_ccdf,
-    sinr_coverage,
     sinr_coverage_conditioned,
 )
 
@@ -163,7 +165,8 @@ def test_closed_form_matches_mean_load_quadrature():
 
 
 def test_closed_form_rejects_mixed_exponents_and_noise():
-    with pytest.raises(ClosedFormInapplicableError):
+    """Each refusal names the two routes that do apply."""
+    with pytest.raises(ClosedFormInapplicableError, match="exponents.*meanload or theorem1"):
         rate_coverage_closed_form(dual_rat_config())  # alpha 3.5 vs 4.0
-    with pytest.raises(ClosedFormInapplicableError):
+    with pytest.raises(ClosedFormInapplicableError, match="noise.*meanload or theorem1"):
         rate_coverage_closed_form(single_class_config(noise_w=1e-12))

@@ -42,8 +42,8 @@ from hetnet_offload import (
     make_class,
     rate_ccdf,
     sinr_ccdf,
-    z_integral,
 )
+from hetnet_offload.numerics import z_integral
 from quad_oracle import TIGHT_SETTINGS, decaying_integral
 
 TAUS = np.array([0.0, *np.logspace(-4.0, 6.0, 11), math.inf])

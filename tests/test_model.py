@@ -14,14 +14,11 @@ from hetnet_offload import (
     ConfigValidationError,
     NetworkConfig,
     db_to_linear,
-    dbm_to_watts,
-    from_decibel_units,
     linear_to_db,
     make_class,
     require_valid,
-    watts_to_dbm,
 )
-from hetnet_offload.model import normalize, validate
+from hetnet_offload.model import dbm_to_watts, validate, watts_to_dbm
 
 
 def test_decibel_round_trips():
@@ -32,12 +29,6 @@ def test_decibel_round_trips():
     assert db_to_linear(0.0) == 1.0
     assert dbm_to_watts(30.0) == pytest.approx(1.0)
     assert dbm_to_watts(53.0) == pytest.approx(199.5262315, rel=1e-9)
-
-
-def test_from_decibel_units_pairs():
-    p, b = from_decibel_units(23.0, 10.0)
-    assert p == pytest.approx(dbm_to_watts(23.0))
-    assert b == pytest.approx(10.0)
 
 
 def test_class_id_ordering_and_label():
@@ -170,19 +161,6 @@ def test_require_valid_raises_with_report():
     assert not err.value.report.passed
     good = single_class_config()
     assert require_valid(good) is good
-
-
-def test_normalize_is_relative_to_serving_class():
-    """Normalized weight of the serving class is 1; others scale by ratio."""
-    config = dual_rat_config(bias_db=10.0)
-    view = normalize(config, ClassId(1, 1))
-    assert view.weight_ratio[ClassId(1, 1)] == pytest.approx(1.0)
-    macro = config.class_for(ClassId(1, 1))
-    small = config.class_for(ClassId(2, 3))
-    assert view.weight_ratio[ClassId(2, 3)] == pytest.approx(small.weight / macro.weight)
-    assert view.exponent_ratio[ClassId(2, 3)] == pytest.approx(4.0 / 3.5)
-    with pytest.raises(ValueError, match="open"):
-        normalize(config, ClassId(2, 3, CLOSED))
 
 
 def test_make_class_matches_manual_construction():

@@ -15,8 +15,6 @@ from hetnet_offload import (
     SimSettings,
     make_class,
     run_batch,
-    run_trial,
-    sample_deployment,
 )
 from hetnet_offload import montecarlo
 from hetnet_offload.montecarlo import (
@@ -33,6 +31,8 @@ from hetnet_offload.montecarlo import (
     _uniform,
     _user_rng,
     _users_near,
+    run_trial,
+    sample_deployment,
 )
 from load_oracle import tagged_user_count_reference
 

@@ -15,8 +15,8 @@ import numpy as np
 import pytest
 import scipy.special
 
-from hetnet_offload import NumericalError, pv_area_moment, stirling2, z_integral
-from hetnet_offload.numerics import decay_integral
+from hetnet_offload import NumericalError
+from hetnet_offload.numerics import decay_integral, pv_area_moment, stirling2, z_integral
 from quad_oracle import QuadratureSettings, decaying_integral, semi_infinite_integral
 
 # (a, b, c) -> independently integrated value of a^(2/b) * I[(c/a)^(2/b), inf)

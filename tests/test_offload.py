@@ -12,17 +12,15 @@ from hetnet_offload import (
     TwoRatScenario,
     bias_sweep,
     db_to_linear,
-    golden_section_max,
     linear_to_db,
     optimal_bias_rate,
     optimal_bias_sir,
-    optimal_density_sir,
     percentile_rate,
-    rate_coverage_mean_load,
     sinr_coverage,
-    two_class_sir_coverage,
-    z_integral,
 )
+from hetnet_offload.coverage import rate_coverage_mean_load
+from hetnet_offload.numerics import z_integral
+from hetnet_offload.offload import golden_section_max, optimal_density_sir, two_class_sir_coverage
 
 MACRO = ClassId(1, 1)
 SMALL = ClassId(2, 3)
@@ -145,6 +143,9 @@ def test_optimal_bias_rate_guards():
     config = two_class_config()
     with pytest.raises(ValueError, match="40 dB"):
         optimal_bias_rate(config, bracket_db=(0.0, 10.0))
+    for bracket in ((-20.0, math.nan), (math.nan, 20.0), (-20.0, math.inf), (-math.inf, 20.0)):
+        with pytest.raises(ValueError, match="finite"):
+            optimal_bias_rate(config, bracket_db=bracket)
     with pytest.raises(ValueError, match="unknown method"):
         optimal_bias_rate(config, method="magic")
     with pytest.raises(ValueError, match="open"):
