@@ -68,8 +68,6 @@ def association_probability(config: NetworkConfig, serving: ClassId) -> float:
     """Probability that the typical user is served by class `serving`."""
     cls = _serving_class(config, serving)
     g, expos = _g_terms(config, serving)
-    if np.all(expos == 1.0):
-        return cls.density / float(g.sum())
     return math.pi * cls.density * float(decay_integral(math.pi * g, expos)[0])
 
 

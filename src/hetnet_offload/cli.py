@@ -160,17 +160,29 @@ def _parse_span(text: str, what: str) -> tuple[float, float, float]:
     return span
 
 
+_MAX_GRID_POINTS = 1_000_000
+
+
+def _check_size(points: float, what: str) -> None:
+    """Refuse a grid before it is built: a huge one would not fit in memory."""
+    if points > _MAX_GRID_POINTS:
+        raise ConfigSchemaError(f"{what}: the grid would have more than {_MAX_GRID_POINTS:,} points")
+
+
 def _db_grid(text: str, what: str) -> np.ndarray:
     lo, hi, step = _parse_span(text, what)
     if step <= 0 or hi < lo:
         raise ConfigSchemaError(f"{what}: need LO <= HI and STEP > 0")
-    return np.arange(lo, hi + step / 2.0, step)
+    stop = hi + step / 2.0
+    _check_size((stop - lo) / step, what)  # np.arange makes the ceiling of this many
+    return np.arange(lo, stop, step)
 
 
 def _log_grid(text: str, what: str) -> np.ndarray:
     lo, hi, points = _parse_span(text, what)
     if lo <= 0 or hi <= lo or points < 2 or not points.is_integer():
         raise ConfigSchemaError(f"{what}: need 0 < LO < HI and a whole number of POINTS >= 2")
+    _check_size(points, what)
     return np.logspace(math.log10(lo), math.log10(hi), int(points))
 
 

@@ -17,22 +17,24 @@ threshold array per serving class.
 
 Rates: an AP serving n+1 users splits its bandwidth evenly, so the typical
 user's rate is W / (n+1) * log2(1 + SINR) and rate coverage mixes S_ij over
-the tagged-AP load pmf.  A mean-load approximation and (for equal
-exponents, no noise) a fully closed form are provided as cheap variants.
+a load law: the tagged-AP load pmf (theorem1), or its mean alone
+(meanload).  Every route is one `_mix`: per open class, S_ij at the class's
+thresholds, mixed over the load law for rates, weighted by association.
+For equal exponents and no noise the kernel returns the integral in closed
+form, which makes the mean-load route the paper's closed form.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from .association import (
     _g_terms,
     association_probabilities,
-    association_probability,
     load_ratio,
     tagged_load_distribution,
 )
@@ -42,7 +44,6 @@ from .numerics import AREA_BIAS_FACTOR, decay_integral, z_integral
 __all__ = [
     "shannon_threshold",
     "d_coefficient",
-    "sinr_coverage_conditioned",
     "sinr_coverage",
     "sinr_ccdf",
     "rate_coverage",
@@ -138,71 +139,65 @@ def _decay_terms(config: NetworkConfig, ref: ApClass, taus: np.ndarray):
     return np.hstack(columns), np.concatenate(expos)
 
 
-def _conditional_coverage(
-    config: NetworkConfig, ref: ApClass, assoc: float, taus: np.ndarray, allow_closed_form: bool
-) -> np.ndarray:
-    """P(SINR > tau | served by `ref`) for every tau of a 1-D array."""
-    coefs, expos = _decay_terms(config, ref, taus)
-    scale = math.pi * ref.density / assoc
-    if allow_closed_form and np.all(expos == 1.0):
-        return scale / coefs.sum(axis=1)
-    return scale * decay_integral(coefs, expos)
+def _load_law(config: NetworkConfig, cls: ApClass, method: str):
+    """(loads, weights): the users on the serving AP, the typical one included.
+
+    theorem1: n+1 with weight pmf[n] over the tagged-AP pmf's non-zero
+    terms; meanload: the single mean 1 + (9/7) r with weight 1.
+    """
+    if method == "theorem1":
+        pmf = tagged_load_distribution(config, cls.id).pmf
+        n = np.flatnonzero(pmf)
+        return n + 1.0, pmf[n]
+    return np.array([1.0 + AREA_BIAS_FACTOR * load_ratio(config, cls.id)]), np.ones(1)
 
 
-def _mix(config: NetworkConfig, class_curve: Callable[[ApClass, float], np.ndarray]):
-    """Association-weighted sum of class_curve(cls, A_cls) over the open classes.
+def _mix(config: NetworkConfig, thresholds, method: str | None = None):
+    """Coverage per open class at its thresholds, and their association-weighted sum.
+
+    thresholds  a 1-D grid shared by all classes, or None for each class's
+                own threshold from the config
+    method      None: the thresholds are SINRs.  "theorem1" or "meanload":
+                they are rates (bits/s), each needing SINR t(rho / W * load)
+                at every load of the class's load law, mixed over its weights.
 
     Returns (values, per_class, weights).
     """
+    own = config.sinr_threshold_for if method is None else config.rate_threshold_for
     probs = association_probabilities(config)
-    per_class = {cls.id: class_curve(cls, probs[cls.id]) for cls in config.open_classes()}
+    per_class = {}
+    for cls in config.open_classes():
+        x = np.array([own(cls.id)]) if thresholds is None else np.asarray(thresholds, dtype=float)
+        _check_grid(x, "SINR" if method is None else "rate")
+        taus = x
+        if method is not None:
+            loads, weights = _load_law(config, cls, method)
+            taus = shannon_threshold(np.outer(x / cls.bandwidth, loads)).ravel()
+        coverage = math.pi * cls.density / probs[cls.id] * decay_integral(*_decay_terms(config, cls, taus))
+        if method is not None:
+            coverage = np.einsum("rn,n->r", coverage.reshape(x.size, -1), weights)  # einsum: see decay_integral
+        per_class[cls.id] = coverage
     values = sum(probs[cid] * curve for cid, curve in per_class.items())
     return values, per_class, probs
 
 
 def _check_grid(grid: np.ndarray, what: str) -> None:
     if not (np.all(grid >= 0.0) and np.all(np.diff(grid) > 0.0)):
-        raise ValueError(f"{what} grid must be non-negative and strictly increasing")
+        raise ValueError(f"{what} thresholds must be non-negative and strictly increasing")
 
 
-def sinr_coverage_conditioned(
-    config: NetworkConfig,
-    serving: ClassId,
-    tau: float,
-    allow_closed_form: bool = True,
-) -> float:
-    """P(SINR > tau | served by `serving`).
-
-    With no noise and a single common exponent the integral collapses to
-    lam_ij / (A_ij (sum_k D + sum_mk G)); `allow_closed_form=False` forces
-    the quadrature route (the two must agree, and tests hold them to it).
-    """
-    if not tau >= 0.0:
-        raise ValueError(f"SINR threshold must be non-negative (got {tau})")
-    assoc = association_probability(config, serving)
-    taus = np.array([float(tau)])
-    return float(_conditional_coverage(config, config.class_for(serving), assoc, taus, allow_closed_form)[0])
-
-
-def sinr_coverage(config: NetworkConfig, allow_closed_form: bool = True) -> float:
+def sinr_coverage(config: NetworkConfig) -> float:
     """P(SINR > tau_ij) with each class checked against its own threshold."""
-
-    def class_curve(cls: ApClass, assoc: float) -> np.ndarray:
-        tau = np.array([config.sinr_threshold_for(cls.id)])
-        return _conditional_coverage(config, cls, assoc, tau, allow_closed_form)
-
-    return float(_mix(config, class_curve)[0][0])
+    return float(_mix(config, None)[0][0])
 
 
-def sinr_ccdf(
-    config: NetworkConfig, taus: Sequence[float], allow_closed_form: bool = True
-) -> CcdfCurve:
-    """SINR CCDF over a common linear threshold grid applied to all classes."""
+def sinr_ccdf(config: NetworkConfig, taus: Sequence[float]) -> CcdfCurve:
+    """SINR CCDF over a common linear threshold grid applied to all classes.
+
+    per_class[cid][k] is P(SINR > taus[k] | served by class cid).
+    """
     grid = np.asarray(taus, dtype=float)
-    _check_grid(grid, "threshold")
-    values, per_class, probs = _mix(
-        config, lambda cls, a: _conditional_coverage(config, cls, a, grid, allow_closed_form)
-    )
+    values, per_class, probs = _mix(config, grid)
     return CcdfCurve("sinr_linear", grid, values, per_class, probs)
 
 
@@ -211,86 +206,29 @@ def sinr_ccdf(
 # ---------------------------------------------------------------------------
 
 
-def _conditional_rate_coverage(
-    config: NetworkConfig,
-    ref: ApClass,
-    assoc: float,
-    rhos: np.ndarray,
-    pmf: np.ndarray,
-    allow_closed_form: bool,
-) -> np.ndarray:
-    """P(rate > rho | serving class) per rho, mixing SINR coverage over the load pmf.
-
-    One threshold per (rho, non-zero pmf term): t(rho / W * (n+1)).
-    """
-    n = np.flatnonzero(pmf)
-    taus = shannon_threshold(np.outer(rhos / ref.bandwidth, n + 1.0))
-    coverage = _conditional_coverage(config, ref, assoc, taus.ravel(), allow_closed_form)
-    return np.einsum("rn,n->r", coverage.reshape(rhos.size, -1), pmf[n])  # einsum: see decay_integral
-
-
-def _class_rho(config: NetworkConfig, cls: ApClass, rho_common: float | None) -> np.ndarray:
-    rho = rho_common if rho_common is not None else config.rate_threshold_for(cls.id)
-    if not rho >= 0.0:
-        raise ValueError(f"rate threshold must be non-negative (got {rho})")
-    return np.array([float(rho)])
-
-
-def rate_coverage(
-    config: NetworkConfig,
-    n_max: int | None = None,
-    allow_closed_form: bool = True,
-    rho_common: float | None = None,
-) -> float:
+def rate_coverage(config: NetworkConfig, rho_common: float | None = None) -> float:
     """P(rate > rho_ij): load-averaged SINR coverage, weighted by association.
 
     Thresholds come from config.rate_threshold unless `rho_common`
     overrides them all (used by percentile solving and CCDF sweeps).
     """
-
-    def class_curve(cls: ApClass, assoc: float) -> np.ndarray:
-        rho = _class_rho(config, cls, rho_common)
-        pmf = tagged_load_distribution(config, cls.id, n_max).pmf
-        return _conditional_rate_coverage(config, cls, assoc, rho, pmf, allow_closed_form)
-
-    return float(_mix(config, class_curve)[0][0])
+    return float(_mix(config, None if rho_common is None else [rho_common], "theorem1")[0][0])
 
 
-def rate_ccdf(
-    config: NetworkConfig,
-    rhos: Sequence[float],
-    n_max: int | None = None,
-    allow_closed_form: bool = True,
-) -> CcdfCurve:
+def rate_ccdf(config: NetworkConfig, rhos: Sequence[float]) -> CcdfCurve:
     """Rate CCDF over a common bits/s grid applied to all classes."""
     grid = np.asarray(rhos, dtype=float)
-    _check_grid(grid, "rate")
-
-    def class_curve(cls: ApClass, assoc: float) -> np.ndarray:
-        pmf = tagged_load_distribution(config, cls.id, n_max).pmf
-        return _conditional_rate_coverage(config, cls, assoc, grid, pmf, allow_closed_form)
-
-    values, per_class, probs = _mix(config, class_curve)
+    values, per_class, probs = _mix(config, grid, "theorem1")
     return CcdfCurve("rate_bps", grid, values, per_class, probs)
 
 
-def rate_coverage_mean_load(
-    config: NetworkConfig,
-    allow_closed_form: bool = True,
-    rho_common: float | None = None,
-) -> float:
+def rate_coverage_mean_load(config: NetworkConfig, rho_common: float | None = None) -> float:
     """Rate coverage with the load pmf collapsed to its mean.
 
     Each class sees the single effective load 1 + (9/7) r_ij; accurate when
     the load is concentrated, cheap always.
     """
-
-    def class_curve(cls: ApClass, assoc: float) -> np.ndarray:
-        mean_load = 1.0 + AREA_BIAS_FACTOR * load_ratio(config, cls.id)
-        tau = shannon_threshold(_class_rho(config, cls, rho_common) / cls.bandwidth * mean_load)
-        return _conditional_coverage(config, cls, assoc, tau, allow_closed_form)
-
-    return float(_mix(config, class_curve)[0][0])
+    return float(_mix(config, None if rho_common is None else [rho_common], "meanload")[0][0])
 
 
 def rate_coverage_closed_form(config: NetworkConfig, rho_common: float | None = None) -> float:

@@ -54,7 +54,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Mapping
 
 import numpy as np
 
@@ -83,14 +82,14 @@ class SimSettings:
     window_km         side of the square window, user at its centre (> 0)
     trials            number of independent trials (>= 1)
     seed              root seed; every stream derives from (seed, trial, ...)
-    deployment        "ppp" | "grid", or a per-ClassId mapping
+    deployment        "ppp" | "grid", for every class
     parallel_workers  process count (>= 1); results are worker-count invariant
     """
 
     window_km: float = 20.0
     trials: int = 100_000
     seed: int = 0
-    deployment: str | Mapping[ClassId, str] = "ppp"
+    deployment: str = "ppp"
     parallel_workers: int = 1
 
 
@@ -132,15 +131,9 @@ def default_sinr_grid() -> np.ndarray:
     return 10.0 ** (np.arange(-20.0, 60.5, 1.0) / 10.0)
 
 
-def _deployment_for(settings: SimSettings, cid: ClassId) -> str:
-    mode = settings.deployment
-    if isinstance(mode, str):
-        out = mode
-    else:
-        out = mode.get(cid, "ppp")
-    if out not in ("ppp", "grid"):
-        raise ValueError(f"unknown deployment mode {out!r} for {cid.label()}")
-    return out
+def _check_deployment(settings: SimSettings) -> None:
+    if settings.deployment not in ("ppp", "grid"):
+        raise ValueError(f"unknown deployment mode {settings.deployment!r}")
 
 
 def _class_key(cid: ClassId) -> tuple[int, int, int]:
@@ -300,9 +293,7 @@ def _ppp_points(n: int, settings: SimSettings, rng: np.random.Generator) -> np.n
     return _uniform(rng, -half, half, (n, 2))
 
 
-def sample_deployment(
-    cls: ApClass, settings: SimSettings, rng: np.random.Generator, mode: str | None = None
-) -> np.ndarray:
+def sample_deployment(cls: ApClass, settings: SimSettings, rng: np.random.Generator) -> np.ndarray:
     """Sample one trial's AP positions for a class, shape (n, 2), km.
 
     "ppp": Poisson(lam * window^2) points uniform in the window.
@@ -310,14 +301,13 @@ def sample_deployment(
     offset per trial (so the typical user's position within the lattice
     cell is uniform rather than pinned).
     """
-    if mode is None:
-        mode = _deployment_for(settings, cls.id)
     w = settings.window_km
     half = w / 2.0
     if cls.density <= 0.0:
         return np.empty((0, 2))
-    if mode == "ppp":
+    if settings.deployment == "ppp":
         return _ppp_points(_ppp_count(cls, settings, rng), settings, rng)
+    _check_deployment(settings)
     spacing = 1.0 / math.sqrt(cls.density)
     off = _uniform(rng, 0.0, spacing, 2)
     xs = np.arange(off[0], w, spacing) - half
@@ -466,10 +456,9 @@ class _Plan:
         self.config = config
         self.settings = settings
         self.classes = config.present_classes()
-        self.modes = [_deployment_for(settings, c.id) for c in self.classes]
         # open classes and grids are placed before serving; a closed PPP
         # draws its count then and its positions only if its RAT serves
-        self.placed = [c.id.is_open or m == "grid" for c, m in zip(self.classes, self.modes)]
+        self.placed = [c.id.is_open or settings.deployment == "grid" for c in self.classes]
         self.open_slots = [k for k, c in enumerate(self.classes) if c.id.is_open]
         self.rat_slots = {
             rat: [k for k, c in enumerate(self.classes) if c.id.rat == rat] for rat in config.rats()
@@ -508,7 +497,7 @@ def _trial(plan: _Plan, states) -> tuple[int, float, float, int, float, list[int
     counts = [0] * len(classes)
     for k, cls in enumerate(classes):
         if plan.placed[k]:
-            points[k] = sample_deployment(cls, settings, rngs[k], plan.modes[k])
+            points[k] = sample_deployment(cls, settings, rngs[k])
             counts[k] = points[k].shape[0]
         else:
             counts[k] = _ppp_count(cls, settings, rngs[k])
@@ -614,8 +603,7 @@ def run_batch(
     if settings.parallel_workers < 1:
         raise ValueError(f"need at least one worker, got {settings.parallel_workers}")
     _check_seed(settings.seed)
-    for cls in config.present_classes():
-        _deployment_for(settings, cls.id)  # validate modes up front
+    _check_deployment(settings)
     rate_grid = default_rate_grid() if rate_grid is None else np.asarray(rate_grid, dtype=float)
     sinr_grid = default_sinr_grid() if sinr_grid is None else np.asarray(sinr_grid, dtype=float)
 

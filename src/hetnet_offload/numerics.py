@@ -16,7 +16,8 @@ u at which the fastest-growing term reaches 1.  At u = s the exponent is
 between 1 and K whatever the coefficients, so every row puts its decay
 in the same, well-resolved part of the t range, and the map's
 double-exponential decay at both ends of t makes the truncated tails
-negligible.
+negligible.  When every exponent is 1 (equal path-loss exponents, no
+noise) the integral is 1 / sum_k c_k, and the kernel returns that.
 
 The interference kernel `z_integral` is an incomplete beta function
 B_x(s, 1-s), summed from its hypergeometric series (DLMF 8.17.7) on
@@ -71,11 +72,19 @@ def decay_integral(coefs, expos) -> np.ndarray:
            row; a row with an infinite coefficient integrates to 0
     expos  (K,) positive exponents shared by all rows
 
-    A fixed 121-node exp-sinh rule (module docstring); there is no
+    When every exponent is 1 the integral is 1 / sum_k coefs[r, k];
+    otherwise a fixed 121-node exp-sinh rule (module docstring), with no
     tolerance to set.  Returns (rows,).
     """
     coefs = np.atleast_2d(np.asarray(coefs, dtype=float))
     expos = np.asarray(expos, dtype=float)
+    if np.all(expos == 1.0):
+        # decided before any per-element work: this is the whole cost of an
+        # equal-exponent, noise-free coverage call
+        total = coefs.sum(axis=1)
+        if not np.all(total > 0.0):
+            raise ValueError("every row needs a positive coefficient")
+        return 1.0 / total
     with np.errstate(over="ignore"):
         # u at which the fastest-growing term reaches 1; the exponent at the
         # scale u = s is between 1 and K, whatever the coefficients

@@ -22,14 +22,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .association import association_probability, rat_offload_fraction
+from .association import rat_offload_fraction
 from .coverage import (
     rate_coverage,
     rate_coverage_closed_form,
     rate_coverage_mean_load,
     sinr_coverage,
 )
-from .model import ClassId, NetworkConfig, db_to_linear, linear_to_db
+from .model import ClassId, NetworkConfig, db_to_linear
 from .numerics import z_integral
 
 __all__ = [
@@ -120,14 +120,21 @@ class OptimizationResult:
     boundary_warning: bool = False
 
 
+def _z_pair(tau1: float, tau2: float, alpha: float) -> tuple[float, float]:
+    """Z1 = Z(tau1, alpha, 1) and Z2 = Z(tau2, alpha, 1) of the two-class scenario."""
+    return z_integral(tau1, alpha, 1.0), z_integral(tau2, alpha, 1.0)
+
+
+def _require_positive(name: str, value: float) -> None:
+    if not (math.isfinite(value) and value > 0.0):
+        raise ValueError(f"{name} must be positive and finite (got {value})")
+
+
 def two_class_sir_coverage(
     scenario: TwoRatScenario, tau1: float, tau2: float, alpha: float, bias_ratio: float
 ) -> float:
     """SIR coverage of the two-class scenario at a given bias ratio."""
-    if alpha <= 2.0:
-        raise ValueError(f"exponent must exceed 2 (got {alpha})")
-    z1 = z_integral(tau1, alpha, 1.0)
-    z2 = z_integral(tau2, alpha, 1.0)
+    z1, z2 = _z_pair(tau1, tau2, alpha)
     x = scenario.density_ratio * (bias_ratio / scenario.power_ratio) ** (2.0 / alpha)
     return 1.0 / (z1 + 1.0 + x) + 1.0 / (z2 + 1.0 + 1.0 / x)
 
@@ -143,10 +150,7 @@ def optimal_bias_sir(
     """
     if tau1 <= 0.0 or tau2 <= 0.0:
         raise ValueError("SIR thresholds must be positive for the closed form")
-    if alpha <= 2.0:
-        raise ValueError(f"exponent must exceed 2 (got {alpha})")
-    z1 = z_integral(tau1, alpha, 1.0)
-    z2 = z_integral(tau2, alpha, 1.0)
+    z1, z2 = _z_pair(tau1, tau2, alpha)
     b_opt = scenario.power_ratio * (z1 / (scenario.density_ratio * z2)) ** (alpha / 2.0)
     return OptimizationResult(
         b_opt=b_opt,
@@ -168,8 +172,7 @@ def optimal_density_sir(
         raise ValueError("SIR thresholds must be positive for the closed form")
     if fixed_bias_ratio <= 0.0:
         raise ValueError("bias ratio must be positive")
-    z1 = z_integral(tau1, alpha, 1.0)
-    z2 = z_integral(tau2, alpha, 1.0)
+    z1, z2 = _z_pair(tau1, tau2, alpha)
     return (scenario.power_ratio / fixed_bias_ratio) ** (2.0 / alpha) * z1 / z2
 
 
@@ -180,6 +183,7 @@ def golden_section_max(f, lo: float, hi: float, tol: float, trace: list | None =
     """
     if hi <= lo:
         raise ValueError("need lo < hi")
+    _require_positive("tol", tol)
 
     def probe(x):
         y = f(x)
@@ -257,6 +261,8 @@ def optimal_bias_rate(
         raise ValueError(f"bias bracket must be finite (got {lo_db} ... {hi_db} dB)")
     if hi_db - lo_db < 40.0:
         raise ValueError("bias bracket must span at least 40 dB")
+    _require_positive("coarse_step_db", coarse_step_db)
+    _require_positive("tol_db", tol_db)
     if target is None:
         target = _default_target(config)
     if not target.is_open:
@@ -345,6 +351,7 @@ def percentile_rate(
     """
     if not (0.0 < coverage_target < 1.0):
         raise ValueError(f"coverage target must be in (0,1), got {coverage_target}")
+    _require_positive("rel_tol", rel_tol)
     base = _rate_objective(method)
 
     def r_of(rho: float) -> float:

@@ -1,10 +1,13 @@
 """Adaptive-quadrature reference for the package's fixed-node kernel.
 
-These routines were the package's own integrators before the coverage and
+The integrators were the package's own before the coverage and
 association integrals moved to `numerics.decay_integral`.  They are kept
 unchanged as the slow oracle the tests hold the kernel to: one adaptive
 Gauss-Kronrod quadrature (`scipy.integrate.quad`) per integral, with a
-Python callable as the integrand.
+Python callable as the integrand.  Below them, the association
+probability, the conditional SINR coverage and the mean-load rate
+coverage are built from their defining integrals term by term, with no
+closed form, so a test can hold any package route to them.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from typing import Callable
 
 import scipy.integrate
 
-from hetnet_offload.numerics import NumericalError
+from hetnet_offload.numerics import NumericalError, z_integral
 
 
 @dataclass(frozen=True)
@@ -102,3 +105,56 @@ def decaying_integral(
         while g(upper / 2.0) <= cut and upper > 2.0**-60:
             upper /= 2.0
     return _quad(g, 0.0, upper, settings)
+
+
+# ---------------------------------------------------------------------------
+# Model quantities by their defining integrals, built term by term
+# ---------------------------------------------------------------------------
+
+
+def _g_terms(config, ref) -> list[tuple[float, float]]:
+    """(pi G_mk, alpha_ij / alpha_mk) over the open classes, in u = y^2."""
+    return [
+        (math.pi * c.density * (c.weight / ref.weight) ** (2.0 / c.exponent), ref.exponent / c.exponent)
+        for c in config.open_classes()
+    ]
+
+
+def _integral(terms) -> float:
+    return decaying_integral(lambda u: math.exp(-sum(c * u**e for c, e in terms)), TIGHT_SETTINGS)
+
+
+def association_probability(config, serving) -> float:
+    """A_ij = pi lam_ij * integral_0^inf exp(-pi sum_mk G_mk u^(a_ij/a_mk)) du."""
+    ref = config.class_for(serving)
+    return math.pi * ref.density * _integral(_g_terms(config, ref))
+
+
+def conditional_coverage(config, serving, tau: float) -> float:
+    """P(SINR > tau | serving): the G, D and noise terms, integrated adaptively."""
+    if math.isinf(tau):
+        return 0.0
+    ref = config.class_for(serving)
+    g_terms = _g_terms(config, ref)
+    terms = list(g_terms)
+    for c in config.classes_of_rat(serving.rat):
+        offset = c.bias / ref.bias if c.id.is_open else 0.0
+        d = c.density * (c.power / ref.power) ** (2.0 / c.exponent) * z_integral(tau, c.exponent, offset)
+        terms.append((math.pi * d, ref.exponent / c.exponent))
+    terms.append((tau * config.noise_for(serving.rat) / ref.power, ref.exponent / 2.0))
+    # pi lam / A * I, with A = pi lam * (the G-only integral)
+    return _integral(terms) / _integral(g_terms)
+
+
+def mean_load_rate_coverage(config, rho: float | None = None) -> float:
+    """sum_ij A_ij P(SINR > 2^(rho_ij/W (1 + 9/7 r_ij)) - 1 | ij), r_ij = lam_u A_ij / lam_ij.
+
+    rho_ij is `rho` for every class, or each class's own rate threshold.
+    """
+    total = 0.0
+    for c in config.open_classes():
+        a = association_probability(config, c.id)
+        load = 1.0 + 9.0 / 7.0 * config.user_density * a / c.density
+        rho_ij = config.rate_threshold_for(c.id) if rho is None else rho
+        total += a * conditional_coverage(config, c.id, 2.0 ** (rho_ij / c.bandwidth * load) - 1.0)
+    return total

@@ -47,7 +47,7 @@ from hetnet_offload.association import association_probability, load_ratio
 from hetnet_offload.coverage import rate_coverage_closed_form, rate_coverage_mean_load
 from hetnet_offload.numerics import AREA_BIAS_FACTOR
 from hetnet_offload.offload import two_class_sir_coverage
-from quad_oracle import TIGHT_SETTINGS, decaying_integral
+import quad_oracle as oracle
 
 MACRO = ClassId(1, 1)
 SMALL = ClassId(2, 3)
@@ -220,16 +220,17 @@ def _random_config(rng, equal_exponent: bool = False) -> NetworkConfig:
 
 def test_c04_closed_form_matches_quadrature_mean_load(capsys):
     """C4: on random equal-exponent zero-noise configs the closed-form
-    mean-load rate coverage equals the quadrature pipeline to 1e-6."""
+    mean-load rate coverage equals the adaptive quadrature of its defining
+    integrals (tests/quad_oracle.py) to 1e-6."""
     rng = np.random.default_rng(13)
     worst = 0.0
     for _ in range(10):
         config = _random_config(rng, equal_exponent=True)
         closed = rate_coverage_closed_form(config, rho_common=256e3)
-        quad = rate_coverage_mean_load(config, allow_closed_form=False, rho_common=256e3)
+        quad = oracle.mean_load_rate_coverage(config, 256e3)
         worst = max(worst, abs(closed - quad))
     ok = worst <= 1e-6
-    line = _verdict(capsys, ok, "C4", f"max |closed - quadrature| = {worst:.2e} (<=1e-6)")
+    line = _verdict(capsys, ok, "C4", f"max |closed - adaptive quadrature| = {worst:.2e} (<=1e-6)")
     assert ok, line
 
 
@@ -301,18 +302,6 @@ def test_c05_load_law(dual_rat_runs, capsys):
     assert ok, line
 
 
-def _integral_route(config, serving) -> float:
-    """Association probability by its defining integral, built in-test."""
-    ref = config.class_for(serving)
-    terms = []
-    for cls in config.open_classes():
-        g = cls.density * (cls.weight / ref.weight) ** (2.0 / cls.exponent)
-        terms.append((g, ref.exponent / cls.exponent))
-    return math.pi * ref.density * decaying_integral(
-        lambda u: math.exp(-math.pi * sum(g * u**e for g, e in terms)), TIGHT_SETTINGS
-    )
-
-
 @pytest.mark.slow
 def test_c06_association_consistency(dual_rat_runs, four_class_runs, capsys):
     """C6: association probabilities sum to one on random mixed-exponent
@@ -330,7 +319,7 @@ def test_c06_association_consistency(dual_rat_runs, four_class_runs, capsys):
         config = _random_config(rng, equal_exponent=True)
         for cls in config.open_classes():
             fast = association_probability(config, cls.id)
-            worst_route = max(worst_route, abs(fast - _integral_route(config, cls.id)))
+            worst_route = max(worst_route, abs(fast - oracle.association_probability(config, cls.id)))
 
     worst_sigma = 0.0
     ci_ok = True

@@ -26,22 +26,11 @@ from hetnet_offload.association import (
     typical_load_pmf,
 )
 from hetnet_offload.numerics import pv_area_moment, stirling2
-from quad_oracle import TIGHT_SETTINGS, decaying_integral, semi_infinite_integral
+import quad_oracle as oracle
+from quad_oracle import semi_infinite_integral
 
 MACRO = ClassId(1, 1)
 SMALL = ClassId(2, 3)
-
-
-def _integral_route(config, serving) -> float:
-    """The defining semi-infinite integral, built from scratch in-test."""
-    ref = config.class_for(serving)
-    terms = []
-    for cls in config.open_classes():
-        g = cls.density * (cls.weight / ref.weight) ** (2.0 / cls.exponent)
-        terms.append((g, ref.exponent / cls.exponent))
-    return math.pi * ref.density * decaying_integral(
-        lambda u: math.exp(-math.pi * sum(g * u**e for g, e in terms)), TIGHT_SETTINGS
-    )
 
 
 def test_association_probabilities_sum_to_one():
@@ -57,7 +46,7 @@ def test_equal_exponent_fast_path_matches_integral():
     for config in (two_class_config(), two_class_config(bias_db=10.0, density2=25.0)):
         for cls in config.open_classes():
             fast = association_probability(config, cls.id)
-            slow = _integral_route(config, cls.id)
+            slow = oracle.association_probability(config, cls.id)
             assert fast == pytest.approx(slow, abs=1e-10)
 
 

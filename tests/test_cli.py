@@ -1,8 +1,11 @@
 """Command-line layer: config ingestion, outputs, manifests, exit codes."""
 
+import importlib
+import importlib.util
 import json
 import math
 import re
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -113,7 +116,7 @@ def test_load_config_schema_errors(tmp_path):
         load_config(path)
 
 
-def test_exit_codes(tmp_path, capsys):
+def test_exit_codes(tmp_path, capsys, monkeypatch):
     ok = write_config(tmp_path)
     out = str(tmp_path / "out")
     assert main(["analyze", "sinr", "--config", ok, "--tau-grid-db", "0:10:5", "-o", out]) == 0
@@ -139,8 +142,14 @@ def test_exit_codes(tmp_path, capsys):
     )
     assert code == 2
 
-    # a bad grid or bracket is a bad argument: exit 1, naming the flag, before any output
+    # a bad grid or bracket is a bad argument: exit 1, naming the flag, before
+    # any output and before numpy is asked for a grid (one of more than a
+    # million points would not fit in memory)
     bad_args = [
+        (["analyze", "sinr", "--tau-grid-db", "0:1e15:1"], "--tau-grid-db"),
+        (["analyze", "sinr", "--tau-grid-db", "0:1:1e-320"], "--tau-grid-db"),
+        (["analyze", "rate", "--rho-grid", "1e4:1e6:1e300"], "--rho-grid"),
+        (["analyze", "rate", "--rho-grid", "1e4:1e6:1000001"], "--rho-grid"),
         (["analyze", "rate", "--rho-grid", "1e4:1e6:2.9"], "--rho-grid"),
         (["simulate", "--trials", "5", "--rho-grid", "1e4:inf:3"], "--rho-grid"),
         (["analyze", "sinr", "--tau-grid-db", "-10:inf:1"], "--tau-grid-db"),
@@ -148,12 +157,16 @@ def test_exit_codes(tmp_path, capsys):
         (["optimize", "bias", "--mode", "rate", "--bracket-hi-db", "inf"], "bias bracket must be finite"),
         (["optimize", "bias", "--mode", "rate", "--bracket-lo-db", "nan"], "bias bracket must be finite"),
     ]
+    built = []
+    for name in ("arange", "logspace"):
+        real = getattr(np, name)
+        monkeypatch.setattr(np, name, lambda *a, real=real, **k: built.append(a) or real(*a, **k))
     fresh = tmp_path / "fresh"
     for args, named in bad_args:
         capsys.readouterr()
         assert main([*args, "--config", ok, "-o", str(fresh)]) == 1, args
         assert named in capsys.readouterr().err, args
-        assert not fresh.exists()
+        assert not fresh.exists() and built == [], args
 
 
 @pytest.mark.parametrize(
@@ -454,3 +467,15 @@ def test_readme_library_imports_are_public():
     names = [n.strip() for n in imported.replace("\n", ",").split(",") if n.strip()]
     assert names
     assert set(names) <= set(hetnet_offload.__all__)
+
+
+def test_benchmark_tracing_targets_resolve(monkeypatch):
+    """Every function the benchmark's tracer wraps still exists where it
+    looks it up; a missing one makes a traced run fail."""
+    spec = importlib.util.spec_from_file_location("bench_tracing", ROOT / "benchmarks" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, tracing)  # its dataclasses look their module up
+    spec.loader.exec_module(tracing)
+    assert tracing.TARGETS
+    for target in tracing.TARGETS:
+        assert callable(getattr(importlib.import_module(target.module), target.attr)), target

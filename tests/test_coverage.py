@@ -1,4 +1,4 @@
-"""SINR and rate coverage: closed forms, quadrature route, CCDF assembly."""
+"""SINR and rate coverage: closed forms against the adaptive oracle, CCDF assembly."""
 
 import math
 
@@ -22,8 +22,8 @@ from hetnet_offload.coverage import (
     rate_coverage_closed_form,
     rate_coverage_mean_load,
     shannon_threshold,
-    sinr_coverage_conditioned,
 )
+from quad_oracle import conditional_coverage, mean_load_rate_coverage
 
 MACRO = ClassId(1, 1)
 SMALL = ClassId(2, 3)
@@ -73,12 +73,17 @@ def test_single_class_sir_closed_form():
     )
 
 
+def _conditioned(config, serving, tau: float) -> float:
+    """P(SINR > tau | served by `serving`), read off the SINR CCDF."""
+    return sinr_ccdf(config, [tau]).per_class[serving][0]
+
+
 def test_conditional_coverage_closed_vs_quadrature():
-    """Equal exponents, zero noise: both routes must coincide."""
+    """Equal exponents, zero noise: the closed form equals the adaptive oracle."""
     config = two_class_config(bias_db=7.0)
     for cls in config.open_classes():
-        fast = sinr_coverage_conditioned(config, cls.id, 1.0)
-        slow = sinr_coverage_conditioned(config, cls.id, 1.0, allow_closed_form=False)
+        fast = _conditioned(config, cls.id, 1.0)
+        slow = conditional_coverage(config, cls.id, 1.0)
         assert fast == pytest.approx(slow, abs=1e-10)
 
 
@@ -86,7 +91,7 @@ def test_sinr_coverage_is_association_weighted():
     config = dual_rat_config()
     probs = association_probabilities(config)
     total = sum(
-        probs[cls.id] * sinr_coverage_conditioned(config, cls.id, 1.0)
+        probs[cls.id] * _conditioned(config, cls.id, 1.0)
         for cls in config.open_classes()
     )
     assert sinr_coverage(config) == pytest.approx(total, rel=1e-12)
@@ -96,10 +101,10 @@ def test_sinr_coverage_is_association_weighted():
 def test_threshold_extremes():
     """tau = 0 is always covered (no noise); tau = inf never."""
     config = two_class_config()
-    assert sinr_coverage_conditioned(config, MACRO, 0.0) == pytest.approx(1.0, rel=1e-10)
-    assert sinr_coverage_conditioned(config, MACRO, math.inf) == 0.0
+    assert _conditioned(config, MACRO, 0.0) == pytest.approx(1.0, rel=1e-10)
+    assert _conditioned(config, MACRO, math.inf) == 0.0
     with pytest.raises(ValueError, match="non-negative"):
-        sinr_coverage_conditioned(config, MACRO, -1.0)
+        _conditioned(config, MACRO, -1.0)
 
 
 def test_noise_strictly_lowers_coverage():
@@ -157,10 +162,11 @@ def test_mean_load_tracks_full_average():
 
 
 def test_closed_form_matches_mean_load_quadrature():
-    """Equal exponents, zero noise: the algebraic route equals quadrature."""
+    """Equal exponents, zero noise: the algebraic route equals the adaptive
+    quadrature of the mean-load coverage's defining integrals."""
     for config in (two_class_config(), two_class_config(bias_db=10.0, user_density=80.0)):
         closed = rate_coverage_closed_form(config)
-        quad = rate_coverage_mean_load(config, allow_closed_form=False)
+        quad = mean_load_rate_coverage(config)
         assert closed == pytest.approx(quad, abs=1e-9)
 
 

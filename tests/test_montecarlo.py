@@ -84,6 +84,9 @@ def test_unknown_deployment_mode_rejected():
     config = dual_rat_config()
     with pytest.raises(ValueError, match="deployment"):
         run_batch(config, SimSettings(trials=1, deployment="hex"))
+    # one mode for every class: a per-class mapping is not a mode
+    with pytest.raises(ValueError, match="deployment"):
+        run_batch(config, SimSettings(trials=1, deployment={MACRO: "grid"}))
 
 
 def _trial_pieces(config, settings, trial):

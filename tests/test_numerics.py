@@ -162,6 +162,20 @@ def test_decay_integral_known_values():
         decay_integral([[0.0, 0.0]], [1.0, 2.0])
 
 
+def test_decay_integral_unit_exponents_take_the_closed_form():
+    """With every exponent 1 the integral is 1 / sum_k c_k, exactly; an
+    infinite coefficient gives 0, and a row without a positive coefficient
+    is refused as on the quadrature path."""
+    coefs = np.array([[1.0, 0.0, 3.0], [2.5, 1e-3, 7.0], [1e-6, 0.0, 0.0], [math.inf, 1.0, 0.0]])
+    got = decay_integral(coefs, [1.0, 1.0, 1.0])
+    assert got.tolist() == (1.0 / coefs.sum(axis=1)).tolist()
+    assert got[3] == 0.0
+    with pytest.raises(ValueError, match="positive coefficient"):
+        decay_integral([[1.0, 1.0], [0.0, 0.0]], [1.0, 1.0])
+    with pytest.raises(ValueError, match="positive coefficient"):
+        decay_integral([[math.nan, 1.0]], [1.0, 1.0])
+
+
 def test_decaying_integral_matches_quadrature():
     """Automatic cutoff reproduces exp/Gaussian integrals from a cold start."""
     assert decaying_integral(lambda u: math.exp(-u)) == pytest.approx(1.0, rel=1e-10)

@@ -20,6 +20,7 @@ from hetnet_offload import (
 )
 from hetnet_offload.coverage import rate_coverage_mean_load
 from hetnet_offload.numerics import z_integral
+from hetnet_offload import offload
 from hetnet_offload.offload import golden_section_max, optimal_density_sir, two_class_sir_coverage
 
 MACRO = ClassId(1, 1)
@@ -117,6 +118,51 @@ def test_golden_section_max_parabola():
     assert len(trace) > 20 and trace[0][1] == pytest.approx(-((trace[0][0] - 2.0) ** 2) + 3.0)
     with pytest.raises(ValueError):
         golden_section_max(lambda x: x, 1.0, 1.0, 1e-3)
+
+
+BAD_TOLERANCES = [0.0, -1.0, math.nan, math.inf]
+
+
+@pytest.fixture
+def objective_calls(monkeypatch):
+    """Every rate objective the solvers can reach, counted."""
+    calls = []
+    for name in ("rate_coverage", "rate_coverage_mean_load", "rate_coverage_closed_form"):
+        real = getattr(offload, name)
+        monkeypatch.setattr(offload, name, lambda *a, real=real, **k: calls.append(1) or real(*a, **k))
+    return calls
+
+
+@pytest.mark.parametrize("tol", BAD_TOLERANCES)
+def test_golden_section_max_rejects_bad_tol(tol):
+    """A zero tolerance used to loop forever; the guard comes before any probe."""
+    probes = []
+    with pytest.raises(ValueError, match="tol"):
+        golden_section_max(lambda x: probes.append(x) or -x * x, -1.0, 1.0, tol)
+    assert probes == []
+
+
+@pytest.mark.parametrize("tol_db", BAD_TOLERANCES)
+def test_optimal_bias_rate_rejects_bad_tol_db(tol_db, objective_calls):
+    with pytest.raises(ValueError, match="tol_db"):
+        optimal_bias_rate(two_class_config(), bracket_db=(-10.0, 45.0), tol_db=tol_db)
+    assert objective_calls == []
+
+
+@pytest.mark.parametrize("step", BAD_TOLERANCES)
+def test_optimal_bias_rate_rejects_bad_coarse_step(step, objective_calls):
+    """0 dB divided by zero and -1 dB made an empty grid."""
+    with pytest.raises(ValueError, match="coarse_step_db"):
+        optimal_bias_rate(two_class_config(), bracket_db=(-10.0, 45.0), coarse_step_db=step)
+    assert objective_calls == []
+
+
+@pytest.mark.parametrize("rel_tol", BAD_TOLERANCES)
+def test_percentile_rate_rejects_bad_rel_tol(rel_tol, objective_calls):
+    """A zero tolerance used to bisect forever."""
+    with pytest.raises(ValueError, match="rel_tol"):
+        percentile_rate(two_class_config(), 0.95, method="meanload", rel_tol=rel_tol)
+    assert objective_calls == []
 
 
 def test_optimal_bias_rate_interior_maximum():
