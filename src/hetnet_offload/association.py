@@ -129,18 +129,17 @@ def load_ratio(config: NetworkConfig, serving: ClassId) -> float:
 
 @dataclass(frozen=True)
 class LoadDistribution:
-    """Truncated PMF of the number of other users on the tagged AP.
+    """PMF of the number of other users on the tagged AP, cut where its
+    tails are negligible (see `_nb_pmf`).
 
     serving  class whose tagged AP is described
     ratio    r = lam_u * A_ij / lam_ij
-    pmf      pmf[n] = P(O = n) for n = 0..n_max
-    n_max    truncation index (inclusive)
+    pmf      pmf[n] = P(O = n) for n = 0 .. pmf.size - 1
     """
 
     serving: ClassId
     ratio: float
     pmf: np.ndarray
-    n_max: int
 
     def mean(self) -> float:
         return float(np.arange(self.pmf.size) @ self.pmf)
@@ -153,31 +152,32 @@ _MAX_PMF_TERMS = 10_000_000  # 80 MB of pmf; r ~ 1e6 needs about that many
 _TAIL_MASS = 1e-10
 _TAIL_MEAN = 1e-9  # times (1 + r)
 _PMF_BLOCK = 2**16  # longest block of terms computed at once
+_SUM_ROW = 256  # terms summed on their own before the rows are summed
 
 
-def _running_sum(steps: np.ndarray, row: int = 256) -> np.ndarray:
-    """[0, cumsum(steps)], summed in rows of `row` terms and then across rows.
+def _running_sum(steps: np.ndarray) -> np.ndarray:
+    """[0, cumsum(steps)], summed in rows of _SUM_ROW terms and then across rows.
 
     A plain running sum adds tens of thousands of small terms to a much
     larger total, and its rounding drifts: by ~2e-13 over a 65k-term block
     of log ratios, which shifted the pmf's end by tens of terms at
     r = 7.35e4.  Summing short rows first keeps the drift near 2e-14.
     """
-    if steps.size < row:  # one row: the plain running sum, bit for bit
+    if steps.size < _SUM_ROW:  # one row: the plain running sum, bit for bit
         sums = np.empty(steps.size + 1)
         sums[0] = 0.0
         np.cumsum(steps, out=sums[1:])
         return sums
-    sums = np.zeros(-(-(steps.size + 1) // row) * row)
+    sums = np.zeros(-(-(steps.size + 1) // _SUM_ROW) * _SUM_ROW)
     sums[1 : steps.size + 1] = steps
-    rows = sums.reshape(-1, row)
+    rows = sums.reshape(-1, _SUM_ROW)
     np.cumsum(rows, axis=1, out=rows)
     if len(rows) > 1:
         rows[1:] += np.cumsum(rows[:-1, -1])[:, None]
     return sums[: steps.size + 1]
 
 
-def _nb_pmf(r: float, shape: float, n_max: int | None) -> np.ndarray:
+def _nb_pmf(r: float, shape: float) -> np.ndarray:
     """Negative-binomial pmf with Gamma mixing shape `shape` and rate 3.5.
 
     P(O = n) = Gamma(n+shape) / (Gamma(shape) n!) (1-q)^shape q^n with
@@ -185,24 +185,18 @@ def _nb_pmf(r: float, shape: float, n_max: int | None) -> np.ndarray:
     the term ratio P(n+1)/P(n) = q (n+shape)/(n+1); each block carries on
     from the log coefficient at the end of the one before.
 
-    With n_max=None the walk stops at the first n where the discarded tail
-    mass P(O > n) is at most 1e-10 and the discarded tail of the mean,
+    The walk stops at the first n where the discarded tail mass P(O > n)
+    is at most 1e-10 and the discarded tail of the mean,
     E[O; O > n] = shape r/3.5 - E[O; O <= n], at most 1e-9 * (1+r); both
     are read off the running sums of the blocks, so no block is computed
     past the one that holds that n.
     """
     if not r >= 0.0:
         raise ValueError(f"load ratio must be non-negative (got {r})")
-    if n_max is not None and n_max < 0:
-        raise ValueError("n_max must be non-negative")
-    if n_max is not None and n_max >= _MAX_PMF_TERMS:
-        raise NumericalError(f"load pmf needs {n_max + 1} terms (r={r}); the limit is {_MAX_PMF_TERMS}")
     rate = TYPICAL_CELL_SHAPE  # 3.5, shared by both load laws
     q = r / (rate + r)
     if q == 0.0:  # r = 0, or so small that q underflows
-        pmf = np.zeros(1 if n_max is None else n_max + 1)
-        pmf[0] = 1.0
-        return pmf
+        return np.ones(1)
     log_q = math.log(q) if q < 0.5 else -math.log1p(rate / r)
     log_p0 = -shape * math.log1p(r / rate)  # log P(O = 0)
     mean = shape * r / rate
@@ -211,10 +205,10 @@ def _nb_pmf(r: float, shape: float, n_max: int | None) -> np.ndarray:
     blocks = []
     mass = first_moment = log_coef = 0.0
     start = 0
-    while n_max is None or start <= n_max:
+    while True:
         if start >= _MAX_PMF_TERMS:
             raise NumericalError(f"load pmf needs more than {_MAX_PMF_TERMS} terms (r={r})")
-        stop = start + block if n_max is None else min(start + block, n_max + 1)
+        stop = start + block
         n = np.arange(start, stop, dtype=float)
         # log Gamma(n+shape) / (Gamma(shape) n!): its value at the block's
         # start plus the running sum of log term ratios within the block
@@ -223,44 +217,35 @@ def _nb_pmf(r: float, shape: float, n_max: int | None) -> np.ndarray:
         log_pmf += n * log_q + (log_coef + log_p0)
         log_coef += block_sum + math.log1p((shape - 1.0) / stop)
         pmf = np.exp(log_pmf)
-        if n_max is None:
-            mass_upto = mass + _running_sum(pmf)[1:]
-            moment_upto = first_moment + _running_sum(n * pmf)[1:]
-            done = (1.0 - mass_upto <= _TAIL_MASS) & (mean - moment_upto <= _TAIL_MEAN * (1.0 + r))
-            if done.any():
-                blocks.append(pmf[: int(np.argmax(done)) + 1])
-                break
-            mass, first_moment = float(mass_upto[-1]), float(moment_upto[-1])
+        mass_upto = mass + _running_sum(pmf)[1:]
+        moment_upto = first_moment + _running_sum(n * pmf)[1:]
+        done = (1.0 - mass_upto <= _TAIL_MASS) & (mean - moment_upto <= _TAIL_MEAN * (1.0 + r))
+        if done.any():
+            blocks.append(pmf[: int(np.argmax(done)) + 1])
+            return np.concatenate(blocks)
+        mass, first_moment = float(mass_upto[-1]), float(moment_upto[-1])
         blocks.append(pmf)
         start = stop
-    return np.concatenate(blocks)
 
 
-def tagged_load_distribution(
-    config: NetworkConfig,
-    serving: ClassId,
-    n_max: int | None = None,
-) -> LoadDistribution:
+def _load_distribution(config: NetworkConfig, serving: ClassId, shape: float) -> LoadDistribution:
+    r = load_ratio(config, serving)
+    return LoadDistribution(serving=serving, ratio=r, pmf=_nb_pmf(r, shape))
+
+
+def tagged_load_distribution(config: NetworkConfig, serving: ClassId) -> LoadDistribution:
     """Distribution of the *other* users sharing the typical user's AP.
 
     The tagged AP's cell is area-biased (the user already landed in it), so
     the mixing area is Gamma(4.5, 3.5) and the mean is (9/7) r rather
     than r.
     """
-    r = load_ratio(config, serving)
-    pmf = _nb_pmf(r, TAGGED_CELL_SHAPE, n_max)
-    return LoadDistribution(serving=serving, ratio=r, pmf=pmf, n_max=pmf.size - 1)
+    return _load_distribution(config, serving, TAGGED_CELL_SHAPE)
 
 
-def typical_load_pmf(
-    config: NetworkConfig,
-    serving: ClassId,
-    n_max: int | None = None,
-) -> LoadDistribution:
+def typical_load_pmf(config: NetworkConfig, serving: ClassId) -> LoadDistribution:
     """Distribution of users on the *typical* AP of a class (no area bias)."""
-    r = load_ratio(config, serving)
-    pmf = _nb_pmf(r, TYPICAL_CELL_SHAPE, n_max)
-    return LoadDistribution(serving=serving, ratio=r, pmf=pmf, n_max=pmf.size - 1)
+    return _load_distribution(config, serving, TYPICAL_CELL_SHAPE)
 
 
 def tagged_load_moment(

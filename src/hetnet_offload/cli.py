@@ -24,7 +24,7 @@ import numpy as np
 from . import __version__
 from .coverage import rate_ccdf, sinr_ccdf
 from .model import (
-    CLOSED, OPEN, ClassId, NetworkConfig, db_to_linear, dbm_to_watts, linear_to_db, make_class, require_valid
+    CLOSED, OPEN, ApClass, ClassId, NetworkConfig, db_to_linear, dbm_to_watts, linear_to_db, require_valid
 )
 from .montecarlo import SimSettings, run_batch
 from .numerics import NumericalError
@@ -41,6 +41,19 @@ _TOP_KEYS = {"users_per_km2", "noise_dbm_per_rat", "classes"}
 
 class ConfigSchemaError(ValueError):
     """Config file is syntactically valid but violates the schema."""
+
+
+def _from_db(convert, value: float, what: str) -> float:
+    """convert(value) for a dB or dBm input.  A finite value whose linear
+    form overflows a float, or underflows to 0, is a bad input named by
+    `what`."""
+    try:
+        linear = convert(value)
+    except OverflowError:
+        raise ConfigSchemaError(f"{what}: {value:g} is too large (its linear value overflows)") from None
+    if linear == 0.0:
+        raise ConfigSchemaError(f"{what}: {value:g} is too small (its linear value underflows to 0)")
+    return linear
 
 
 def load_config(path: str | Path) -> NetworkConfig:
@@ -78,10 +91,13 @@ def load_config(path: str | Path) -> NetworkConfig:
             access = obj.get("access", OPEN)
             if access not in (OPEN, CLOSED):
                 raise ConfigSchemaError(f"classes[{k}]: access must be open|closed")
-            cls = make_class(
-                int(obj["rat"]), int(obj["tier"]), float(obj["density_per_km2"]), float(obj["power_dbm"]),
-                float(obj["alpha"]), bias_db=float(obj.get("bias_db", 0.0)),
-                bandwidth=float(obj.get("bandwidth_hz", 10e6)), access=access,
+            cls = ApClass(
+                id=ClassId(int(obj["rat"]), int(obj["tier"]), access),
+                density=float(obj["density_per_km2"]),
+                power=_from_db(dbm_to_watts, float(obj["power_dbm"]), "power_dbm"),
+                exponent=float(obj["alpha"]),
+                bias=_from_db(db_to_linear, float(obj.get("bias_db", 0.0)), "bias_db"),
+                bandwidth=float(obj.get("bandwidth_hz", 10e6)),
             )
         except KeyError as e:
             raise ConfigSchemaError(f"classes[{k}]: missing field {e.args[0]!r}") from None
@@ -89,7 +105,8 @@ def load_config(path: str | Path) -> NetworkConfig:
             raise ConfigSchemaError(f"classes[{k}]: {e}") from None
         classes.append(cls)
         if "sinr_threshold_db" in obj and obj["sinr_threshold_db"] is not None:
-            sinr_thr[cls.id] = db_to_linear(float(obj["sinr_threshold_db"]))
+            tau_db = float(obj["sinr_threshold_db"])
+            sinr_thr[cls.id] = _from_db(db_to_linear, tau_db, f"classes[{k}]: sinr_threshold_db")
         if "rate_threshold_bps" in obj and obj["rate_threshold_bps"] is not None:
             rate_thr[cls.id] = float(obj["rate_threshold_bps"])
 
@@ -99,7 +116,8 @@ def load_config(path: str | Path) -> NetworkConfig:
             rat_idx = int(rat)
         except ValueError:
             raise ConfigSchemaError(f"noise_dbm_per_rat: bad RAT key {rat!r}") from None
-        noise[rat_idx] = 0.0 if val is None else dbm_to_watts(float(val))
+        where = f"noise_dbm_per_rat[{rat!r}]"
+        noise[rat_idx] = 0.0 if val is None else _from_db(dbm_to_watts, float(val), where)
 
     try:
         config = NetworkConfig(
@@ -175,7 +193,10 @@ def _db_grid(text: str, what: str) -> np.ndarray:
         raise ConfigSchemaError(f"{what}: need LO <= HI and STEP > 0")
     stop = hi + step / 2.0
     _check_size((stop - lo) / step, what)  # np.arange makes the ceiling of this many
-    return np.arange(lo, stop, step)
+    grid = np.arange(lo, stop, step)
+    for end in (grid[0], grid[-1]):  # every dB grid is read as linear ratios
+        _from_db(db_to_linear, float(end), what)
+    return grid
 
 
 def _log_grid(text: str, what: str) -> np.ndarray:
@@ -261,6 +282,8 @@ def _optimize_bias(config: NetworkConfig, args):
         alpha = config.class_for(scenario.class1).exponent
         res = optimal_bias_sir(scenario, tau(scenario.class1), tau(scenario.class2), alpha)
     else:
+        _from_db(db_to_linear, args.bracket_lo_db, "--bracket-lo-db")
+        _from_db(db_to_linear, args.bracket_hi_db, "--bracket-hi-db")
         res = optimal_bias_rate(
             config,
             target=_parse_class_flag(args.target) if args.target else None,

@@ -44,9 +44,11 @@ The largest sector bound is the tagged AP's reach, so the user PPP is
 drawn only in the square of that half-width around x*, clipped to the
 window (the whole window when a sector has no neighbour); a PPP
 restricted to a set is a PPP, so the load law is unchanged.  Users
-outside their own sector's bound are then discarded, and the survivors
-get exact nearest-neighbour and cross-class weight checks.  The tests
-hold the count to an unpruned full association over the whole window.
+outside their own sector's bound are then discarded.  Each survivor gets
+one exact check over every open class, the serving class included: it
+stays unless some site (the tagged AP aside) outweighs the tagged AP at
+that user.  The tests hold the count to an unpruned full association
+over the whole window.
 """
 
 from __future__ import annotations
@@ -316,18 +318,21 @@ def sample_deployment(cls: ApClass, settings: SimSettings, rng: np.random.Genera
     return np.column_stack((gx.ravel(), gy.ravel()))
 
 
-def _min_dist2(points: np.ndarray, sites: np.ndarray, chunk: int = 512) -> np.ndarray:
-    """Squared distance from each point to its nearest site (chunked; inf
-    when there is no site)."""
+_DIST_CHUNK = 512  # points per block of `_min_dist2`'s distance matrix
+
+
+def _min_dist2(points: np.ndarray, sites: np.ndarray) -> np.ndarray:
+    """Squared distance from each point to its nearest site (in blocks of
+    _DIST_CHUNK points; inf when there is no site)."""
     out = np.empty(points.shape[0])
-    for s in range(0, points.shape[0], chunk):
-        blk = points[s : s + chunk]
+    for s in range(0, points.shape[0], _DIST_CHUNK):
+        blk = points[s : s + _DIST_CHUNK]
         d2 = np.subtract.outer(blk[:, 0], sites[:, 0])
         d2 *= d2
         dy = np.subtract.outer(blk[:, 1], sites[:, 1])
         dy *= dy
         d2 += dy
-        out[s : s + chunk] = d2.min(axis=1, initial=np.inf)
+        out[s : s + _DIST_CHUNK] = d2.min(axis=1, initial=np.inf)
     return out
 
 
@@ -393,8 +398,11 @@ def _tagged_user_count(
 ) -> int:
     """Number of users associated with the tagged AP (exact, pruned).
 
-    own_d2 and reach2 come from `_octant_reach2`.  Expects the caller to
-    ignore divide-by-zero (a user on an AP weighs inf).
+    One check over every open class, the serving class included: a user
+    stays unless some site outweighs the tagged AP at that user (the
+    tagged AP is no rival of itself).  own_d2 and reach2 come from
+    `_octant_reach2`.  Expects the caller to ignore divide-by-zero (a user
+    on an AP weighs inf).
     """
     if users.shape[0] == 0:
         return 0
@@ -408,39 +416,32 @@ def _tagged_user_count(
     cd2 = d_u2[cand]
     if cu.shape[0] == 0:
         return 0
-    # exact own-class check: the tagged AP must be u's nearest; ties go
-    # to the tagged AP (zero-probability event, any rule works).  Only
-    # own-class sites within 2 d_max of the server can beat it.
-    own_near = own[own_d2 <= 4.0 * cd2.max()]
-    if own_near.shape[0]:
-        keep = _min_dist2(cu, own_near) >= cd2
-        cu = cu[keep]
-        cd2 = cd2[keep]
-    if cu.shape[0] == 0:
-        return 0
-
     w_srv = serving.weight * cd2 ** (-serving.exponent / 2.0)
-    d_max = math.sqrt(cd2.max())
-    for cls in config.open_classes():
-        if cls.id == serving.id or cu.shape[0] == 0:
-            continue
+    # the serving class first: its sites strip the most users, and the
+    # survivors' smaller d_max then cuts the other classes' sites
+    for cls in sorted(config.open_classes(), key=lambda c: c.id != serving.id):
         pts = points[cls.id]
-        if pts.shape[0] == 0:
+        if cu.shape[0] == 0 or pts.shape[0] == 0:
             continue
+        d_max = math.sqrt(cd2.max())
+        if cls.id == serving.id:
+            d_s2 = own_d2  # the tagged AP itself sits at inf
+        else:
+            d_s2 = (pts[:, 0] - server[0]) ** 2 + (pts[:, 1] - server[1]) ** 2
         # a class-c site can only strip user u if it sits within the
         # exclusion radius g(d_u) = (T_c/T_s)^(1/a_c) d_u^(a_s/a_c) of u,
-        # hence within d_max + g(d_max) of the server
+        # hence within d_max + g(d_max) of the server; for the serving
+        # class g(d) = d, so that is 2 d_max
         g_max = (cls.weight / serving.weight) ** (1.0 / cls.exponent) * d_max ** (
             serving.exponent / cls.exponent
         )
-        d_s2 = (pts[:, 0] - server[0]) ** 2 + (pts[:, 1] - server[1]) ** 2
         sites = pts[d_s2 <= (d_max + g_max) ** 2]
         if sites.shape[0] == 0:
             continue
         w_other = cls.weight * _min_dist2(cu, sites) ** (-cls.exponent / 2.0)
-        keep = (w_srv > w_other) | ((w_srv == w_other) & (serving.id < cls.id))
-        cu = cu[keep]
-        w_srv = w_srv[keep]
+        # ties go to the tagged AP against its own class and any later one
+        keep = (w_srv > w_other) | ((w_srv == w_other) & (serving.id <= cls.id))
+        cu, cd2, w_srv = cu[keep], cd2[keep], w_srv[keep]
     return int(cu.shape[0])
 
 
@@ -579,6 +580,13 @@ def _run_block(config: NetworkConfig, settings: SimSettings, start: int, stop: i
     return serving, dist, sinr, load, rate, counts.sum(axis=0)
 
 
+def _ccdf(values: np.ndarray, grid: np.ndarray) -> np.ndarray:
+    """Fraction of `values` above each grid point; zeros when there are none."""
+    if values.size == 0:
+        return np.zeros_like(grid)
+    return (values[:, None] > grid[None, :]).mean(axis=0)
+
+
 def _block_worker(args):
     return _run_block(*args)
 
@@ -587,12 +595,11 @@ def run_batch(
     config: NetworkConfig,
     settings: SimSettings,
     rate_grid: np.ndarray | None = None,
-    sinr_grid: np.ndarray | None = None,
 ) -> EmpiricalSummary:
     """Run all trials and aggregate empirical distributions.
 
     The aggregation is a deterministic ordered merge over fixed trial
-    blocks, so the summary depends only on (config, settings, grids) —
+    blocks, so the summary depends only on (config, settings, rate grid) —
     not on the worker count or scheduling.
     """
     require_valid(config)
@@ -605,7 +612,7 @@ def run_batch(
     _check_seed(settings.seed)
     _check_deployment(settings)
     rate_grid = default_rate_grid() if rate_grid is None else np.asarray(rate_grid, dtype=float)
-    sinr_grid = default_sinr_grid() if sinr_grid is None else np.asarray(sinr_grid, dtype=float)
+    sinr_grid = default_sinr_grid()
 
     block = 512
     spans = [(s, min(s + block, settings.trials)) for s in range(0, settings.trials, block)]
@@ -643,18 +650,13 @@ def run_batch(
     per_class_rate: dict[ClassId, np.ndarray] = {}
     for k, cls in enumerate(open_classes):
         mask = serving == k
-        m = int(mask.sum())
-        freq[cls.id] = m / trials
-        load_hist[cls.id] = np.bincount(load[mask]) if m else np.zeros(1, dtype=np.int64)
-        if m:
-            per_class_sinr[cls.id] = (sinr[mask][:, None] > sinr_grid[None, :]).mean(axis=0)
-            per_class_rate[cls.id] = (rate[mask][:, None] > rate_grid[None, :]).mean(axis=0)
-        else:
-            per_class_sinr[cls.id] = np.zeros_like(sinr_grid)
-            per_class_rate[cls.id] = np.zeros_like(rate_grid)
+        freq[cls.id] = int(mask.sum()) / trials
+        load_hist[cls.id] = np.bincount(load[mask], minlength=1)
+        per_class_sinr[cls.id] = _ccdf(sinr[mask], sinr_grid)
+        per_class_rate[cls.id] = _ccdf(rate[mask], rate_grid)
 
-    sinr_vals = (sinr[:, None] > sinr_grid[None, :]).mean(axis=0)
-    rate_vals = (rate[:, None] > rate_grid[None, :]).mean(axis=0)
+    sinr_vals = _ccdf(sinr, sinr_grid)
+    rate_vals = _ccdf(rate, rate_grid)
 
     mean_count = {cls.id: count_sum[k] / trials for k, cls in enumerate(present)}
     area = settings.window_km**2

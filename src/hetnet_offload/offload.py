@@ -47,6 +47,8 @@ __all__ = [
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0  # 1/phi
 _INV_PHI2 = (3.0 - math.sqrt(5.0)) / 2.0  # 1/phi^2
+_COARSE_STEP_DB = 1.0  # grid step of the rate search's coarse pass
+_TOL_DB = 0.01  # width at which its golden-section polish stops
 
 
 class SolverError(RuntimeError):
@@ -58,14 +60,12 @@ class TwoRatScenario:
     """Two open classes on different RATs, equal exponents, no noise.
 
     density_ratio  a = lam_2 / lam_1
-    bias_ratio     b = B_2 / B_1
     power_ratio    P_1 / P_2 (enters the optimal-bias closed form)
     """
 
     class1: ClassId
     class2: ClassId
     density_ratio: float
-    bias_ratio: float = 1.0
     power_ratio: float = 1.0
 
     def __post_init__(self):
@@ -73,7 +73,7 @@ class TwoRatScenario:
             raise ValueError("scenario classes must live on different RATs")
         if not (self.class1.is_open and self.class2.is_open):
             raise ValueError("scenario classes must both be open")
-        if self.density_ratio <= 0.0 or self.bias_ratio <= 0.0 or self.power_ratio <= 0.0:
+        if self.density_ratio <= 0.0 or self.power_ratio <= 0.0:
             raise ValueError("scenario ratios must be positive")
 
     @classmethod
@@ -97,7 +97,6 @@ class TwoRatScenario:
             class1=c1.id,
             class2=c2.id,
             density_ratio=c2.density / c1.density,
-            bias_ratio=c2.bias / c1.bias,
             power_ratio=c1.power / c2.power,
         )
 
@@ -176,38 +175,31 @@ def optimal_density_sir(
     return (scenario.power_ratio / fixed_bias_ratio) ** (2.0 / alpha) * z1 / z2
 
 
-def golden_section_max(f, lo: float, hi: float, tol: float, trace: list | None = None):
+def golden_section_max(f, lo: float, hi: float, tol: float):
     """Golden-section maximization of a unimodal f on [lo, hi].
 
-    Returns (x_best, f_best); every evaluation is appended to `trace`.
+    Returns (x_best, f_best).
     """
     if hi <= lo:
         raise ValueError("need lo < hi")
     _require_positive("tol", tol)
-
-    def probe(x):
-        y = f(x)
-        if trace is not None:
-            trace.append((x, y))
-        return y
-
     a, b = lo, hi
     h = b - a
     c = a + _INV_PHI2 * h
     d = a + _INV_PHI * h
-    yc = probe(c)
-    yd = probe(d)
+    yc = f(c)
+    yd = f(d)
     while h > tol:
         if yc >= yd:
             b, d, yd = d, c, yc
             h = b - a
             c = a + _INV_PHI2 * h
-            yc = probe(c)
+            yc = f(c)
         else:
             a, c, yc = c, d, yd
             h = b - a
             d = a + _INV_PHI * h
-            yd = probe(d)
+            yd = f(d)
     if yc >= yd:
         return c, yc
     return d, yd
@@ -240,8 +232,6 @@ def optimal_bias_rate(
     config: NetworkConfig,
     target: ClassId | None = None,
     bracket_db: tuple[float, float] = (-20.0, 20.0),
-    coarse_step_db: float = 1.0,
-    tol_db: float = 0.01,
     method: str = "closedform",
 ) -> OptimizationResult:
     """Rate-coverage-maximizing association bias for one open class.
@@ -249,9 +239,9 @@ def optimal_bias_rate(
     The objective is the mean-load rate coverage (closed form by default,
     per the equal-exponent zero-noise regime it was derived for; `method`
     can switch to the quadrature mean-load route or the full load-averaged
-    coverage).  Search: evaluate a coarse dB grid over `bracket_db` (which
-    must be finite and span at least 40 dB), then refine around the best
-    grid point with golden-section search down to `tol_db`.  If the coarse
+    coverage).  Search: evaluate a 1 dB grid over `bracket_db` (which must
+    be finite and span at least 40 dB), then refine around the best grid
+    point with golden-section search down to 0.01 dB.  If the coarse
     maximum sits on the bracket edge the result carries
     boundary_warning=True.  Without a target, the open class on the second
     RAT is tuned when exactly two open classes sit on two RATs.
@@ -261,8 +251,6 @@ def optimal_bias_rate(
         raise ValueError(f"bias bracket must be finite (got {lo_db} ... {hi_db} dB)")
     if hi_db - lo_db < 40.0:
         raise ValueError("bias bracket must span at least 40 dB")
-    _require_positive("coarse_step_db", coarse_step_db)
-    _require_positive("tol_db", tol_db)
     if target is None:
         target = _default_target(config)
     if not target.is_open:
@@ -278,8 +266,8 @@ def optimal_bias_rate(
         trace.append((b, value))
         return value
 
-    steps = int(round((hi_db - lo_db) / coarse_step_db))
-    grid = [lo_db + k * coarse_step_db for k in range(steps + 1)]
+    steps = int(round((hi_db - lo_db) / _COARSE_STEP_DB))
+    grid = [lo_db + k * _COARSE_STEP_DB for k in range(steps + 1)]
     values = [f_db(x) for x in grid]
     k_best = max(range(len(grid)), key=values.__getitem__)
     boundary = k_best in (0, len(grid) - 1)
@@ -287,8 +275,7 @@ def optimal_bias_rate(
     if boundary:
         b_db, best = grid[k_best], values[k_best]
     else:
-        # f_db records its own evaluations, so no separate probe trace needed
-        b_db, best = golden_section_max(f_db, grid[k_best - 1], grid[k_best + 1], tol_db)
+        b_db, best = golden_section_max(f_db, grid[k_best - 1], grid[k_best + 1], _TOL_DB)
         if values[k_best] > best:
             b_db, best = grid[k_best], values[k_best]
 

@@ -373,10 +373,9 @@ def test_c08_single_class_sanity(capsys):
     config = single_class_config()
     want = 1.0 / (1.0 + math.pi / 4.0)
     analytic = sinr_coverage(config)
-    sim = run_batch(
-        config, SimSettings(trials=TRIALS, seed=SEED), sinr_grid=np.array([1.0])
-    )
-    simulated = float(sim.sinr_ccdf.values[0])
+    sim = run_batch(config, SimSettings(trials=TRIALS, seed=SEED))
+    assert sim.sinr_ccdf.grid[20] == 1.0  # 0 dB on the default -20..60 dB grid
+    simulated = float(sim.sinr_ccdf.values[20])
     ok = abs(analytic - want) <= 1e-8 and abs(simulated - want) <= 0.01
     line = _verdict(
         capsys, ok, "C8",

@@ -15,6 +15,7 @@ from hetnet_offload import (
     rat_offload_fraction,
     tagged_load_distribution,
 )
+from hetnet_offload import association
 from hetnet_offload.association import (
     _nb_pmf,
     _running_sum,
@@ -25,7 +26,7 @@ from hetnet_offload.association import (
     tagged_load_moment,
     typical_load_pmf,
 )
-from hetnet_offload.numerics import pv_area_moment, stirling2
+from hetnet_offload.numerics import AREA_BIAS_FACTOR, pv_area_moment, stirling2
 import quad_oracle as oracle
 from quad_oracle import semi_infinite_integral
 
@@ -143,7 +144,7 @@ def test_tagged_load_truncation_scales_with_ratio():
     assert dist.ratio > 400.0
     assert dist.total_mass() >= 1.0 - 1e-6
     assert dist.mean() == pytest.approx(9.0 / 7.0 * dist.ratio, rel=1e-6)
-    assert dist.n_max >= 4 * dist.ratio
+    assert dist.pmf.size - 1 >= 4 * dist.ratio
 
 
 def test_tagged_load_pmf_at_dense_venue_load():
@@ -173,7 +174,7 @@ def test_nb_pmf_matches_nbinom_and_betainc_cutoff(r, shape):
     mean; at r = 3 the mean's bound is the one that sets n_max).  The pmf reads its tails off running sums, good to ~1e-13 on the
     mass; so the tails may miss the bounds by 0.1%, which at r = 7.35e4 is
     a few of the 691k terms and for small r never moves n_max."""
-    pmf = _nb_pmf(r, shape, None)
+    pmf = _nb_pmf(r, shape)
     if r == 0.0:
         assert pmf.tolist() == [1.0]
         return
@@ -185,15 +186,17 @@ def test_nb_pmf_matches_nbinom_and_betainc_cutoff(r, shape):
     assert np.any(np.array(_betainc_tails(r, shape, n_max - 1)) > bounds * (1.0 - 1e-3))
 
 
-def test_nb_pmf_edges():
-    """Explicit lengths, a vanishing ratio, and the term limit."""
-    assert _nb_pmf(0.0, 4.5, 3).tolist() == [1.0, 0.0, 0.0, 0.0]
-    assert _nb_pmf(5e-324, 4.5, None).tolist() == [1.0]  # q underflows to 0
-    assert _nb_pmf(2.0, 4.5, 0).size == 1
+def test_nb_pmf_edges(monkeypatch):
+    """A zero or vanishing ratio, a negative one, and the term limit."""
+    assert _nb_pmf(0.0, 4.5).tolist() == [1.0]
+    assert _nb_pmf(5e-324, 4.5).tolist() == [1.0]  # q underflows to 0
     with pytest.raises(ValueError):
-        _nb_pmf(-1.0, 4.5, None)
-    with pytest.raises(NumericalError, match="limit"):
-        _nb_pmf(1.0, 4.5, 10_000_000)
+        _nb_pmf(-1.0, 4.5)
+    # r = 1e5 needs about 1e6 terms, so the walk goes past its first
+    # 65,536-term block, where a lowered limit stops it
+    monkeypatch.setattr(association, "_MAX_PMF_TERMS", 50_000)
+    with pytest.raises(NumericalError, match="more than 50000 terms"):
+        _nb_pmf(1e5, 4.5)
 
 
 def test_running_sum_is_exact_prefix_sums():
@@ -208,15 +211,6 @@ def test_running_sum_is_exact_prefix_sums():
             assert np.array_equal(got[1:], np.cumsum(steps))
         exact = [math.fsum(steps[:k]) for k in range(0, size + 1, 97)]
         assert np.allclose(got[::97], exact, rtol=1e-14, atol=0.0)
-
-
-def test_explicit_truncation_is_a_prefix():
-    config = dual_rat_config()
-    full = tagged_load_distribution(config, MACRO)
-    short = tagged_load_distribution(config, MACRO, n_max=25)
-    assert short.pmf.size == 26
-    assert np.allclose(short.pmf, full.pmf[:26], rtol=1e-13)
-    assert short.total_mass() < full.total_mass()
 
 
 def test_typical_load_mean_is_unbiased():
@@ -236,18 +230,25 @@ def test_zero_user_density_degenerates():
 
 
 def test_tagged_load_moments_match_pmf():
-    """Stirling-number closed form vs direct sums over the pmf."""
+    """Stirling-number closed form vs the moments of the negative binomial
+    law the pmf follows, nbinom(4.5, 3.5/(3.5+r))."""
     config = dual_rat_config()
     dist = tagged_load_distribution(config, MACRO)
-    # high orders amplify the truncated tail, so sum over a longer pmf
-    long = tagged_load_distribution(config, MACRO, n_max=4 * dist.n_max)
-    n = np.arange(long.pmf.size, dtype=float)
+    law = scipy.stats.nbinom(4.5, 3.5 / (3.5 + dist.ratio))
     for order in (1, 2, 3):
-        direct = float((n**order) @ long.pmf)
         closed = tagged_load_moment(config, MACRO, order)
-        assert closed == pytest.approx(direct, rel=1e-8), order
+        assert closed == pytest.approx(law.moment(order), rel=1e-8), order
     assert tagged_load_moment(config, MACRO, 0) == 1.0
     # second moment identity: E[O^2] = r m_2 + r^2 m_3 with m_j = E[C^j(1)]
     r = dist.ratio
     want = r * pv_area_moment(2) + r**2 * stirling2(2, 2) * pv_area_moment(3)
     assert tagged_load_moment(config, MACRO, 2) == pytest.approx(want, rel=1e-12)
+
+
+def test_first_tagged_moment_is_the_area_bias_times_ratio():
+    """E[O] = (9/7) r bit for bit, by the moment sum and by the mean-load route."""
+    assert pv_area_moment(2) == AREA_BIAS_FACTOR == 9.0 / 7.0
+    for config in (dual_rat_config(), four_class_config(7.0), two_class_config()):
+        for cls in config.open_classes():
+            want = AREA_BIAS_FACTOR * load_ratio(config, cls.id)
+            assert tagged_load_moment(config, cls.id, 1) == want

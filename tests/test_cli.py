@@ -6,6 +6,7 @@ import json
 import math
 import re
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -167,6 +168,34 @@ def test_exit_codes(tmp_path, capsys, monkeypatch):
         assert main([*args, "--config", ok, "-o", str(fresh)]) == 1, args
         assert named in capsys.readouterr().err, args
         assert not fresh.exists() and built == [], args
+
+    # a dB input whose linear value overflows, or underflows to 0, is a bad
+    # input too: exit 1, naming the field or flag, with no numpy warning
+    db_cases = [
+        (["optimize", "bias", "--mode", "rate", "--bracket-hi-db", "5000"], ok, "--bracket-hi-db"),
+        (["optimize", "bias", "--mode", "rate", "--bracket-lo-db", "-5000"], ok, "--bracket-lo-db"),
+        (["analyze", "sinr", "--tau-grid-db", "0:5000:1000"], ok, "--tau-grid-db"),
+        (["analyze", "sinr", "--tau-grid-db", "-5000:0:1000"], ok, "--tau-grid-db"),
+        (["sweep", "bias", "--class", "2,3", "--range-db", "0:5000:1000", "--metric", "sir"], ok, "--range-db"),
+        (["sweep", "bias", "--class", "2,3", "--range-db", "-5000:0:1000", "--metric", "sir"], ok, "--range-db"),
+    ]
+    for key, value in (("bias_db", 5000), ("power_dbm", 1e6), ("sinr_threshold_db", 5000), ("bias_db", -5000)):
+        data = base_config_dict()
+        data["classes"][1][key] = value
+        path = write_config(tmp_path, data, f"{key}_{value}.json")
+        db_cases.append((["analyze", "sinr"], path, f"classes[1]: {key}"))
+    for value in (5000, -5000):
+        data = base_config_dict()
+        data["noise_dbm_per_rat"]["2"] = value
+        path = write_config(tmp_path, data, f"noise_{value}.json")
+        db_cases.append((["analyze", "sinr"], path, "noise_dbm_per_rat['2']"))
+    for args, config, named in db_cases:
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([*args, "--config", config, "-o", str(fresh)]) == 1, args
+        assert named in capsys.readouterr().err, args
+        assert not fresh.exists(), args
 
 
 @pytest.mark.parametrize(
