@@ -171,10 +171,13 @@ class NetworkConfig:
     # -- derived configurations ------------------------------------------
 
     def with_bias(self, cid: ClassId, bias: float) -> "NetworkConfig":
-        """Copy of the config with one class's linear bias replaced."""
+        """Copy of the config with one class's linear bias replaced; the bias
+        must be finite and > 0, as `validate` requires."""
         new = tuple(replace(c, bias=bias) if c.id == cid else c for c in self.classes)
         if not any(c.id == cid for c in self.classes):
             raise KeyError(f"no class {cid.label()} in config")
+        if not 0.0 < bias < math.inf:
+            raise ValueError(f"{cid.label()}: bias must be finite and > 0 (got {bias})")
         return replace(self, classes=new)
 
     def with_density(self, cid: ClassId, density: float) -> "NetworkConfig":

@@ -45,10 +45,17 @@ drawn only in the square of that half-width around x*, clipped to the
 window (the whole window when a sector has no neighbour); a PPP
 restricted to a set is a PPP, so the load law is unchanged.  Users
 outside their own sector's bound are then discarded.  Each survivor gets
-one exact check over every open class, the serving class included: it
-stays unless some site (the tagged AP aside) outweighs the tagged AP at
-that user.  The tests hold the count to an unpruned full association
-over the whole window.
+one exact check over every open class, the serving class first and
+included: it stays unless some site (the tagged AP aside) outweighs the
+tagged AP at that user.  Only a class's sites within d_max + g(d_max) of
+x* can strip a user (d_max the farthest candidate still standing, g the
+class's exclusion radius).  A large serving-class check runs in two
+stages: the sites nearest x* first, which bound its cell and strip most
+users, then the farther ones cut again by the survivors' d_max.  Weight
+falls with distance within a class, so beating the nearest site of each
+stage is beating the class's nearest site, and the count is unchanged.
+The tests hold the count to an unpruned full association over the whole
+window.
 """
 
 from __future__ import annotations
@@ -318,21 +325,27 @@ def sample_deployment(cls: ApClass, settings: SimSettings, rng: np.random.Genera
     return np.column_stack((gx.ravel(), gy.ravel()))
 
 
-_DIST_CHUNK = 512  # points per block of `_min_dist2`'s distance matrix
+_DIST_BLOCK = 32_768  # distances per block of `_min_dist2`'s (sites x points) matrix
 
 
 def _min_dist2(points: np.ndarray, sites: np.ndarray) -> np.ndarray:
-    """Squared distance from each point to its nearest site (in blocks of
-    _DIST_CHUNK points; inf when there is no site)."""
+    """Squared distance from each point to its nearest site (inf when there
+    is no site).
+
+    The distances form a (sites x points) matrix, built in blocks of about
+    _DIST_BLOCK entries over the points; its minimum runs down the columns,
+    an elementwise minimum of whole rows.
+    """
     out = np.empty(points.shape[0])
-    for s in range(0, points.shape[0], _DIST_CHUNK):
-        blk = points[s : s + _DIST_CHUNK]
-        d2 = np.subtract.outer(blk[:, 0], sites[:, 0])
+    step = max(1, _DIST_BLOCK // max(1, sites.shape[0]))
+    for s in range(0, points.shape[0], step):
+        blk = points[s : s + step]
+        d2 = np.subtract.outer(sites[:, 0], blk[:, 0])
         d2 *= d2
-        dy = np.subtract.outer(blk[:, 1], sites[:, 1])
+        dy = np.subtract.outer(sites[:, 1], blk[:, 1])
         dy *= dy
         d2 += dy
-        out[s : s + _DIST_CHUNK] = d2.min(axis=1, initial=np.inf)
+        d2.min(axis=0, initial=np.inf, out=out[s : s + step])
     return out
 
 
@@ -387,6 +400,48 @@ def _users_near(
     return _uniform(rng, lo, hi, (n_users, 2))
 
 
+def _strip_reach2(cls: ApClass, serving: ApClass, cd2: np.ndarray) -> float:
+    """Squared distance from the tagged AP beyond which no class-`cls` site
+    can strip a user of squared distances `cd2` from it.
+
+    A site strips user u only within the exclusion radius
+    g(d_u) = (T_c/T_s)^(1/a_c) d_u^(a_s/a_c) of u, hence within
+    d_max + g(d_max) of the tagged AP; for the serving class g(d) = d.
+    """
+    d_max = math.sqrt(cd2.max())
+    g_max = (cls.weight / serving.weight) ** (1.0 / cls.exponent) * d_max ** (
+        serving.exponent / cls.exponent
+    )
+    return (d_max + g_max) ** 2
+
+
+def _strip(
+    cls: ApClass,
+    serving: ApClass,
+    sites: np.ndarray,
+    cu: np.ndarray,
+    cd2: np.ndarray,
+    w_srv: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The users (positions cu, squared distances cd2 to the tagged AP, and
+    the tagged AP's weights w_srv at them) that no class-`cls` site of
+    `sites` outweighs.  Ties go to the tagged AP against its own class and
+    any later one."""
+    if sites.shape[0] == 0 or cu.shape[0] == 0:
+        return cu, cd2, w_srv
+    w_other = cls.weight * _min_dist2(cu, sites) ** (-cls.exponent / 2.0)
+    keep = w_srv >= w_other if serving.id <= cls.id else w_srv > w_other
+    return cu.compress(keep, axis=0), cd2.compress(keep), w_srv.compress(keep)
+
+
+# the serving-class check runs in two stages once it holds more than
+# _STAGE_PAIRS (candidates x sites) pairs: first the _NEAR_SITES sites
+# nearest the tagged AP, then the rest; below that the extra numpy calls
+# cost more than the distances they save
+_STAGE_PAIRS = 2048
+_NEAR_SITES = 12
+
+
 def _tagged_user_count(
     config: NetworkConfig,
     points: dict[ClassId, np.ndarray],
@@ -399,10 +454,10 @@ def _tagged_user_count(
     """Number of users associated with the tagged AP (exact, pruned).
 
     One check over every open class, the serving class included: a user
-    stays unless some site outweighs the tagged AP at that user (the
-    tagged AP is no rival of itself).  own_d2 and reach2 come from
-    `_octant_reach2`.  Expects the caller to ignore divide-by-zero (a user
-    on an AP weighs inf).
+    stays unless some site (the tagged AP aside) outweighs the tagged AP at
+    that user.  A large serving-class check takes the tagged AP's nearest
+    neighbours first.  own_d2 and reach2 come from `_octant_reach2`.
+    Expects the caller to ignore divide-by-zero (a user on an AP weighs inf).
     """
     if users.shape[0] == 0:
         return 0
@@ -411,9 +466,9 @@ def _tagged_user_count(
     dx = users[:, 0] - server[0]
     dy = users[:, 1] - server[1]
     d_u2 = dx**2 + dy**2
-    cand = d_u2 <= reach2[_octant(dx, dy)]
-    cu = users[cand]
-    cd2 = d_u2[cand]
+    cand = np.flatnonzero(d_u2 <= reach2[_octant(dx, dy)])
+    cu = users.take(cand, axis=0)
+    cd2 = d_u2.take(cand)
     if cu.shape[0] == 0:
         return 0
     w_srv = serving.weight * cd2 ** (-serving.exponent / 2.0)
@@ -423,25 +478,25 @@ def _tagged_user_count(
         pts = points[cls.id]
         if cu.shape[0] == 0 or pts.shape[0] == 0:
             continue
-        d_max = math.sqrt(cd2.max())
         if cls.id == serving.id:
             d_s2 = own_d2  # the tagged AP itself sits at inf
         else:
             d_s2 = (pts[:, 0] - server[0]) ** 2 + (pts[:, 1] - server[1]) ** 2
-        # a class-c site can only strip user u if it sits within the
-        # exclusion radius g(d_u) = (T_c/T_s)^(1/a_c) d_u^(a_s/a_c) of u,
-        # hence within d_max + g(d_max) of the server; for the serving
-        # class g(d) = d, so that is 2 d_max
-        g_max = (cls.weight / serving.weight) ** (1.0 / cls.exponent) * d_max ** (
-            serving.exponent / cls.exponent
-        )
-        sites = pts[d_s2 <= (d_max + g_max) ** 2]
-        if sites.shape[0] == 0:
-            continue
-        w_other = cls.weight * _min_dist2(cu, sites) ** (-cls.exponent / 2.0)
-        # ties go to the tagged AP against its own class and any later one
-        keep = (w_srv > w_other) | ((w_srv == w_other) & (serving.id <= cls.id))
-        cu, cd2, w_srv = cu[keep], cd2[keep], w_srv[keep]
+        sites = np.flatnonzero(d_s2 <= _strip_reach2(cls, serving, cd2))
+        large = sites.size > _NEAR_SITES and cu.shape[0] * sites.size > _STAGE_PAIRS
+        if cls.id == serving.id and large:
+            # the tagged AP's nearest neighbours bound its cell, so they
+            # strip most users; the survivors' d_max then cuts the rest.
+            # A site's weight falls with its distance, so a user beats the
+            # class's nearest site iff it beats the nearest of each stage.
+            sites = sites[np.argsort(d_s2[sites])]
+            cu, cd2, w_srv = _strip(cls, serving, pts[sites[:_NEAR_SITES]], cu, cd2, w_srv)
+            if cu.shape[0] == 0:
+                break
+            rest = sites[_NEAR_SITES:]
+            cut = np.searchsorted(d_s2[rest], _strip_reach2(cls, serving, cd2), side="right")
+            sites = rest[:cut]
+        cu, cd2, w_srv = _strip(cls, serving, pts[sites], cu, cd2, w_srv)
     return int(cu.shape[0])
 
 

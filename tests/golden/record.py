@@ -1,4 +1,5 @@
-"""Record, or replay, the golden matrix of CLI outputs.
+"""Record, or replay, the golden matrix of CLI outputs and the Monte Carlo
+block digests.
 
 Thirteen commands run on each shipped config, in process, through
 `hetnet_offload.cli.main`.  For each one the matrix keeps the exit code,
@@ -6,17 +7,24 @@ stdout, stderr, the warnings raised and the text of every output file.
 `duration_seconds` is dropped from the manifest, and the config path and
 output directory are written as the placeholders `{config}` and `{out}`.
 
-Run from the repo root to record the matrix again, after a change that
-alters an output on purpose:
+The block digests are the SHA-256 of every array `montecarlo._run_block`
+returns (serving rank, distance, SINR, load, rate, AP counts) for four
+scenarios and two seeds, 500 trials each: the Monte Carlo engine's outputs
+bit for bit, so a change meant to be a pure speed-up can be checked.
 
-    PYTHONPATH=src python3 tests/golden/record.py
+Run from the repo root to record both again, after a change that alters an
+output on purpose (`cli` or `mc` records one of them):
 
-`tests/test_cli_golden.py` replays the matrix and compares.
+    PYTHONPATH=src python3 tests/golden/record.py [cli|mc]
+
+`tests/test_cli_golden.py` replays the matrix and
+`tests/test_montecarlo.py` the block digests.
 """
 
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import io
 import json
 import sys
@@ -24,10 +32,18 @@ import tempfile
 import warnings
 from pathlib import Path
 
-from hetnet_offload.cli import main
+import numpy as np
+
+from hetnet_offload import NetworkConfig, SimSettings
+from hetnet_offload.cli import load_config, main
+from hetnet_offload.montecarlo import _run_block
 
 ROOT = Path(__file__).resolve().parents[2]
+sys.path.insert(0, str(ROOT / "tests"))
+from conftest import dual_rat_config, four_class_config  # noqa: E402
+
 MATRIX = Path(__file__).with_name("cli_matrix.json")
+MC_BLOCKS = Path(__file__).with_name("mc_blocks.json")
 CONFIGS = ("two_class_sir", "two_rat_three_tier")
 
 _RHO = ["--rho-grid", "1e4:1e8:9"]
@@ -83,6 +99,42 @@ def run_entry(config_name: str, command: list[str], workdir: Path) -> dict:
     }
 
 
+def mc_scenarios() -> dict[str, NetworkConfig]:
+    """The block-digest scenarios: both shipped configs, dual-RAT with its
+    closed APs and four-class, each with a 10 dB small-cell bias."""
+    return {
+        "two_class_sir": load_config(ROOT / "configs" / "two_class_sir.json"),
+        "dual_rat_closed_10db": dual_rat_config(bias_db=10.0),
+        "four_class_10db": four_class_config(b23_db=10.0),
+        "two_rat_three_tier": load_config(ROOT / "configs" / "two_rat_three_tier.json"),
+    }
+
+
+MC_SEEDS = (1, 2**33 + 5)
+MC_TRIALS = 500
+_BLOCK_ARRAYS = ("serving", "distance_km", "sinr", "load", "rate_bps", "ap_counts")
+
+
+def mc_block_digests(config: NetworkConfig, seed: int) -> dict[str, str]:
+    """SHA-256 of each `_run_block` array over trials 0..MC_TRIALS-1, with
+    its dtype and shape."""
+    arrays = _run_block(config, SimSettings(trials=MC_TRIALS, seed=seed), 0, MC_TRIALS)
+    out = {}
+    for name, array in zip(_BLOCK_ARRAYS, arrays):
+        array = np.ascontiguousarray(array)
+        head = f"{array.dtype.str}{array.shape}".encode()
+        out[name] = hashlib.sha256(head + array.tobytes()).hexdigest()
+    return out
+
+
+def record_mc_blocks() -> list[dict]:
+    return [
+        {"scenario": name, "seed": seed, "trials": MC_TRIALS, "digests": mc_block_digests(config, seed)}
+        for name, config in mc_scenarios().items()
+        for seed in MC_SEEDS
+    ]
+
+
 def record() -> list[dict]:
     entries = []
     for config_name in CONFIGS:
@@ -93,7 +145,15 @@ def record() -> list[dict]:
 
 
 if __name__ == "__main__":
-    entries = record()
-    MATRIX.write_text(json.dumps(entries, indent=1, sort_keys=True) + "\n")
-    failed = sum(e["exit_code"] != 0 for e in entries)
-    print(f"wrote {MATRIX.relative_to(ROOT)}: {len(entries)} commands, {failed} with a nonzero exit", file=sys.stderr)
+    what = sys.argv[1] if len(sys.argv) > 1 else "all"
+    if what not in ("all", "cli", "mc"):
+        sys.exit(f"usage: {sys.argv[0]} [cli|mc]")
+    if what in ("all", "cli"):
+        entries = record()
+        MATRIX.write_text(json.dumps(entries, indent=1, sort_keys=True) + "\n")
+        failed = sum(e["exit_code"] != 0 for e in entries)
+        print(f"wrote {MATRIX.relative_to(ROOT)}: {len(entries)} commands, {failed} with a nonzero exit", file=sys.stderr)
+    if what in ("all", "mc"):
+        blocks = record_mc_blocks()
+        MC_BLOCKS.write_text(json.dumps(blocks, indent=1, sort_keys=True) + "\n")
+        print(f"wrote {MC_BLOCKS.relative_to(ROOT)}: {len(blocks)} blocks", file=sys.stderr)

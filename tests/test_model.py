@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import pytest
 
-from conftest import dual_rat_config, single_class_config
+from conftest import dual_rat_config, single_class_config, two_class_config
 from hetnet_offload import (
     CLOSED,
     OPEN,
@@ -13,10 +13,13 @@ from hetnet_offload import (
     ClassId,
     ConfigValidationError,
     NetworkConfig,
+    bias_sweep,
     db_to_linear,
     linear_to_db,
     make_class,
+    optimal_bias_rate,
     require_valid,
+    sinr_coverage,
 )
 from hetnet_offload.model import dbm_to_watts, validate, watts_to_dbm
 
@@ -93,6 +96,23 @@ def test_with_bias_returns_modified_copy():
     assert tuned.class_for(ClassId(2, 3)).bias == 10.0
     assert config.class_for(ClassId(2, 3)).bias == 1.0  # original untouched
     assert tuned.class_for(ClassId(1, 1)).bias == 1.0
+
+
+@pytest.mark.parametrize("bias", [0.0, -1.0, math.inf, math.nan])
+def test_with_bias_rejects_a_bias_validate_rejects(bias):
+    with pytest.raises(ValueError, match=r"2,3.*bias must be finite and > 0 \(got"):
+        dual_rat_config().with_bias(ClassId(2, 3), bias)
+
+
+def test_zero_linear_bias_is_a_value_error_not_a_division_by_zero():
+    """A dB bias far enough below zero is a linear 0; each route names it."""
+    config = two_class_config()
+    with pytest.raises(ValueError, match=r"2,3.*bias must be finite and > 0 \(got 0.0\)"):
+        sinr_coverage(config.with_bias(ClassId(2, 3), 0.0))
+    with pytest.raises(ValueError, match=r"2,3.*bias must be finite and > 0 \(got 0.0\)"):
+        optimal_bias_rate(config, bracket_db=(-5000.0, 20.0))
+    with pytest.raises(ValueError, match=r"2,3.*bias must be finite and > 0 \(got 0.0\)"):
+        bias_sweep(config, ClassId(2, 3), [-5000.0], metric="sir_coverage")
 
 
 def test_with_density_returns_modified_copy():

@@ -1,10 +1,13 @@
 """Simulator: deployments, RNG contracts, pruned-vs-exhaustive load counts."""
 
+import json
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import event, example, given
 from hypothesis import settings as hypothesis_settings
 from hypothesis import strategies as st
 
@@ -19,6 +22,8 @@ from hetnet_offload import (
 from hetnet_offload import montecarlo
 from hetnet_offload.montecarlo import (
     _ACCESS_CODE,
+    _DIST_BLOCK,
+    _NEAR_SITES,
     _USER_KEY,
     _class_key,
     _class_rng,
@@ -35,6 +40,9 @@ from hetnet_offload.montecarlo import (
     sample_deployment,
 )
 from load_oracle import tagged_user_count_reference
+
+sys.path.insert(0, str(Path(__file__).resolve().parent / "golden"))
+from record import MC_BLOCKS, mc_block_digests, mc_scenarios  # noqa: E402
 
 MACRO = ClassId(1, 1)
 SMALL = ClassId(2, 3)
@@ -122,21 +130,109 @@ LOAD_CASES = pytest.mark.parametrize(
         (dual_rat_config(), 120),
         (four_class_config(b23_db=6.0), 70),
         (two_class_config(bias_db=10.0), 40),
+        (two_class_config(), 30),
     ],
-    ids=["dual-rat", "four-class", "two-class-biased"],
+    ids=["dual-rat", "four-class", "two-class-biased", "two-class"],
 )
 
 
+def _staged_spy(monkeypatch):
+    """Wrap `montecarlo._strip` and return the list of its calls, each
+    (class id, sites); a staged serving-class check is two calls in a row
+    for the serving class, the first with its _NEAR_SITES nearest sites."""
+    calls = []
+    strip = montecarlo._strip
+
+    def spy(cls, serving, sites, *rest):
+        calls.append((cls.id, sites))
+        return strip(cls, serving, sites, *rest)
+
+    monkeypatch.setattr(montecarlo, "_strip", spy)
+    return calls
+
+
+def _was_staged(calls, serving, own, sidx) -> bool:
+    if len(calls) < 2 or calls[0][0] != serving.id or calls[1][0] != serving.id:
+        return False
+    d2 = ((own - own[sidx]) ** 2).sum(axis=1)
+    d2[sidx] = np.inf
+    nearest = own[np.argsort(d2)[:_NEAR_SITES]]
+    first = calls[0][1]
+    return first.shape[0] == _NEAR_SITES and set(map(tuple, first)) == set(map(tuple, nearest))
+
+
 @LOAD_CASES
-def test_pruned_count_equals_exhaustive_count(config, n_trials):
+def test_pruned_count_equals_exhaustive_count(config, n_trials, monkeypatch):
     """The octant-pruned tagged-load counter is exact, not approximate."""
     settings = SimSettings(window_km=8.0, trials=1, seed=11)
+    calls = _staged_spy(monkeypatch)
+    staged_macro = 0
     for trial in range(n_trials):
         points, _, serving, sidx, users = _trial_pieces(config, settings, trial)
         own_d2, reach2 = _octant_reach2(points[serving.id], sidx, serving.density)
+        calls.clear()
         fast = _tagged_user_count(config, points, serving, sidx, users, own_d2, reach2)
         slow = tagged_user_count_reference(config, points, serving, sidx, users)
         assert fast == slow, f"trial {trial}: {fast} != {slow}"
+        staged = _was_staged(calls, serving, points[serving.id], sidx)
+        staged_macro += staged and serving.id == MACRO
+    if config == two_class_config():
+        # unbiased at 200 users/km^2 the macro serves most trials, and each
+        # of its load counts takes the nearest-sites stage
+        assert staged_macro >= 20
+
+
+def _lattice(nx: int, ny: int, step_x: float, step_y: float, offset=(0.0, 0.0)) -> np.ndarray:
+    """Sites on a rectangular lattice; the one at the offset comes first."""
+    i, j = np.meshgrid(np.arange(-nx, nx + 1), np.arange(-ny, ny + 1), indexing="ij")
+    pts = np.column_stack((i.ravel() * step_x + offset[0], j.ravel() * step_y + offset[1]))
+    first = np.flatnonzero((i.ravel() == 0) & (j.ravel() == 0))[0]
+    return np.concatenate((pts[first : first + 1], np.delete(pts, first, axis=0)))
+
+
+# users on a 1/16 km grid: every distance below is exact in binary, so users
+# on a cell boundary tie exactly
+_GRID_USERS = _lattice(48, 48, 1.0 / 16.0, 1.0 / 16.0)
+
+
+def test_ties_go_to_the_tagged_ap_within_its_class(monkeypatch):
+    """A rectangular lattice, 1 km by 0.5 km: the tagged cell is the closed
+    rectangle [-0.5, 0.5] x [-0.25, 0.25], every boundary user a tie the
+    tagged AP wins, through the staged check."""
+    config = two_class_config(density2=0.0)
+    macro = config.class_for(MACRO)
+    points = {MACRO: _lattice(4, 8, 1.0, 0.5), SMALL: np.empty((0, 2))}
+    calls = _staged_spy(monkeypatch)
+    own_d2, reach2 = _octant_reach2(points[MACRO], 0, 2.0)
+    with np.errstate(divide="ignore"):  # some users sit on a site
+        count = _tagged_user_count(config, points, macro, 0, _GRID_USERS, own_d2, reach2)
+    assert _was_staged(calls, macro, points[MACRO], 0)
+    assert count == 17 * 9
+    assert count == tagged_user_count_reference(config, points, macro, 0, _GRID_USERS)
+
+
+@pytest.mark.parametrize(
+    "serving_id, want", [(MACRO, 2 * 8 * 8 + 2 * 8 + 1), (SMALL, 2 * 7 * 7 + 2 * 7 + 1)]
+)
+def test_ties_across_classes_go_to_the_smaller_class_id(serving_id, want):
+    """Two equal-weight classes on interleaved unit lattices: each tagged cell
+    is the diamond |x| + |y| <= 1/2 around its AP.  Its boundary users tie
+    with the other class, and the smaller ClassId (the macro) wins them."""
+    config = NetworkConfig(
+        classes=(
+            make_class(1, 1, density=1.0, power_dbm=30.0, exponent=4.0),
+            make_class(2, 3, density=1.0, power_dbm=30.0, exponent=4.0),
+        ),
+        user_density=1.0,
+    )
+    points = {MACRO: _lattice(4, 4, 1.0, 1.0), SMALL: _lattice(4, 4, 1.0, 1.0, (0.5, 0.5))}
+    serving = config.class_for(serving_id)
+    users = _GRID_USERS + points[serving_id][0]
+    own_d2, reach2 = _octant_reach2(points[serving_id], 0, 1.0)
+    with np.errstate(divide="ignore"):  # some users sit on a site
+        count = _tagged_user_count(config, points, serving, 0, users, own_d2, reach2)
+    assert count == want
+    assert count == tagged_user_count_reference(config, points, serving, 0, users)
 
 
 def test_octant_reach_is_the_sector_minimum():
@@ -390,7 +486,8 @@ def _broadcast_min_dist2(points, sites):
 @pytest.mark.parametrize("n_points", [0, 1, 37, 512, 1300])
 @pytest.mark.parametrize("n_sites", [0, 1, 42])
 def test_min_dist2_equals_broadcast_formula(n_points, n_sites):
-    """The in-place kernel is the broadcast formula bit for bit (inf with no site)."""
+    """The (sites x points) kernel is the broadcast formula bit for bit (inf
+    with no site)."""
     rng = np.random.default_rng(n_points * 100 + n_sites)
     points = rng.uniform(-3.0, 3.0, size=(n_points, 2))
     sites = rng.uniform(-3.0, 3.0, size=(n_sites, 2))
@@ -399,6 +496,18 @@ def test_min_dist2_equals_broadcast_formula(n_points, n_sites):
     assert np.array_equal(got, _broadcast_min_dist2(points, sites))
     if n_sites == 0:
         assert np.all(np.isinf(got))
+
+
+@pytest.mark.parametrize("n_sites", [1, 12, 42, _DIST_BLOCK + 1])
+def test_min_dist2_is_exact_across_block_boundaries(n_sites):
+    """Point counts either side of one and two blocks of the kernel."""
+    step = max(1, _DIST_BLOCK // n_sites)
+    rng = np.random.default_rng(n_sites)
+    sites = rng.uniform(-3.0, 3.0, size=(n_sites, 2))
+    for n_points in (step - 1, step, step + 1, 2 * step + 1):
+        points = rng.uniform(-3.0, 3.0, size=(n_points, 2))
+        got = _min_dist2(points, sites)
+        assert np.array_equal(got, _broadcast_min_dist2(points, sites)), n_points
 
 
 _LOAD_IDS = [ClassId(1, 1), ClassId(1, 2), ClassId(2, 2), ClassId(2, 3)]
@@ -420,6 +529,8 @@ _LOAD_IDS = [ClassId(1, 1), ClassId(1, 2), ClassId(2, 2), ClassId(2, 3)]
     user_density=st.floats(20.0, 500.0),
     draw_seed=st.integers(0, 2**32 - 1),
 )
+# dense enough that the serving-class check is staged
+@example(n_classes=2, params=[(8.0, 30.0, 4.0, 0.0)] * 4, user_density=500.0, draw_seed=5)
 def test_pruned_count_equals_oracle_on_random_configs(n_classes, params, user_density, draw_seed):
     """Over random valid configs, the pruned load count is the unpruned oracle's."""
     classes = tuple(
@@ -443,8 +554,12 @@ def test_pruned_count_equals_oracle_on_random_configs(n_classes, params, user_de
     serving, sidx, _ = best
     users = rng.uniform(-half, half, size=(rng.poisson(user_density * 16.0), 2))
     own_d2, reach2 = _octant_reach2(points[serving.id], sidx, serving.density)
-    with np.errstate(divide="ignore"):
-        fast = _tagged_user_count(config, points, serving, sidx, users, own_d2, reach2)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        calls = _staged_spy(monkeypatch)
+        with np.errstate(divide="ignore"):
+            fast = _tagged_user_count(config, points, serving, sidx, users, own_d2, reach2)
+    if _was_staged(calls, serving, points[serving.id], sidx):
+        event("staged serving-class check")
     assert fast == tagged_user_count_reference(config, points, serving, sidx, users)
 
 
@@ -463,3 +578,18 @@ def test_uniform_helper_equals_numpy_uniform(seed):
         want = np.random.default_rng(seed).uniform(lo, hi, size=size)
         assert got.shape == want.shape
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+MC_RECORDED = json.loads(MC_BLOCKS.read_text())
+
+
+def test_block_recording_covers_four_scenarios_and_two_seeds():
+    assert len(MC_RECORDED) == 8
+    assert {e["scenario"] for e in MC_RECORDED} == set(mc_scenarios())
+
+
+@pytest.mark.parametrize("want", MC_RECORDED, ids=lambda e: f"{e['scenario']}-seed{e['seed']}")
+def test_run_block_outputs_match_recorded_digests(want):
+    """Every `_run_block` array, bit for bit, as recorded by tests/golden/record.py."""
+    config = mc_scenarios()[want["scenario"]]
+    assert mc_block_digests(config, want["seed"]) == want["digests"]
