@@ -176,8 +176,8 @@ class NetworkConfig:
         new = tuple(replace(c, bias=bias) if c.id == cid else c for c in self.classes)
         if not any(c.id == cid for c in self.classes):
             raise KeyError(f"no class {cid.label()} in config")
-        if not 0.0 < bias < math.inf:
-            raise ValueError(f"{cid.label()}: bias must be finite and > 0 (got {bias})")
+        if failure := _bias_failure(cid, bias):
+            raise ValueError(failure)
         return replace(self, classes=new)
 
     def with_density(self, cid: ClassId, density: float) -> "NetworkConfig":
@@ -195,6 +195,13 @@ class NetworkConfig:
 class ValidationReport:
     passed: bool
     failures: tuple[str, ...] = ()
+
+
+def _bias_failure(cid: ClassId, bias: float) -> str | None:
+    """Why a linear bias is inadmissible for class `cid`, or None if it is not."""
+    if not 0.0 < bias < math.inf:
+        return f"{cid.label()}: bias must be finite and > 0 (got {bias})"
+    return None
 
 
 def validate(config: NetworkConfig) -> ValidationReport:
@@ -223,8 +230,8 @@ def validate(config: NetworkConfig) -> ValidationReport:
             failures.append(f"{tag}: power must be finite and > 0 W (got {cls.power})")
         if not 2.0 < cls.exponent < math.inf:
             failures.append(f"{tag}: exponent must exceed 2 and be finite (got {cls.exponent})")
-        if not 0.0 < cls.bias < math.inf:
-            failures.append(f"{tag}: bias must be finite and > 0 (got {cls.bias})")
+        if failure := _bias_failure(cls.id, cls.bias):
+            failures.append(failure)
         serves = cls.id.is_open and cls.density > 0.0
         if not math.isfinite(cls.bandwidth) or (serves and cls.bandwidth <= 0.0):
             failures.append(f"{tag}: bandwidth must be finite and > 0 Hz (got {cls.bandwidth})")

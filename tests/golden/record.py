@@ -10,7 +10,10 @@ output directory are written as the placeholders `{config}` and `{out}`.
 The block digests are the SHA-256 of every array `montecarlo._run_block`
 returns (serving rank, distance, SINR, load, rate, AP counts) for four
 scenarios and two seeds, 500 trials each: the Monte Carlo engine's outputs
-bit for bit, so a change meant to be a pure speed-up can be checked.
+bit for bit, so a change meant to be a pure speed-up can be checked.  The
+float arrays go through numpy's and libm's power, log and arctan2, whose
+last bit can depend on the numpy version, the C library and the SIMD code
+numpy picks for the CPU, so the recording also keeps that environment.
 
 Run from the repo root to record both again, after a change that alters an
 output on purpose (`cli` or `mc` records one of them):
@@ -27,6 +30,7 @@ import contextlib
 import hashlib
 import io
 import json
+import platform
 import sys
 import tempfile
 import warnings
@@ -113,6 +117,24 @@ def mc_scenarios() -> dict[str, NetworkConfig]:
 MC_SEEDS = (1, 2**33 + 5)
 MC_TRIALS = 500
 _BLOCK_ARRAYS = ("serving", "distance_km", "sinr", "load", "rate_bps", "ap_counts")
+INTEGER_ARRAYS = ("serving", "load", "ap_counts")
+
+
+def float_environment() -> dict:
+    """What the float arrays' last bits can depend on: the numpy version,
+    the C library, and the SIMD targets numpy's ufuncs run on this CPU."""
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # numpy < 2
+        from numpy.core import _multiarray_umath as umath
+
+    simd = [*umath.__cpu_baseline__, *(f for f in umath.__cpu_dispatch__ if umath.__cpu_features__.get(f))]
+    return {
+        "numpy": np.__version__,
+        "machine": platform.machine(),
+        "libc": " ".join(platform.libc_ver()).strip(),
+        "simd": simd,
+    }
 
 
 def mc_block_digests(config: NetworkConfig, seed: int) -> dict[str, str]:
@@ -127,12 +149,13 @@ def mc_block_digests(config: NetworkConfig, seed: int) -> dict[str, str]:
     return out
 
 
-def record_mc_blocks() -> list[dict]:
-    return [
+def record_mc_blocks() -> dict:
+    blocks = [
         {"scenario": name, "seed": seed, "trials": MC_TRIALS, "digests": mc_block_digests(config, seed)}
         for name, config in mc_scenarios().items()
         for seed in MC_SEEDS
     ]
+    return {"float_environment": float_environment(), "blocks": blocks}
 
 
 def record() -> list[dict]:
@@ -156,4 +179,4 @@ if __name__ == "__main__":
     if what in ("all", "mc"):
         blocks = record_mc_blocks()
         MC_BLOCKS.write_text(json.dumps(blocks, indent=1, sort_keys=True) + "\n")
-        print(f"wrote {MC_BLOCKS.relative_to(ROOT)}: {len(blocks)} blocks", file=sys.stderr)
+        print(f"wrote {MC_BLOCKS.relative_to(ROOT)}: {len(blocks['blocks'])} blocks", file=sys.stderr)

@@ -1,5 +1,6 @@
 """Simulator: deployments, RNG contracts, pruned-vs-exhaustive load counts."""
 
+import functools
 import json
 import math
 import sys
@@ -42,7 +43,7 @@ from hetnet_offload.montecarlo import (
 from load_oracle import tagged_user_count_reference
 
 sys.path.insert(0, str(Path(__file__).resolve().parent / "golden"))
-from record import MC_BLOCKS, mc_block_digests, mc_scenarios  # noqa: E402
+from record import INTEGER_ARRAYS, MC_BLOCKS, float_environment, mc_block_digests, mc_scenarios  # noqa: E402
 
 MACRO = ClassId(1, 1)
 SMALL = ClassId(2, 3)
@@ -138,8 +139,8 @@ LOAD_CASES = pytest.mark.parametrize(
 
 def _staged_spy(monkeypatch):
     """Wrap `montecarlo._strip` and return the list of its calls, each
-    (class id, sites); a staged serving-class check is two calls in a row
-    for the serving class, the first with its _NEAR_SITES nearest sites."""
+    (class id, sites); the serving-class check is two calls in a row, the
+    first with the tagged AP's nearest sites."""
     calls = []
     strip = montecarlo._strip
 
@@ -152,6 +153,8 @@ def _staged_spy(monkeypatch):
 
 
 def _was_staged(calls, serving, own, sidx) -> bool:
+    """Whether the serving-class check split its sites: a first stage of
+    exactly the _NEAR_SITES sites nearest the tagged AP, then a second."""
     if len(calls) < 2 or calls[0][0] != serving.id or calls[1][0] != serving.id:
         return False
     d2 = ((own - own[sidx]) ** 2).sum(axis=1)
@@ -529,7 +532,7 @@ _LOAD_IDS = [ClassId(1, 1), ClassId(1, 2), ClassId(2, 2), ClassId(2, 3)]
     user_density=st.floats(20.0, 500.0),
     draw_seed=st.integers(0, 2**32 - 1),
 )
-# dense enough that the serving-class check is staged
+# dense enough that the serving-class check splits its sites
 @example(n_classes=2, params=[(8.0, 30.0, 4.0, 0.0)] * 4, user_density=500.0, draw_seed=5)
 def test_pruned_count_equals_oracle_on_random_configs(n_classes, params, user_density, draw_seed):
     """Over random valid configs, the pruned load count is the unpruned oracle's."""
@@ -583,13 +586,35 @@ def test_uniform_helper_equals_numpy_uniform(seed):
 MC_RECORDED = json.loads(MC_BLOCKS.read_text())
 
 
+def _block_id(entry: dict) -> str:
+    return f"{entry['scenario']}-seed{entry['seed']}"
+
+
+@functools.cache
+def _block_digests(scenario: str, seed: int) -> dict[str, str]:
+    return mc_block_digests(mc_scenarios()[scenario], seed)
+
+
 def test_block_recording_covers_four_scenarios_and_two_seeds():
-    assert len(MC_RECORDED) == 8
-    assert {e["scenario"] for e in MC_RECORDED} == set(mc_scenarios())
+    assert len(MC_RECORDED["blocks"]) == 8
+    assert {e["scenario"] for e in MC_RECORDED["blocks"]} == set(mc_scenarios())
 
 
-@pytest.mark.parametrize("want", MC_RECORDED, ids=lambda e: f"{e['scenario']}-seed{e['seed']}")
-def test_run_block_outputs_match_recorded_digests(want):
-    """Every `_run_block` array, bit for bit, as recorded by tests/golden/record.py."""
-    config = mc_scenarios()[want["scenario"]]
-    assert mc_block_digests(config, want["seed"]) == want["digests"]
+@pytest.mark.parametrize("want", MC_RECORDED["blocks"], ids=_block_id)
+def test_run_block_integer_outputs_match_recorded_digests(want):
+    """Serving rank, load and AP counts, bit for bit on every host, as
+    recorded by tests/golden/record.py."""
+    got = _block_digests(want["scenario"], want["seed"])
+    assert {k: got[k] for k in INTEGER_ARRAYS} == {k: want["digests"][k] for k in INTEGER_ARRAYS}
+
+
+@pytest.mark.parametrize("want", MC_RECORDED["blocks"], ids=_block_id)
+def test_run_block_float_outputs_match_recorded_digests(want):
+    """Distance, SINR and rate, bit for bit, where numpy, the C library and
+    numpy's SIMD targets are the recording's; their last bits may differ
+    elsewhere."""
+    recorded, here = MC_RECORDED["float_environment"], float_environment()
+    differs = [f"{k} {recorded[k]} recorded, {here[k]} here" for k in recorded if recorded[k] != here[k]]
+    if differs:
+        pytest.skip("float digests need the recording's environment: " + "; ".join(differs))
+    assert _block_digests(want["scenario"], want["seed"]) == want["digests"]
