@@ -30,8 +30,6 @@ from .numerics import (
     TYPICAL_CELL_SHAPE,
     NumericalError,
     decay_integral,
-    pv_area_moment,
-    stirling2,
 )
 
 __all__ = [
@@ -44,7 +42,6 @@ __all__ = [
     "load_ratio",
     "tagged_load_distribution",
     "typical_load_pmf",
-    "tagged_load_moment",
 ]
 
 
@@ -247,20 +244,3 @@ def typical_load_pmf(config: NetworkConfig, serving: ClassId) -> LoadDistributio
     """Distribution of users on the *typical* AP of a class (no area bias)."""
     return _load_distribution(config, serving, TYPICAL_CELL_SHAPE)
 
-
-def tagged_load_moment(
-    config: NetworkConfig,
-    serving: ClassId,
-    n: int,
-) -> float:
-    """E[O^n] for the tagged-AP other-user count.
-
-    E[O^n] = sum_{k=1..n} r^k S(n,k) E[C(1)^(k+1)] with S the Stirling
-    numbers of the second kind; n = 1 gives the (9/7) r mean.
-    """
-    if n < 0:
-        raise ValueError("moment order must be non-negative")
-    if n == 0:
-        return 1.0
-    r = load_ratio(config, serving)
-    return sum(r**k * stirling2(n, k) * pv_area_moment(k + 1) for k in range(1, n + 1))

@@ -1,7 +1,7 @@
 """Numerical kernels shared by the analytic modules.
 
 Everything here is deterministic: same inputs, same outputs, no global
-state besides the Stirling-number memo.
+state besides the memo of incomplete-beta series coefficients.
 
 Every association and coverage quantity of the package is one integral,
 
@@ -19,6 +19,20 @@ double-exponential decay at both ends of t makes the truncated tails
 negligible.  When every exponent is 1 (equal path-loss exponents, no
 noise) the integral is 1 / sum_k c_k, and the kernel returns that.
 
+The rule's upper nodes mostly add exact zeros, and the kernel skips
+them.  Past u = s the exponent is at least (u/s)^e_min, so from the
+first node where e_min pi/2 sinh t reaches log 746 on, exp(-exponent) is
+0.0 (it is from 745.14 on): those nodes are dropped, which keeps 93-95
+of the 121 on the shipped configs.  Of the nodes kept, every exponent
+of at least 746 is set to inf before the exp: numpy's exp takes a slow
+path for each argument that underflows, about 20 ns an element from 746
+on against 1.2 ns in range, and 4 ns for -inf (numpy 2.4.6, AVX-512).
+On every call checked the results were bit for bit those of all 121
+nodes.  Blocks of rows share
+one buffer of about 1 MB.  The 17,350-row call of a 5-point rate CCDF
+on dual-RAT at 500 users/km^2 took 21.1 ms on all nodes and takes 5.2 ms
+(CPU medians, 2-vCPU Xeon).
+
 The interference kernel `z_integral` is an incomplete beta function
 B_x(s, 1-s), summed from its hypergeometric series (DLMF 8.17.7) on
 whichever side of 1/2 its argument lies, with the complete value
@@ -27,6 +41,7 @@ B(s, 1-s) = pi / sin(pi s) (DLMF 5.12.1 with 5.5.3).
 
 from __future__ import annotations
 
+import bisect
 import math
 from functools import lru_cache
 
@@ -36,7 +51,6 @@ __all__ = [
     "NumericalError",
     "decay_integral",
     "z_integral",
-    "stirling2",
     "pv_area_moment",
     "TYPICAL_CELL_SHAPE",
     "TAGGED_CELL_SHAPE",
@@ -58,11 +72,18 @@ class NumericalError(RuntimeError):
         self.partial = partial
 
 
+_DBL_MAX = np.finfo(float).max
 _DE_T = np.linspace(-4.0, 4.0, 121)
 _DE_LOG_X = 0.5 * math.pi * np.sinh(_DE_T)  # log(u / s) at the nodes
 _DE_W = (_DE_T[1] - _DE_T[0]) * 0.5 * math.pi * np.cosh(_DE_T) * np.exp(_DE_LOG_X)
-# rows per (rows x nodes) block, so one block of float64 stays near 4 MB
-_DE_CHUNK_ROWS = 4_000_000 // (8 * _DE_T.size)
+# exp(-x) is exactly 0.0 from x = 745.14 on (below half the least subnormal,
+# 2^-1075); 746 leaves room for rounding in the computed exponent
+_DE_DEAD = 746.0
+_LOG_DEAD = math.log(_DE_DEAD)
+_DE_LOG_X_LIST = _DE_LOG_X.tolist()
+# rows per (rows x nodes) block, so one block of float64 stays near 1 MB and
+# in a 2 MB L2 cache (4 MB blocks took 1.6x as long)
+_DE_CHUNK_ROWS = 1_000_000 // (8 * _DE_T.size)
 
 
 def decay_integral(coefs, expos) -> np.ndarray:
@@ -74,37 +95,61 @@ def decay_integral(coefs, expos) -> np.ndarray:
 
     When every exponent is 1 the integral is 1 / sum_k coefs[r, k];
     otherwise a fixed 121-node exp-sinh rule (module docstring), with no
-    tolerance to set.  Returns (rows,).
+    tolerance to set, that skips the nodes and exp arguments whose
+    integrand value is exactly 0.0.  Returns (rows,).
     """
     coefs = np.atleast_2d(np.asarray(coefs, dtype=float))
     expos = np.asarray(expos, dtype=float)
-    if np.all(expos == 1.0):
+    if (expos == 1.0).all():
         # decided before any per-element work: this is the whole cost of an
         # equal-exponent, noise-free coverage call
         total = coefs.sum(axis=1)
-        if not np.all(total > 0.0):
+        if not (total > 0.0).all():
             raise ValueError("every row needs a positive coefficient")
         return 1.0 / total
     with np.errstate(over="ignore"):
         # u at which the fastest-growing term reaches 1; the exponent at the
         # scale u = s is between 1 and K, whatever the coefficients
-        reach = np.max(coefs ** (1.0 / expos), axis=1)
-    if not np.all(reach > 0.0):
-        raise ValueError("every row needs a positive coefficient")
-    out = np.zeros(reach.size)
-    rows = np.flatnonzero(np.isfinite(reach))
-    scale = 1.0 / reach[rows]
-    # (u/s)^e at the nodes; the cap only matters for exponents above ~16
-    powers = np.exp(np.minimum(np.outer(expos, _DE_LOG_X), 700.0))
-    # einsum, not `@`: a BLAS call wakes OpenBLAS worker threads whose spinning
-    # slowed the single-threaded work after it by up to 75% on a 2-vCPU machine
-    with np.errstate(over="ignore"):
+        reach = (coefs ** (1.0 / expos)).max(axis=1)
+        if not (reach > 0.0).all():
+            raise ValueError("every row needs a positive coefficient")
+        out = np.zeros(reach.size)
+        rows = np.isfinite(reach).nonzero()[0]
+        scale = 1.0 / reach[rows]
+        live = _live_nodes(expos)
+        # (u/s)^e at the live nodes; the cap only matters for exponent ratios above ~100
+        powers = np.exp(np.minimum(np.outer(expos, _DE_LOG_X[:live]), 700.0))
+        weights = _DE_W[:live]
+        # one buffer for every block: a fresh temporary this large is mapped
+        # and page-faulted in anew at each allocation
+        values = np.empty((min(rows.size, _DE_CHUNK_ROWS), live))
         for start in range(0, rows.size, _DE_CHUNK_ROWS):
             idx = rows[start : start + _DE_CHUNK_ROWS]
             s = scale[start : start + _DE_CHUNK_ROWS]
-            exponent = np.einsum("rk,kn->rn", coefs[idx] * s[:, None] ** expos, powers)
-            out[idx] = s * np.einsum("rn,n->r", np.exp(-exponent), _DE_W)
+            # s^e capped below overflow, so that a zero coefficient adds 0
+            # where s^e overflows (0 * inf would be nan)
+            scaled = coefs[idx] * np.minimum(s[:, None] ** expos, _DBL_MAX)
+            block = values[: idx.size]
+            # einsum, not `@`: a BLAS call wakes OpenBLAS worker threads whose
+            # spinning slowed the single-threaded work after it by up to 75%
+            # on a 2-vCPU machine
+            np.einsum("rk,kn->rn", scaled, powers, out=block)
+            # numpy's exp is 5x slower on an argument that underflows than
+            # on -inf (module docstring): the dead exponents become inf
+            np.copyto(block, np.inf, where=block >= _DE_DEAD)
+            np.exp(np.negative(block, out=block), out=block)
+            out[idx] = s * np.einsum("rn,n->r", block, weights)
     return out
+
+
+def _live_nodes(expos: np.ndarray) -> int:
+    """How many leading nodes can have a non-zero integrand value.
+
+    Past u = s the term that reaches 1 there alone makes the exponent at
+    least (u/s)^e_min, so from the first node where that reaches _DE_DEAD
+    on, every integrand value is 0.0.
+    """
+    return bisect.bisect_left(_DE_LOG_X_LIST, _LOG_DEAD / min(expos.tolist()))
 
 
 # Terms of the incomplete-beta series.  Its coefficients fall and its
@@ -216,20 +261,6 @@ def z_integral(a, b: float, c: float):
         z *= a_arr ** (1.0 - s)
         z *= 1.0 - s
     return float(z) if z.ndim == 0 else z
-
-
-@lru_cache(maxsize=None)
-def stirling2(n: int, k: int) -> int:
-    """Stirling number of the second kind: partitions of n items into k blocks."""
-    if n < 0 or k < 0:
-        raise ValueError("stirling2 arguments must be non-negative")
-    if n == 0 and k == 0:
-        return 1
-    if n == 0 or k == 0:
-        return 0
-    if k > n:
-        return 0
-    return k * stirling2(n - 1, k) + stirling2(n - 1, k - 1)
 
 
 def pv_area_moment(j: int) -> float:

@@ -1,10 +1,13 @@
-"""Adaptive-quadrature reference for the package's fixed-node kernel.
+"""Slow references for the package's fixed-node kernel.
 
-The integrators were the package's own before the coverage and
+The adaptive integrators were the package's own before the coverage and
 association integrals moved to `numerics.decay_integral`.  They are kept
-unchanged as the slow oracle the tests hold the kernel to: one adaptive
+as the slow oracle the tests hold the kernel to: one adaptive
 Gauss-Kronrod quadrature (`scipy.integrate.quad`) per integral, with a
-Python callable as the integrand.  Below them, the association
+Python callable as the integrand; `decaying_integral` runs in the
+cusp-free variable t = ln(u/s).  `decay_integral_all_nodes` is the
+kernel's own rule on all of its nodes, with a plain exp, which the
+kernel must match to 1e-15 relative.  Below them, the association
 probability, the conditional SINR coverage and the mean-load rate
 coverage are built from their defining integrals term by term, with no
 closed form, so a test can hold any package route to them.
@@ -17,9 +20,10 @@ import warnings
 from dataclasses import dataclass
 from typing import Callable
 
+import numpy as np
 import scipy.integrate
 
-from hetnet_offload.numerics import NumericalError, z_integral
+from hetnet_offload.numerics import _DE_LOG_X, _DE_W, NumericalError, z_integral
 
 
 @dataclass(frozen=True)
@@ -78,6 +82,18 @@ def semi_infinite_integral(
     return _quad(f, lower, math.inf, settings)
 
 
+def _falls_below(g: Callable[[float], float], level: float) -> float:
+    """A u with g(u) <= level < g(u/2), by doubling or halving from u = 1."""
+    u = 1.0
+    if g(u) > level:
+        while g(u) > level and u < 2.0**64:
+            u *= 2.0
+    else:
+        while g(u / 2.0) <= level and u > 2.0**-60:
+            u /= 2.0
+    return u
+
+
 def decaying_integral(
     g: Callable[[float], float],
     settings: QuadratureSettings | None = None,
@@ -85,26 +101,58 @@ def decaying_integral(
 ) -> float:
     """Integrate g over [0, inf) when g is decreasing with its peak at 0.
 
-    The upper limit is chosen where the integrand has fallen below
-    ``tail_ratio`` of its peak value (doubling/halving search), then the
-    finite interval is integrated adaptively.  Intended for the
-    exp(-sum_k c_k u^e_k) kernels of the association and coverage
-    integrals, whose truncated tail is provably below the cut level times
-    the remaining mass.
+    The integral runs in t = ln(u/s), as integral g(s e^t) s e^t dt, with
+    s the u at which g falls to about 1/e of its peak.  A term u^e of
+    an exp(-sum_k c_k u^e_k) kernel is s^e e^(e t) there, smooth in t even
+    for e < 1, where u^e has a cusp at u = 0 that Gauss-Kronrod resolves
+    poorly.  The t range runs from ln(tail_ratio), below which lies at
+    most ~2e tail_ratio of the mass, to where g has fallen below
+    ``tail_ratio`` of its peak (both found by doubling/halving search).
     """
     settings = settings or DEFAULT_SETTINGS
     peak = g(0.0)
     if peak <= 0.0:
         return 0.0
-    cut = peak * tail_ratio
-    upper = 1.0
-    if g(upper) > cut:
-        while g(upper) > cut and upper < 2.0**64:
-            upper *= 2.0
-    else:
-        while g(upper / 2.0) <= cut and upper > 2.0**-60:
-            upper /= 2.0
-    return _quad(g, 0.0, upper, settings)
+    s = _falls_below(g, peak / math.e)
+    upper = _falls_below(g, peak * tail_ratio)
+
+    def h(t: float) -> float:
+        u = s * math.exp(t)
+        return g(u) * u
+
+    return _quad(h, math.log(tail_ratio), math.log(upper / s), settings)
+
+
+def kernel_exponents(coefs, expos) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The exponent sum_k c_k u^e_k of `numerics.decay_integral` at all 121
+    nodes: (rows with a finite scale, their scales s, (rows, 121) exponents)."""
+    coefs = np.atleast_2d(np.asarray(coefs, dtype=float))
+    expos = np.asarray(expos, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        reach = np.max(coefs ** (1.0 / expos), axis=1)
+        rows = np.flatnonzero(np.isfinite(reach))
+        scale = 1.0 / reach[rows]
+        powers = np.exp(np.minimum(np.outer(expos, _DE_LOG_X), 700.0))
+        c = coefs[rows]
+        scaled = np.where(c > 0.0, c * scale[:, None] ** expos, 0.0)  # not 0 * inf
+        exponent = np.einsum("rk,kn->rn", scaled, powers)
+    return rows, scale, exponent
+
+
+def decay_integral_all_nodes(coefs, expos) -> np.ndarray:
+    """`numerics.decay_integral` on all 121 nodes, with a plain exp.
+
+    The kernel's rule without its skips of the nodes and exp arguments
+    whose integrand value is 0.0; a zero coefficient stays 0 where s^e
+    overflows, as in the kernel.
+    """
+    coefs = np.atleast_2d(np.asarray(coefs, dtype=float))
+    if np.all(np.asarray(expos) == 1.0):
+        return 1.0 / coefs.sum(axis=1)
+    out = np.zeros(coefs.shape[0])
+    rows, scale, exponent = kernel_exponents(coefs, expos)
+    out[rows] = scale * np.einsum("rn,n->r", np.exp(-exponent), _DE_W)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -23,10 +23,10 @@ from hetnet_offload.association import (
     load_ratio,
     mean_association_area,
     served_distance_pdf,
-    tagged_load_moment,
     typical_load_pmf,
 )
-from hetnet_offload.numerics import AREA_BIAS_FACTOR, pv_area_moment, stirling2
+from hetnet_offload.numerics import AREA_BIAS_FACTOR, pv_area_moment
+from load_oracle import stirling2, tagged_load_moment
 import quad_oracle as oracle
 from quad_oracle import semi_infinite_integral
 

@@ -198,20 +198,23 @@ def _lattice(nx: int, ny: int, step_x: float, step_y: float, offset=(0.0, 0.0)) 
 _GRID_USERS = _lattice(48, 48, 1.0 / 16.0, 1.0 / 16.0)
 
 
-def test_ties_go_to_the_tagged_ap_within_its_class(monkeypatch):
+@pytest.mark.parametrize("sidx", [0, 70, 152])
+def test_ties_go_to_the_tagged_ap_within_its_class(sidx, monkeypatch):
     """A rectangular lattice, 1 km by 0.5 km: the tagged cell is the closed
     rectangle [-0.5, 0.5] x [-0.25, 0.25], every boundary user a tie the
-    tagged AP wins, through the staged check."""
+    tagged AP wins, through the staged check, whether its tied neighbours
+    come before it in the site order (sidx 70, 152 is the last) or not."""
     config = two_class_config(density2=0.0)
     macro = config.class_for(MACRO)
-    points = {MACRO: _lattice(4, 8, 1.0, 0.5), SMALL: np.empty((0, 2))}
+    points = {MACRO: np.roll(_lattice(4, 8, 1.0, 0.5), sidx, axis=0), SMALL: np.empty((0, 2))}
+    assert np.array_equal(points[MACRO][sidx], [0.0, 0.0])
     calls = _staged_spy(monkeypatch)
-    own_d2, reach2 = _octant_reach2(points[MACRO], 0, 2.0)
+    own_d2, reach2 = _octant_reach2(points[MACRO], sidx, 2.0)
     with np.errstate(divide="ignore"):  # some users sit on a site
-        count = _tagged_user_count(config, points, macro, 0, _GRID_USERS, own_d2, reach2)
-    assert _was_staged(calls, macro, points[MACRO], 0)
+        count = _tagged_user_count(config, points, macro, sidx, _GRID_USERS, own_d2, reach2)
+    assert _was_staged(calls, macro, points[MACRO], sidx)
     assert count == 17 * 9
-    assert count == tagged_user_count_reference(config, points, macro, 0, _GRID_USERS)
+    assert count == tagged_user_count_reference(config, points, macro, sidx, _GRID_USERS)
 
 
 @pytest.mark.parametrize(

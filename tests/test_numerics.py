@@ -16,8 +16,9 @@ import pytest
 import scipy.special
 
 from hetnet_offload import NumericalError
-from hetnet_offload.numerics import decay_integral, pv_area_moment, stirling2, z_integral
-from quad_oracle import QuadratureSettings, decaying_integral, semi_infinite_integral
+from hetnet_offload.numerics import decay_integral, pv_area_moment, z_integral
+from load_oracle import stirling2
+from quad_oracle import TIGHT_SETTINGS, QuadratureSettings, decaying_integral, semi_infinite_integral
 
 # (a, b, c) -> independently integrated value of a^(2/b) * I[(c/a)^(2/b), inf)
 Z_REFERENCE = {
@@ -186,6 +187,17 @@ def test_decaying_integral_matches_quadrature():
     assert decaying_integral(lambda u: math.exp(-1e6 * u)) == pytest.approx(1e-6, rel=1e-9)
     # very slow decay relative to the unit scale: cutoff must grow
     assert decaying_integral(lambda u: math.exp(-u / 50.0)) == pytest.approx(50.0, rel=1e-9)
+
+
+@pytest.mark.parametrize("e", [0.3, 0.4, 0.59, 0.75])
+def test_decaying_integral_resolves_the_cusp(e):
+    """integral exp(-c u^e) du = Gamma(1 + 1/e) c^(-1/e).  For e < 1, u^e
+    has a cusp at u = 0 that Gauss-Kronrod in u resolves poorly; the
+    oracle's variable t = ln(u/s) removes it."""
+    for c in (1e-3, 1.0, 1e3):
+        got = decaying_integral(lambda u: math.exp(-c * u**e), TIGHT_SETTINGS)
+        want = math.gamma(1.0 + 1.0 / e) * c ** (-1.0 / e)
+        assert got == pytest.approx(want, rel=1e-13, abs=0.0), c
 
 
 def test_decaying_integral_zero_function():
