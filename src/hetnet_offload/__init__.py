@@ -7,7 +7,7 @@ distributions, SINR and rate coverage, and offload-optimal biases, and
 cross-checks everything against a Monte Carlo simulator.
 
 This namespace holds what a user of the library calls; the building blocks
-behind it (kernels, load moments, single-class coverage, the solvers'
+behind it (kernels, the load ratio, the mean-load rate routes, the solvers'
 helpers, one Monte Carlo trial) are imported from their modules.
 """
 
@@ -41,7 +41,6 @@ from .coverage import (
 from .offload import (
     OptimizationResult,
     SolverError,
-    TwoRatScenario,
     bias_sweep,
     optimal_bias_rate,
     optimal_bias_sir,
@@ -66,7 +65,6 @@ __all__ = [
     "OptimizationResult",
     "SimSettings",
     "SolverError",
-    "TwoRatScenario",
     "association_probabilities",
     "bias_sweep",
     "db_to_linear",

@@ -1,4 +1,4 @@
-"""Association probabilities, serving-distance law, and cell-load models.
+"""Association probabilities and the tagged-AP load pmf.
 
 The typical user at the origin picks, among open classes, the class whose
 nearest AP maximizes T_mk * d^(-alpha_mk) with T = P * B.  With every class
@@ -11,10 +11,10 @@ the sum running over open classes.  When all open classes share one
 exponent the integral collapses to A_ij = lam_ij / sum G_mk.
 
 Loads: with users a PPP of density lam_u, the number of *other* users
-sharing the AP serving the typical user is negative-binomial; its PGF and
-moments follow from a Gamma(3.5, 3.5) area law for the typical cell of a
-unit-density Voronoi tessellation, area-biased to Gamma(4.5, 3.5) for the
-cell a random user lands in.
+sharing the AP serving the typical user is negative-binomial: the paper
+takes a Gamma(3.5, 3.5) area law for the typical cell of a unit-density
+Voronoi tessellation, area-biased to Gamma(4.5, 3.5) for the cell a
+random user lands in.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ClassId, NetworkConfig
+from .model import ClassId, NetworkConfig, _user_density_failure
 from .numerics import (
     TAGGED_CELL_SHAPE,
     TYPICAL_CELL_SHAPE,
@@ -36,12 +36,9 @@ __all__ = [
     "association_probability",
     "association_probabilities",
     "rat_offload_fraction",
-    "mean_association_area",
-    "served_distance_pdf",
     "LoadDistribution",
     "load_ratio",
     "tagged_load_distribution",
-    "typical_load_pmf",
 ]
 
 
@@ -86,31 +83,6 @@ def rat_offload_fraction(config: NetworkConfig, rat: int) -> float:
     return total
 
 
-def mean_association_area(config: NetworkConfig, serving: ClassId) -> float:
-    """Mean area (km^2) of a serving-class association cell, A_ij / lam_ij."""
-    cls = _serving_class(config, serving)
-    return association_probability(config, serving) / cls.density
-
-
-def served_distance_pdf(config: NetworkConfig, serving: ClassId, y):
-    """PDF of the user-to-server distance given service by class `serving`.
-
-    f(y) = (2 pi lam_ij / A_ij) y exp(-pi sum_mk G_mk y^(2 a_ij / a_mk)).
-    Accepts a scalar or array of distances (km).
-    """
-    cls = _serving_class(config, serving)
-    g, expos = _g_terms(config, serving)
-    a = association_probability(config, serving)
-    y_arr = np.asarray(y, dtype=float)
-    if np.any(y_arr < 0.0):
-        raise ValueError("distances must be non-negative")
-    expo_sum = np.zeros_like(y_arr)
-    for g_mk, expo in zip(g, expos):
-        expo_sum += g_mk * (y_arr**2) ** expo
-    out = (2.0 * math.pi * cls.density / a) * y_arr * np.exp(-math.pi * expo_sum)
-    return float(out) if np.isscalar(y) else out
-
-
 # ---------------------------------------------------------------------------
 # Cell load
 # ---------------------------------------------------------------------------
@@ -119,8 +91,8 @@ def served_distance_pdf(config: NetworkConfig, serving: ClassId, y):
 def load_ratio(config: NetworkConfig, serving: ClassId) -> float:
     """Mean users per serving-class cell, r = lam_u * A_ij / lam_ij."""
     cls = _serving_class(config, serving)
-    if config.user_density < 0.0:
-        raise ValueError("user density must be non-negative")
+    if failure := _user_density_failure(config.user_density):
+        raise ValueError(failure)
     return config.user_density * association_probability(config, serving) / cls.density
 
 
@@ -137,12 +109,6 @@ class LoadDistribution:
     serving: ClassId
     ratio: float
     pmf: np.ndarray
-
-    def mean(self) -> float:
-        return float(np.arange(self.pmf.size) @ self.pmf)
-
-    def total_mass(self) -> float:
-        return float(self.pmf.sum())
 
 
 _MAX_PMF_TERMS = 10_000_000  # 80 MB of pmf; r ~ 1e6 needs about that many
@@ -190,7 +156,7 @@ def _nb_pmf(r: float, shape: float) -> np.ndarray:
     """
     if not r >= 0.0:
         raise ValueError(f"load ratio must be non-negative (got {r})")
-    rate = TYPICAL_CELL_SHAPE  # 3.5, shared by both load laws
+    rate = TYPICAL_CELL_SHAPE  # 3.5, the Gamma rate of both area laws
     q = r / (rate + r)
     if q == 0.0:  # r = 0, or so small that q underflows
         return np.ones(1)
@@ -225,11 +191,6 @@ def _nb_pmf(r: float, shape: float) -> np.ndarray:
         start = stop
 
 
-def _load_distribution(config: NetworkConfig, serving: ClassId, shape: float) -> LoadDistribution:
-    r = load_ratio(config, serving)
-    return LoadDistribution(serving=serving, ratio=r, pmf=_nb_pmf(r, shape))
-
-
 def tagged_load_distribution(config: NetworkConfig, serving: ClassId) -> LoadDistribution:
     """Distribution of the *other* users sharing the typical user's AP.
 
@@ -237,10 +198,5 @@ def tagged_load_distribution(config: NetworkConfig, serving: ClassId) -> LoadDis
     the mixing area is Gamma(4.5, 3.5) and the mean is (9/7) r rather
     than r.
     """
-    return _load_distribution(config, serving, TAGGED_CELL_SHAPE)
-
-
-def typical_load_pmf(config: NetworkConfig, serving: ClassId) -> LoadDistribution:
-    """Distribution of users on the *typical* AP of a class (no area bias)."""
-    return _load_distribution(config, serving, TYPICAL_CELL_SHAPE)
-
+    r = load_ratio(config, serving)
+    return LoadDistribution(serving=serving, ratio=r, pmf=_nb_pmf(r, TAGGED_CELL_SHAPE))

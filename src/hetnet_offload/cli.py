@@ -28,9 +28,7 @@ from .model import (
 )
 from .montecarlo import SimSettings, run_batch
 from .numerics import NumericalError
-from .offload import (
-    SolverError, TwoRatScenario, _rate_objective, bias_sweep, optimal_bias_rate, optimal_bias_sir
-)
+from .offload import SolverError, _rate_objective, bias_sweep, optimal_bias_rate, optimal_bias_sir
 
 _CLASS_KEYS = {
     "rat", "tier", "access", "density_per_km2", "power_dbm", "bias_db", "alpha", "bandwidth_hz",
@@ -278,9 +276,7 @@ def _sweep_bias(config: NetworkConfig, args):
 
 def _optimize_bias(config: NetworkConfig, args):
     if args.mode == "sir":
-        scenario, tau = TwoRatScenario.from_config(config), config.sinr_threshold_for
-        alpha = config.class_for(scenario.class1).exponent
-        res = optimal_bias_sir(scenario, tau(scenario.class1), tau(scenario.class2), alpha)
+        res = optimal_bias_sir(config)
     else:
         _from_db(db_to_linear, args.bracket_lo_db, "--bracket-lo-db")
         _from_db(db_to_linear, args.bracket_hi_db, "--bracket-hi-db")
@@ -447,7 +443,8 @@ def main(argv=None) -> int:
     try:
         return _run(args)
     except (ValueError, KeyError) as e:
-        print(f"error: {e}", file=sys.stderr)
+        # str(KeyError) quotes its message; print the message bare
+        print(f"error: {e.args[0] if isinstance(e, KeyError) else e}", file=sys.stderr)
         return 1
     except (NumericalError, SolverError, OverflowError) as e:
         print(f"numerical failure: {e}", file=sys.stderr)

@@ -43,7 +43,6 @@ from .numerics import AREA_BIAS_FACTOR, decay_integral, z_integral
 
 __all__ = [
     "shannon_threshold",
-    "d_coefficient",
     "sinr_coverage",
     "sinr_ccdf",
     "rate_coverage",
@@ -102,21 +101,6 @@ def _d_terms(config: NetworkConfig, serving: ClassId):
         scale = cls.density * (cls.power / ref.power) ** (2.0 / cls.exponent)
         offset = (cls.bias / ref.bias) if cls.id.is_open else 0.0
         yield cls, scale, offset
-
-
-def d_coefficient(config: NetworkConfig, serving: ClassId, tier: int, tau: float) -> float:
-    """Same-RAT interference coefficient D_ij(tier, tau).
-
-    Sums the open part (interferers pushed beyond the association exclusion
-    radius, offset T_hat/P_hat = bias ratio) and the closed part (offset 0)
-    of the given tier of the serving RAT.
-    """
-    if not serving.is_open:
-        raise ValueError(f"serving class {serving.label()} must be open")
-    parts = [s * z_integral(tau, c.exponent, o) for c, s, o in _d_terms(config, serving) if c.id.tier == tier]
-    if not parts:
-        raise ValueError(f"RAT {serving.rat} has no tier {tier} with positive density")
-    return sum(parts)
 
 
 def _decay_terms(config: NetworkConfig, ref: ApClass, taus: np.ndarray):

@@ -44,12 +44,6 @@ def dbm_to_watts(p_dbm: float) -> float:
     return 10.0 ** ((p_dbm - 30.0) / 10.0)
 
 
-def watts_to_dbm(p_watts: float) -> float:
-    if p_watts <= 0.0:
-        raise ValueError(f"cannot express non-positive power {p_watts!r} in dBm")
-    return 30.0 + 10.0 * math.log10(p_watts)
-
-
 @dataclass(frozen=True, order=True)
 class ClassId:
     """Identifier of an AP class: RAT index, tier index, access mode.
@@ -204,6 +198,13 @@ def _bias_failure(cid: ClassId, bias: float) -> str | None:
     return None
 
 
+def _user_density_failure(user_density: float) -> str | None:
+    """Why a user density is inadmissible, or None if it is not."""
+    if not 0.0 <= user_density < math.inf:
+        return f"user density must be finite and >= 0 (got {user_density})"
+    return None
+
+
 def validate(config: NetworkConfig) -> ValidationReport:
     """Check a config against the model's admissibility rules.
 
@@ -214,8 +215,8 @@ def validate(config: NetworkConfig) -> ValidationReport:
         return ValidationReport(False, ("not a NetworkConfig",))
 
     # every comparison with NaN is False, so each `not lo < x < inf` also rejects NaN
-    if not 0.0 <= config.user_density < math.inf:
-        failures.append(f"user density must be finite and >= 0 (got {config.user_density})")
+    if failure := _user_density_failure(config.user_density):
+        failures.append(failure)
     for rat, sigma2 in config.noise_power.items():
         if not 0.0 <= sigma2 < math.inf:
             failures.append(f"RAT {rat}: noise power must be finite and >= 0 W (got {sigma2})")

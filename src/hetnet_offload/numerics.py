@@ -51,7 +51,6 @@ __all__ = [
     "NumericalError",
     "decay_integral",
     "z_integral",
-    "pv_area_moment",
     "TYPICAL_CELL_SHAPE",
     "TAGGED_CELL_SHAPE",
     "AREA_BIAS_FACTOR",
@@ -62,6 +61,9 @@ __all__ = [
 # cell containing an independent uniform point ~ Gamma(4.5, rate 3.5).
 TYPICAL_CELL_SHAPE = 3.5
 TAGGED_CELL_SHAPE = TYPICAL_CELL_SHAPE + 1.0  # area bias raises the Gamma shape by one
+# E[C(1)^2] = 9/7: the area bias, the mean area of the cell a random user
+# lands in (the literature's 1.28 is this value rounded).
+AREA_BIAS_FACTOR = TAGGED_CELL_SHAPE / TYPICAL_CELL_SHAPE
 
 
 class NumericalError(RuntimeError):
@@ -261,25 +263,3 @@ def z_integral(a, b: float, c: float):
         z *= a_arr ** (1.0 - s)
         z *= 1.0 - s
     return float(z) if z.ndim == 0 else z
-
-
-def pv_area_moment(j: int) -> float:
-    """j-th moment of the unit-density typical cell area, E[C(1)^j].
-
-    Under the Gamma(3.5, 3.5) area law this is Gamma(3.5+j) / (Gamma(3.5)
-    * 3.5^j) = prod_{i<j} (3.5+i)/3.5, taken as that product: it gives
-    9/7 for j = 2 bit for bit (through lgamma and exp it is 2 ulp off),
-    so the (9/7) r mean of both load routes agrees.  The first three
-    moments are 1, 9/7, 99/49.
-    """
-    if j < 0:
-        raise ValueError("moment order must be non-negative")
-    moment = 1.0
-    for i in range(j):
-        moment *= (TYPICAL_CELL_SHAPE + i) / TYPICAL_CELL_SHAPE
-    return moment
-
-
-# E[C(1)^2]: the area bias linking per-user and per-cell averages, 9/7;
-# the literature's 1.28 is this value rounded.
-AREA_BIAS_FACTOR = pv_area_moment(2)

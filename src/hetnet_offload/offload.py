@@ -1,4 +1,4 @@
-"""Offload design: bias/density optimization and percentile-rate solving.
+"""Offload design: bias optimization and percentile-rate solving.
 
 For a two-class, equal-exponent, interference-limited network the SIR
 coverage as a function of the bias ratio b = B_2/B_1 reduces to
@@ -33,12 +33,9 @@ from .model import ClassId, NetworkConfig, db_to_linear
 from .numerics import z_integral
 
 __all__ = [
-    "TwoRatScenario",
     "OptimizationResult",
     "SolverError",
-    "two_class_sir_coverage",
     "optimal_bias_sir",
-    "optimal_density_sir",
     "optimal_bias_rate",
     "golden_section_max",
     "bias_sweep",
@@ -53,52 +50,6 @@ _TOL_DB = 0.01  # width at which its golden-section polish stops
 
 class SolverError(RuntimeError):
     """A solver could not bracket or reach its target."""
-
-
-@dataclass(frozen=True)
-class TwoRatScenario:
-    """Two open classes on different RATs, equal exponents, no noise.
-
-    density_ratio  a = lam_2 / lam_1
-    power_ratio    P_1 / P_2 (enters the optimal-bias closed form)
-    """
-
-    class1: ClassId
-    class2: ClassId
-    density_ratio: float
-    power_ratio: float = 1.0
-
-    def __post_init__(self):
-        if self.class1.rat == self.class2.rat:
-            raise ValueError("scenario classes must live on different RATs")
-        if not (self.class1.is_open and self.class2.is_open):
-            raise ValueError("scenario classes must both be open")
-        if self.density_ratio <= 0.0 or self.power_ratio <= 0.0:
-            raise ValueError("scenario ratios must be positive")
-
-    @classmethod
-    def from_config(cls, config: NetworkConfig) -> "TwoRatScenario":
-        """Extract the scenario from a two-open-class NetworkConfig.
-
-        Requires exactly two open classes on distinct RATs with a common
-        exponent, no closed classes, and zero noise everywhere.
-        """
-        open_classes = config.open_classes()
-        if len(open_classes) != 2:
-            raise ValueError(f"need exactly two open classes, got {len(open_classes)}")
-        if len(open_classes) != len(config.present_classes()):
-            raise ValueError("closed classes are outside the two-RAT scenario")
-        c1, c2 = open_classes
-        if c1.exponent != c2.exponent:
-            raise ValueError("scenario requires one common path-loss exponent")
-        if any(config.noise_for(r) != 0.0 for r in config.rats()):
-            raise ValueError("scenario assumes zero noise (SIR regime)")
-        return cls(
-            class1=c1.id,
-            class2=c2.id,
-            density_ratio=c2.density / c1.density,
-            power_ratio=c1.power / c2.power,
-        )
 
 
 @dataclass(frozen=True)
@@ -119,60 +70,43 @@ class OptimizationResult:
     boundary_warning: bool = False
 
 
-def _z_pair(tau1: float, tau2: float, alpha: float) -> tuple[float, float]:
-    """Z1 = Z(tau1, alpha, 1) and Z2 = Z(tau2, alpha, 1) of the two-class scenario."""
-    return z_integral(tau1, alpha, 1.0), z_integral(tau2, alpha, 1.0)
-
-
 def _require_positive(name: str, value: float) -> None:
     if not (math.isfinite(value) and value > 0.0):
         raise ValueError(f"{name} must be positive and finite (got {value})")
 
 
-def two_class_sir_coverage(
-    scenario: TwoRatScenario, tau1: float, tau2: float, alpha: float, bias_ratio: float
-) -> float:
-    """SIR coverage of the two-class scenario at a given bias ratio."""
-    z1, z2 = _z_pair(tau1, tau2, alpha)
-    x = scenario.density_ratio * (bias_ratio / scenario.power_ratio) ** (2.0 / alpha)
-    return 1.0 / (z1 + 1.0 + x) + 1.0 / (z2 + 1.0 + 1.0 / x)
+def optimal_bias_sir(config: NetworkConfig) -> OptimizationResult:
+    """Closed-form SIR-optimal bias ratio B_2/B_1 of a two-RAT config.
 
-
-def optimal_bias_sir(
-    scenario: TwoRatScenario, tau1: float, tau2: float, alpha: float
-) -> OptimizationResult:
-    """Closed-form SIR-coverage-maximizing bias ratio.
-
-    b_opt = (P_1/P_2) (Z1 / (a Z2))^(alpha/2); the offload fraction at the
-    optimum, Z1/(Z1+Z2), depends only on the thresholds, and the optimal
-    coverage (Z1+Z2)/(Z1+Z2+Z1 Z2) is invariant to the density ratio.
+    The config needs exactly two open classes, on different RATs, with one
+    common exponent, no closed class, no noise and positive SINR
+    thresholds.  b_opt = (P_1/P_2) (Z1 / (a Z2))^(alpha/2) with
+    a = lam_2/lam_1, the maximizer of S(b) above.
     """
+    open_classes = config.open_classes()
+    if len(open_classes) != 2:
+        raise ValueError(f"need exactly two open classes, got {len(open_classes)}")
+    if len(open_classes) != len(config.present_classes()):
+        raise ValueError("closed classes are outside the two-RAT scenario")
+    c1, c2 = open_classes
+    if c1.exponent != c2.exponent:
+        raise ValueError("scenario requires one common path-loss exponent")
+    if any(config.noise_for(r) != 0.0 for r in config.rats()):
+        raise ValueError("scenario assumes zero noise (SIR regime)")
+    if c1.id.rat == c2.id.rat:
+        raise ValueError("scenario classes must live on different RATs")
+    tau1, tau2 = config.sinr_threshold_for(c1.id), config.sinr_threshold_for(c2.id)
     if tau1 <= 0.0 or tau2 <= 0.0:
         raise ValueError("SIR thresholds must be positive for the closed form")
-    z1, z2 = _z_pair(tau1, tau2, alpha)
-    b_opt = scenario.power_ratio * (z1 / (scenario.density_ratio * z2)) ** (alpha / 2.0)
+    alpha = c1.exponent
+    z1, z2 = z_integral(tau1, alpha, 1.0), z_integral(tau2, alpha, 1.0)
+    b_opt = (c1.power / c2.power) * (z1 / ((c2.density / c1.density) * z2)) ** (alpha / 2.0)
     return OptimizationResult(
         b_opt=b_opt,
         objective_at_opt=(z1 + z2) / (z1 + z2 + z1 * z2),
         offload_fraction=z1 / (z1 + z2),
         trace=(),
     )
-
-
-def optimal_density_sir(
-    scenario: TwoRatScenario, tau1: float, tau2: float, alpha: float, fixed_bias_ratio: float
-) -> float:
-    """SIR-coverage-maximizing density ratio a at a fixed bias ratio.
-
-    Same stationarity condition as the bias optimum, solved for a:
-    a_opt = (P_1/(P_2 b))^(2/alpha) Z1/Z2.
-    """
-    if tau1 <= 0.0 or tau2 <= 0.0:
-        raise ValueError("SIR thresholds must be positive for the closed form")
-    if fixed_bias_ratio <= 0.0:
-        raise ValueError("bias ratio must be positive")
-    z1, z2 = _z_pair(tau1, tau2, alpha)
-    return (scenario.power_ratio / fixed_bias_ratio) ** (2.0 / alpha) * z1 / z2
 
 
 def golden_section_max(f, lo: float, hi: float, tol: float):

@@ -5,13 +5,15 @@ The recurring scenarios:
 * dual_rat_config   — macro cellular tier + dense open small cells + a
                       closed small-cell layer on the second RAT
 * four_class_config — two RATs, four open classes, mixed exponents
-* two_class_config  — the two-open-class equal-exponent SIR playground
+* two_class_config  — the two-open-class equal-exponent SIR playground,
+                      with two_class_sir_coverage its reduced SIR coverage
 * single_class_config — one macro tier, the hand-checkable baseline
 """
 
 from __future__ import annotations
 
 from hetnet_offload import CLOSED, ClassId, NetworkConfig, db_to_linear, make_class
+from hetnet_offload.numerics import z_integral
 
 
 def dual_rat_config(
@@ -75,6 +77,23 @@ def two_class_config(
         },
         rate_threshold={c.id: 256e3 for c in classes},
     )
+
+
+def two_class_sir_coverage(config: NetworkConfig, bias_ratio: float) -> float:
+    """SIR coverage of a two-open-class, equal-exponent, noise-free config
+    at bias ratio b = B_2/B_1, from its reduced form
+
+        S(b) = 1 / (Z1 + 1 + x) + 1 / (Z2 + 1 + 1/x),  x = a (b P_2/P_1)^(2/alpha),
+
+    a = lam_2/lam_1: the brute-force objective that the closed-form
+    SIR-optimal bias is held to.
+    """
+    c1, c2 = config.open_classes()
+    alpha = c1.exponent
+    z1 = z_integral(config.sinr_threshold_for(c1.id), alpha, 1.0)
+    z2 = z_integral(config.sinr_threshold_for(c2.id), alpha, 1.0)
+    x = (c2.density / c1.density) * (bias_ratio / (c1.power / c2.power)) ** (2.0 / alpha)
+    return 1.0 / (z1 + 1.0 + x) + 1.0 / (z2 + 1.0 + 1.0 / x)
 
 
 def single_class_config(

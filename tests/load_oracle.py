@@ -6,8 +6,9 @@ user with every open class in full, with no pruning, and is the oracle
 the tests hold the pruned count (and the restricted user draw) to.
 
 `tagged_load_moment` gives the moments of the tagged-AP load law in
-closed form, through Stirling numbers of the second kind, for the tests
-to hold the load pmf to.
+closed form, through Stirling numbers of the second kind and the moments
+`pv_area_moment` of the Gamma(3.5, 3.5) cell-area law, for the tests to
+hold the load pmf to.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import numpy as np
 
 from hetnet_offload.association import load_ratio
 from hetnet_offload.model import ApClass, ClassId, NetworkConfig
-from hetnet_offload.numerics import pv_area_moment
+from hetnet_offload.numerics import TYPICAL_CELL_SHAPE
 
 
 def tagged_user_count_reference(
@@ -63,6 +64,22 @@ def stirling2(n: int, k: int) -> int:
     if k > n:
         return 0
     return k * stirling2(n - 1, k) + stirling2(n - 1, k - 1)
+
+
+def pv_area_moment(j: int) -> float:
+    """j-th moment of the unit-density typical cell area, E[C(1)^j].
+
+    Under the Gamma(3.5, 3.5) area law this is Gamma(3.5+j) / (Gamma(3.5)
+    * 3.5^j) = prod_{i<j} (3.5+i)/3.5, taken as that product: it gives
+    9/7 for j = 2 bit for bit (through lgamma and exp it is 2 ulp off).
+    The first three moments are 1, 9/7, 99/49.
+    """
+    if j < 0:
+        raise ValueError("moment order must be non-negative")
+    moment = 1.0
+    for i in range(j):
+        moment *= (TYPICAL_CELL_SHAPE + i) / TYPICAL_CELL_SHAPE
+    return moment
 
 
 def tagged_load_moment(config: NetworkConfig, serving: ClassId, n: int) -> float:

@@ -24,12 +24,12 @@ from conftest import (
     four_class_config,
     single_class_config,
     two_class_config,
+    two_class_sir_coverage,
 )
 from hetnet_offload import (
     ClassId,
     NetworkConfig,
     SimSettings,
-    TwoRatScenario,
     association_probabilities,
     bias_sweep,
     db_to_linear,
@@ -46,7 +46,6 @@ from hetnet_offload import (
 from hetnet_offload.association import association_probability, load_ratio
 from hetnet_offload.coverage import rate_coverage_closed_form, rate_coverage_mean_load
 from hetnet_offload.numerics import AREA_BIAS_FACTOR
-from hetnet_offload.offload import two_class_sir_coverage
 import quad_oracle as oracle
 
 MACRO = ClassId(1, 1)
@@ -146,30 +145,20 @@ def test_c03_sir_bias_closed_form(capsys):
     """C3: the closed-form optimal bias beats a 0.05 dB brute-force grid,
     equal thresholds offload exactly half the users, and the optimal SIR
     coverage is invariant to the density ratio."""
-    alpha = 3.5
     grid_db = np.arange(-10.0, 45.0 + 0.025, 0.05)
     worst_grid_gap = 0.0
     worst_offload = 0.0
     worst_assoc = 0.0
     spreads = []
     for tau1_db, tau2_db in ((0.0, 0.0), (3.0, 6.0)):
-        tau1, tau2 = db_to_linear(tau1_db), db_to_linear(tau2_db)
         covs_at_opt = []
         for a in (1.0, 5.0, 10.0, 20.0):
             config = two_class_config(density2=a, tau1_db=tau1_db, tau2_db=tau2_db)
-            scenario = TwoRatScenario.from_config(config)
-            result = optimal_bias_sir(scenario, tau1, tau2, alpha)
+            result = optimal_bias_sir(config)
 
-            brute = max(
-                grid_db,
-                key=lambda b: two_class_sir_coverage(
-                    scenario, tau1, tau2, alpha, db_to_linear(b)
-                ),
-            )
+            brute = max(grid_db, key=lambda b: two_class_sir_coverage(config, db_to_linear(b)))
             worst_grid_gap = max(worst_grid_gap, abs(linear_to_db(result.b_opt) - brute))
-            covs_at_opt.append(
-                two_class_sir_coverage(scenario, tau1, tau2, alpha, result.b_opt)
-            )
+            covs_at_opt.append(two_class_sir_coverage(config, result.b_opt))
             if tau1_db == tau2_db:
                 worst_offload = max(worst_offload, abs(result.offload_fraction - 0.5))
                 realized = association_probabilities(
@@ -260,10 +249,9 @@ def test_c05_load_law(dual_rat_runs, capsys):
         dist = tagged_load_distribution(config, cid)
         dists[cid] = dist
         r = load_ratio(config, cid)
-        worst_mass_gap = max(worst_mass_gap, 1.0 - dist.total_mass())
-        worst_mean_rel = max(
-            worst_mean_rel, abs(dist.mean() - AREA_BIAS_FACTOR * r) / (AREA_BIAS_FACTOR * r)
-        )
+        mean = np.arange(dist.pmf.size) @ dist.pmf
+        worst_mass_gap = max(worst_mass_gap, 1.0 - dist.pmf.sum())
+        worst_mean_rel = max(worst_mean_rel, abs(mean - AREA_BIAS_FACTOR * r) / (AREA_BIAS_FACTOR * r))
 
     # histogram index is the total load (>= 1), pmf index counts the other
     # users on the tagged AP (>= 0): align with a one-slot shift.

@@ -1,6 +1,7 @@
-"""Association probabilities, serving-distance law, and cell-load pmfs."""
+"""Association probabilities and the tagged-AP load pmf."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,6 +14,8 @@ from hetnet_offload import (
     NumericalError,
     association_probabilities,
     rat_offload_fraction,
+    rate_ccdf,
+    rate_coverage,
     tagged_load_distribution,
 )
 from hetnet_offload import association
@@ -21,17 +24,18 @@ from hetnet_offload.association import (
     _running_sum,
     association_probability,
     load_ratio,
-    mean_association_area,
-    served_distance_pdf,
-    typical_load_pmf,
 )
-from hetnet_offload.numerics import AREA_BIAS_FACTOR, pv_area_moment
-from load_oracle import stirling2, tagged_load_moment
+from hetnet_offload.coverage import rate_coverage_mean_load
+from hetnet_offload.numerics import AREA_BIAS_FACTOR
+from load_oracle import pv_area_moment, stirling2, tagged_load_moment
 import quad_oracle as oracle
-from quad_oracle import semi_infinite_integral
 
 MACRO = ClassId(1, 1)
 SMALL = ClassId(2, 3)
+
+
+def _mean(dist) -> float:
+    return float(np.arange(dist.pmf.size) @ dist.pmf)
 
 
 def test_association_probabilities_sum_to_one():
@@ -71,12 +75,6 @@ def test_rat_offload_fraction_accumulates_rat_classes():
         rat_offload_fraction(config, 9)
 
 
-def test_mean_association_area_single_class():
-    """Sole class owns the plane: mean cell area is 1/lambda exactly."""
-    config = single_class_config(density=4.0)
-    assert mean_association_area(config, MACRO) == pytest.approx(0.25, rel=1e-12)
-
-
 def test_serving_class_must_be_open_and_present():
     config = dual_rat_config()
     with pytest.raises(ValueError, match="open"):
@@ -94,29 +92,6 @@ def test_serving_class_must_be_open_and_present():
         association_probability(ghost, SMALL)
 
 
-def test_served_distance_pdf_single_class_is_rayleigh():
-    """f(y) = 2 pi lam y exp(-pi lam y^2) when nothing competes."""
-    lam = 3.0
-    config = single_class_config(density=lam)
-    ys = np.linspace(0.0, 2.0, 41)
-    want = 2.0 * math.pi * lam * ys * np.exp(-math.pi * lam * ys**2)
-    got = served_distance_pdf(config, MACRO, ys)
-    assert np.allclose(got, want, rtol=1e-10)
-    assert served_distance_pdf(config, MACRO, 0.3) == pytest.approx(
-        2.0 * math.pi * lam * 0.3 * math.exp(-math.pi * lam * 0.09), rel=1e-10
-    )
-
-
-def test_served_distance_pdf_normalizes():
-    """Conditional density integrates to one for every open class."""
-    config = dual_rat_config(bias_db=5.0)
-    for cls in config.open_classes():
-        mass = semi_infinite_integral(lambda y: served_distance_pdf(config, cls.id, y))
-        assert mass == pytest.approx(1.0, rel=1e-8)
-    with pytest.raises(ValueError, match="non-negative"):
-        served_distance_pdf(config, MACRO, -0.1)
-
-
 def test_load_ratio_definition():
     """r = lam_u A / lam; the single-class case collapses to lam_u/lam."""
     config = single_class_config(density=2.0, user_density=30.0)
@@ -127,14 +102,29 @@ def test_load_ratio_definition():
     assert load_ratio(dual, SMALL) == pytest.approx(want, rel=1e-12)
 
 
+@pytest.mark.parametrize("user_density", [math.nan, math.inf, -1.0])
+def test_load_routes_reject_bad_user_density(user_density):
+    """A hand-built config skips validate, so the load routes apply its
+    user-density rule themselves: finite and >= 0."""
+    config = replace(dual_rat_config(), user_density=user_density)
+    for route in (
+        lambda: rate_coverage(config),
+        lambda: rate_coverage_mean_load(config),
+        lambda: rate_ccdf(config, [1e5, 1e6]),
+        lambda: tagged_load_distribution(config, MACRO),
+    ):
+        with pytest.raises(ValueError, match="user density must be finite and >= 0"):
+            route()
+
+
 def test_tagged_load_mean_and_mass():
     """Area-biased cell: mean other-user count is (9/7) r; mass ~ 1."""
     config = dual_rat_config()
     for cid in (MACRO, SMALL):
         dist = tagged_load_distribution(config, cid)
         r = dist.ratio
-        assert dist.total_mass() >= 1.0 - 1e-6
-        assert dist.mean() == pytest.approx(9.0 / 7.0 * r, rel=1e-6)
+        assert dist.pmf.sum() >= 1.0 - 1e-6
+        assert _mean(dist) == pytest.approx(9.0 / 7.0 * r, rel=1e-6)
 
 
 def test_tagged_load_truncation_scales_with_ratio():
@@ -142,8 +132,8 @@ def test_tagged_load_truncation_scales_with_ratio():
     config = two_class_config(user_density=700.0)  # r ~ 5e2 on the macro class
     dist = tagged_load_distribution(config, MACRO)
     assert dist.ratio > 400.0
-    assert dist.total_mass() >= 1.0 - 1e-6
-    assert dist.mean() == pytest.approx(9.0 / 7.0 * dist.ratio, rel=1e-6)
+    assert dist.pmf.sum() >= 1.0 - 1e-6
+    assert _mean(dist) == pytest.approx(9.0 / 7.0 * dist.ratio, rel=1e-6)
     assert dist.pmf.size - 1 >= 4 * dist.ratio
 
 
@@ -151,10 +141,10 @@ def test_tagged_load_pmf_at_dense_venue_load():
     """Macro class at 1e5 users/km^2 (r ~ 7.35e4): mass 1 and the nbinom law."""
     dist = tagged_load_distribution(dual_rat_config(user_density=1e5), MACRO)
     assert dist.ratio == pytest.approx(7.35e4, rel=0.01)
-    assert abs(dist.total_mass() - 1.0) <= 1e-9
+    assert abs(dist.pmf.sum() - 1.0) <= 1e-9
     want = scipy.stats.nbinom(4.5, 3.5 / (3.5 + dist.ratio)).pmf(np.arange(dist.pmf.size))
     assert np.max(np.abs(dist.pmf - want)) <= 1e-9
-    assert dist.mean() == pytest.approx(9.0 / 7.0 * dist.ratio, rel=1e-6)
+    assert _mean(dist) == pytest.approx(9.0 / 7.0 * dist.ratio, rel=1e-6)
 
 
 def _betainc_tails(r: float, shape: float, n: int) -> tuple[float, float]:
@@ -213,20 +203,12 @@ def test_running_sum_is_exact_prefix_sums():
         assert np.allclose(got[::97], exact, rtol=1e-14, atol=0.0)
 
 
-def test_typical_load_mean_is_unbiased():
-    """The typical cell (no area bias) carries mean r, not (9/7) r."""
-    config = dual_rat_config()
-    dist = typical_load_pmf(config, MACRO)
-    assert dist.total_mass() >= 1.0 - 1e-6
-    assert dist.mean() == pytest.approx(dist.ratio, rel=1e-6)
-
-
 def test_zero_user_density_degenerates():
     config = single_class_config(user_density=0.0)
     dist = tagged_load_distribution(config, MACRO)
     assert dist.ratio == 0.0
     assert dist.pmf[0] == pytest.approx(1.0)
-    assert dist.mean() == 0.0
+    assert _mean(dist) == 0.0
 
 
 def test_tagged_load_moments_match_pmf():

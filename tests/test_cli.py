@@ -4,6 +4,7 @@ import importlib
 import importlib.util
 import json
 import math
+import pkgutil
 import re
 import sys
 import warnings
@@ -372,6 +373,23 @@ def test_optimize_bias_sir_json(tmp_path):
     assert blob["boundary_warning"] is False
 
 
+def test_key_errors_print_their_message_bare(tmp_path, capsys):
+    """A missing class or threshold exits 1 with its message, not with the
+    quoted form that str() gives a KeyError."""
+    path = write_config(tmp_path)
+    capsys.readouterr()
+    args = ["sweep", "bias", "--config", path, "--class", "9,9", "--range-db", "0:5:5", "--metric", "sir"]
+    assert main([*args, "-o", str(tmp_path / "sweep")]) == 1
+    assert capsys.readouterr().err == "error: no class (9,9) in config\n"
+
+    data = base_config_dict()
+    data["classes"] = data["classes"][:2]
+    del data["classes"][1]["sinr_threshold_db"]
+    no_tau = write_config(tmp_path, data, "no_tau.json")
+    assert main(["optimize", "bias", "--config", no_tau, "--mode", "sir", "-o", str(tmp_path / "opt")]) == 1
+    assert capsys.readouterr().err == "error: no SINR threshold for class (2,3)\n"
+
+
 def test_optimize_bias_rate_json(tmp_path):
     data = base_config_dict()
     data["classes"] = data["classes"][:2]
@@ -487,6 +505,17 @@ def test_package_surface_resolves():
     assert len(names) == len(set(names))
     for name in names:
         assert getattr(hetnet_offload, name) is not None, name
+
+
+@pytest.mark.parametrize("module", sorted(m.name for m in pkgutil.iter_modules(hetnet_offload.__path__)))
+def test_module_exports_resolve(module):
+    """Every name in a module's __all__ exists there, once; a module without
+    __all__ (model, cli) exports its public names, which exist by definition."""
+    mod = importlib.import_module(f"hetnet_offload.{module}")
+    names = getattr(mod, "__all__", [])
+    assert len(names) == len(set(names))
+    for name in names:
+        assert hasattr(mod, name), f"{module}.{name}"
 
 
 def test_readme_library_imports_are_public():

@@ -18,7 +18,6 @@ from hetnet_offload import (
     sinr_coverage,
 )
 from hetnet_offload.coverage import (
-    d_coefficient,
     rate_coverage_closed_form,
     rate_coverage_mean_load,
     shannon_threshold,
@@ -40,8 +39,10 @@ def test_shannon_threshold_values():
         shannon_threshold(-0.1)
 
 
-def test_d_coefficient_mixed_access_quartic():
-    """Quartic-exponent tier: arctan closed form, open offset 1, closed offset 0."""
+def test_mixed_access_quartic_offsets():
+    """Quartic-exponent tier: arctan closed form of the interference terms,
+    offset 1 for the open class (beyond the serving distance) and offset 0
+    for the closed one; S = 1 / (1 + open part + closed part)."""
     open_cls = make_class(1, 1, density=1.0, power_dbm=30.0, exponent=4.0)
     closed_cls = make_class(1, 1, density=10.0, power_dbm=30.0, exponent=4.0, access="closed")
     config = NetworkConfig(
@@ -53,17 +54,9 @@ def test_d_coefficient_mixed_access_quartic():
     tau = 2.25
     closed_part = 10.0 * math.sqrt(tau) * math.pi / 2.0
     open_part = math.sqrt(tau) * (math.pi / 2.0 - math.atan(math.sqrt(1.0 / tau)))
-    assert d_coefficient(config, open_cls.id, 1, tau) == pytest.approx(
-        closed_part + open_part, rel=1e-13
+    assert sinr_ccdf(config, [tau]).values[0] == pytest.approx(
+        1.0 / (1.0 + open_part + closed_part), rel=1e-13
     )
-
-
-def test_d_coefficient_rejects_bad_queries():
-    config = dual_rat_config()
-    with pytest.raises(ValueError, match="open"):
-        d_coefficient(config, ClassId(2, 3, "closed"), 3, 1.0)
-    with pytest.raises(ValueError, match="tier 7"):
-        d_coefficient(config, MACRO, 7, 1.0)
 
 
 def test_single_class_sir_closed_form():

@@ -14,6 +14,9 @@ exactly 0.0.  `quad_oracle.decay_integral_all_nodes` evaluates all 121
 nodes with a plain exp, and the kernel must match it to 1e-15 relative,
 on the rows of a dense rate CCDF and on random coefficient rows, with
 every dropped node's exponent at least 746.
+
+A property test holds SINR and rate coverage to the density-scaling law
+of noise-free configs with one common exponent.
 """
 
 import json
@@ -28,7 +31,7 @@ import pytest
 import scipy.integrate
 from dataclasses import replace
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import hetnet_offload
@@ -41,6 +44,7 @@ from hetnet_offload import (
     rate_ccdf,
     sinr_ccdf,
 )
+from hetnet_offload.association import _TAIL_MASS
 from hetnet_offload.numerics import _DE_DEAD, _live_nodes, decay_integral
 from quad_oracle import conditional_coverage, decay_integral_all_nodes, kernel_exponents
 
@@ -125,6 +129,32 @@ def test_kernel_properties_on_random_configs(config, log_tau):
     assert np.all(np.diff(sinr) <= 0.0)
     rate = rate_ccdf(config, np.logspace(4.0, 8.0, 6)).values
     assert np.all(np.diff(rate) <= 0.0)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(config=network_configs(), log_c=st.floats(-3.0, 3.0))
+@example(config=single_class_config(alpha=3.0, user_density=1e-9), log_c=2.0)
+def test_density_scaling_on_random_configs(config, log_c):
+    """Scaling every AP density, closed classes included, by c leaves SINR
+    coverage as it is and, for c >= 1, never lowers rate coverage (each
+    cell holds fewer users).  This needs one common exponent and no
+    noise: with exponents 3.5 and 4.0, c = 1e-3 moved SINR coverage by 12%.
+
+    The load pmf drops a tail of mass at most `_TAIL_MASS` = 1e-10, so a
+    computed rate coverage may sit that far below the exact one, and a
+    rise can show as a fall of up to that much: in the example, r falls
+    from 1e-9 to 1e-11, the pmf loses its n = 1 term, and the coverage at
+    10 kbps falls by 1.1e-11."""
+    c = 10.0**log_c
+    alpha = config.classes[0].exponent
+    flat = replace(config, classes=tuple(replace(k, exponent=alpha) for k in config.classes), noise_power={})
+    scaled = replace(flat, classes=tuple(replace(k, density=c * k.density) for k in flat.classes))
+    taus = np.logspace(-3.0, 3.0, 13)
+    np.testing.assert_allclose(sinr_ccdf(scaled, taus).values, sinr_ccdf(flat, taus).values, rtol=1e-12, atol=0.0)
+    if c >= 1.0:
+        rhos = np.logspace(4.0, 8.0, 6)
+        slack = _TAIL_MASS + 1e-12
+        assert np.all(rate_ccdf(scaled, rhos).values >= rate_ccdf(flat, rhos).values - slack)
 
 
 def _check_against_all_nodes(coefs, expos) -> None:

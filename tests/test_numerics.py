@@ -16,8 +16,8 @@ import pytest
 import scipy.special
 
 from hetnet_offload import NumericalError
-from hetnet_offload.numerics import decay_integral, pv_area_moment, z_integral
-from load_oracle import stirling2
+from hetnet_offload.numerics import decay_integral, z_integral
+from load_oracle import pv_area_moment, stirling2
 from quad_oracle import TIGHT_SETTINGS, QuadratureSettings, decaying_integral, semi_infinite_integral
 
 # (a, b, c) -> independently integrated value of a^(2/b) * I[(c/a)^(2/b), inf)

@@ -1,15 +1,15 @@
 """Bias optimization: SIR closed forms, rate line search, percentile solver."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from conftest import dual_rat_config, two_class_config
+from conftest import dual_rat_config, two_class_config, two_class_sir_coverage
 from hetnet_offload import (
     ClassId,
     SolverError,
-    TwoRatScenario,
     bias_sweep,
     db_to_linear,
     linear_to_db,
@@ -21,51 +21,65 @@ from hetnet_offload import (
 from hetnet_offload.coverage import rate_coverage_mean_load
 from hetnet_offload.numerics import z_integral
 from hetnet_offload import offload
-from hetnet_offload.offload import golden_section_max, optimal_density_sir, two_class_sir_coverage
+from hetnet_offload.offload import golden_section_max
 
 MACRO = ClassId(1, 1)
 SMALL = ClassId(2, 3)
 
 
-def _scenario(a: float = 10.0) -> TwoRatScenario:
-    return TwoRatScenario(MACRO, SMALL, density_ratio=a, power_ratio=1000.0)
+def _two_class(a: float = 10.0, tau1: float = 1.0, tau2: float = 1.0, alpha: float = 3.5):
+    """two_class_config (power ratio P_1/P_2 = 1000) at density ratio a,
+    linear thresholds tau1, tau2 and common exponent alpha."""
+    config = two_class_config(density2=a)
+    return replace(
+        config,
+        classes=tuple(replace(c, exponent=alpha) for c in config.classes),
+        sinr_threshold={MACRO: tau1, SMALL: tau2},
+    )
 
 
 def test_scenario_validation():
+    """The closed form needs two open classes on two RATs, no noise and
+    both thresholds."""
+    config = _two_class()
+    macro, small = config.classes
+    same_rat = replace(config, classes=(macro, replace(small, id=ClassId(1, 2))))
     with pytest.raises(ValueError, match="different RATs"):
-        TwoRatScenario(MACRO, ClassId(1, 2), density_ratio=1.0)
-    with pytest.raises(ValueError, match="open"):
-        TwoRatScenario(MACRO, ClassId(2, 3, "closed"), density_ratio=1.0)
-    with pytest.raises(ValueError, match="positive"):
-        TwoRatScenario(MACRO, SMALL, density_ratio=-1.0)
+        optimal_bias_sir(same_rat)
+    with pytest.raises(ValueError, match="two open classes"):
+        optimal_bias_sir(replace(config, classes=(macro,)))
+    with pytest.raises(ValueError, match="zero noise"):
+        optimal_bias_sir(replace(config, noise_power={2: 1e-13}))
+    with pytest.raises(KeyError, match="no SINR threshold for class"):
+        optimal_bias_sir(replace(config, sinr_threshold={MACRO: 1.0}))
 
 
 def test_scenario_from_config_requirements():
-    scen = TwoRatScenario.from_config(two_class_config())
-    assert scen.density_ratio == pytest.approx(10.0)
-    assert scen.power_ratio == pytest.approx(1000.0, rel=1e-12)  # 53 - 23 dBm
+    """The config's ratios enter b_opt: a = 10 and P_1/P_2 = 1000 (53 - 23
+    dBm), so equal thresholds give b_opt = 1000 * 10^(-alpha/2)."""
+    res = optimal_bias_sir(two_class_config())
+    assert res.b_opt == pytest.approx(1000.0 * 10.0**-1.75, rel=1e-12)
     with pytest.raises(ValueError, match="two open classes"):
-        TwoRatScenario.from_config(dual_rat_config(with_closed=False).with_density(SMALL, 0.0))
-    with pytest.raises(ValueError, match="closed"):
-        TwoRatScenario.from_config(dual_rat_config(user_density=0.0))
+        optimal_bias_sir(dual_rat_config(with_closed=False).with_density(SMALL, 0.0))
+    with pytest.raises(ValueError, match="closed classes are outside the two-RAT scenario"):
+        optimal_bias_sir(dual_rat_config(user_density=0.0))
     with pytest.raises(ValueError, match="exponent"):
-        TwoRatScenario.from_config(dual_rat_config(with_closed=False))
+        optimal_bias_sir(dual_rat_config(with_closed=False))
 
 
 def test_two_class_coverage_equals_general_pipeline():
     """The reduced two-class SIR formula is the full machinery in disguise."""
     config = two_class_config()
-    scen = TwoRatScenario.from_config(config)
     for b_db in (-5.0, 0.0, 5.0, 12.5, 20.0):
         b = db_to_linear(b_db)
-        reduced = two_class_sir_coverage(scen, 1.0, 1.0, 3.5, b)
+        reduced = two_class_sir_coverage(config, b)
         general = sinr_coverage(config.with_bias(SMALL, b))
         assert reduced == pytest.approx(general, abs=1e-12), b_db
 
 
 def test_optimal_bias_sir_symmetric_thresholds():
     """Equal tau: offload is exactly 1/2 and b_opt has the stated closed form."""
-    res = optimal_bias_sir(_scenario(a=10.0), 1.0, 1.0, 3.5)
+    res = optimal_bias_sir(_two_class(a=10.0))
     assert res.offload_fraction == pytest.approx(0.5, abs=1e-12)
     assert linear_to_db(res.b_opt) == pytest.approx(12.5, abs=1e-10)  # 30 dB - 17.5 dB
     assert res.trace == ()
@@ -75,38 +89,28 @@ def test_optimal_bias_sir_symmetric_thresholds():
 
 def test_optimal_bias_sir_maximizes():
     """Closed form beats every probe on a fine bias grid."""
-    scen = _scenario(a=5.0)
-    res = optimal_bias_sir(scen, 2.0, 0.5, 4.0)
-    best = two_class_sir_coverage(scen, 2.0, 0.5, 4.0, res.b_opt)
+    config = _two_class(a=5.0, tau1=2.0, tau2=0.5, alpha=4.0)
+    res = optimal_bias_sir(config)
+    best = two_class_sir_coverage(config, res.b_opt)
     assert res.objective_at_opt == pytest.approx(best, rel=1e-12)
     for b_db in np.arange(-30.0, 40.0, 0.25):
-        assert best >= two_class_sir_coverage(scen, 2.0, 0.5, 4.0, db_to_linear(b_db)) - 1e-12
+        assert best >= two_class_sir_coverage(config, db_to_linear(b_db)) - 1e-12
 
 
 def test_optimal_coverage_is_density_invariant():
     """The optimized objective depends on thresholds only, not on a."""
     values = [
-        optimal_bias_sir(_scenario(a=a), 1.3, 0.7, 3.5).objective_at_opt
+        optimal_bias_sir(_two_class(a=a, tau1=1.3, tau2=0.7)).objective_at_opt
         for a in (1.0, 5.0, 10.0, 20.0)
     ]
     assert max(values) - min(values) < 1e-12
 
 
-def test_optimal_density_round_trip():
-    """a_opt at b = b_opt(a) recovers a: the two stationarity conditions agree."""
-    for a in (0.5, 2.0, 10.0):
-        scen = _scenario(a=a)
-        b_opt = optimal_bias_sir(scen, 1.0, 2.0, 3.8).b_opt
-        assert optimal_density_sir(scen, 1.0, 2.0, 3.8, b_opt) == pytest.approx(a, rel=1e-12)
-
-
 def test_sir_closed_form_input_guards():
     with pytest.raises(ValueError, match="positive"):
-        optimal_bias_sir(_scenario(), 0.0, 1.0, 3.5)
+        optimal_bias_sir(_two_class(tau1=0.0))
     with pytest.raises(ValueError, match="exceed 2"):
-        optimal_bias_sir(_scenario(), 1.0, 1.0, 2.0)
-    with pytest.raises(ValueError, match="exceed 2"):
-        two_class_sir_coverage(_scenario(), 1.0, 1.0, 1.9, 1.0)
+        optimal_bias_sir(_two_class(alpha=2.0))
 
 
 def test_golden_section_max_parabola():
