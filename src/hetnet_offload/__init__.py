@@ -8,7 +8,7 @@ cross-checks everything against a Monte Carlo simulator.
 
 This namespace holds what a user of the library calls; the building blocks
 behind it (kernels, the load ratio, the mean-load rate routes, the solvers'
-helpers, one Monte Carlo trial) are imported from their modules.
+helpers, the Monte Carlo deployment sampler) are imported from their modules.
 """
 
 from .model import (

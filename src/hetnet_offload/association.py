@@ -101,12 +101,10 @@ class LoadDistribution:
     """PMF of the number of other users on the tagged AP, cut where its
     tails are negligible (see `_nb_pmf`).
 
-    serving  class whose tagged AP is described
     ratio    r = lam_u * A_ij / lam_ij
     pmf      pmf[n] = P(O = n) for n = 0 .. pmf.size - 1
     """
 
-    serving: ClassId
     ratio: float
     pmf: np.ndarray
 
@@ -199,4 +197,4 @@ def tagged_load_distribution(config: NetworkConfig, serving: ClassId) -> LoadDis
     than r.
     """
     r = load_ratio(config, serving)
-    return LoadDistribution(serving=serving, ratio=r, pmf=_nb_pmf(r, TAGGED_CELL_SHAPE))
+    return LoadDistribution(ratio=r, pmf=_nb_pmf(r, TAGGED_CELL_SHAPE))

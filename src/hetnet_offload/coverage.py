@@ -75,14 +75,12 @@ def shannon_threshold(x):
 class CcdfCurve:
     """A coverage curve over a common threshold grid.
 
-    axis       "sinr_linear" or "rate_bps"
     grid       thresholds, increasing
     values     P(metric > grid[k]) for the typical user
     per_class  conditional curves given the serving class
     weights    association probabilities; values = sum_ij weights * per_class
     """
 
-    axis: str
     grid: np.ndarray
     values: np.ndarray
     per_class: Mapping[ClassId, np.ndarray]
@@ -182,7 +180,7 @@ def sinr_ccdf(config: NetworkConfig, taus: Sequence[float]) -> CcdfCurve:
     """
     grid = np.asarray(taus, dtype=float)
     values, per_class, probs = _mix(config, grid)
-    return CcdfCurve("sinr_linear", grid, values, per_class, probs)
+    return CcdfCurve(grid, values, per_class, probs)
 
 
 # ---------------------------------------------------------------------------
@@ -203,7 +201,7 @@ def rate_ccdf(config: NetworkConfig, rhos: Sequence[float]) -> CcdfCurve:
     """Rate CCDF over a common bits/s grid applied to all classes."""
     grid = np.asarray(rhos, dtype=float)
     values, per_class, probs = _mix(config, grid, "theorem1")
-    return CcdfCurve("rate_bps", grid, values, per_class, probs)
+    return CcdfCurve(grid, values, per_class, probs)
 
 
 def rate_coverage_mean_load(config: NetworkConfig, rho_common: float | None = None) -> float:

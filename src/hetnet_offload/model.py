@@ -185,12 +185,6 @@ class NetworkConfig:
         return replace(self, classes=tuple(c for c in self.classes if c.id.is_open))
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    passed: bool
-    failures: tuple[str, ...] = ()
-
-
 def _bias_failure(cid: ClassId, bias: float) -> str | None:
     """Why a linear bias is inadmissible for class `cid`, or None if it is not."""
     if not 0.0 < bias < math.inf:
@@ -205,14 +199,15 @@ def _user_density_failure(user_density: float) -> str | None:
     return None
 
 
-def validate(config: NetworkConfig) -> ValidationReport:
-    """Check a config against the model's admissibility rules.
+def validate(config: NetworkConfig) -> tuple[str, ...]:
+    """Check a config against the model's admissibility rules: every failure's
+    message, none when the config passes.
 
     Pure function: reports all failures, mutates nothing, and is idempotent.
     """
     failures: list[str] = []
     if not isinstance(config, NetworkConfig):
-        return ValidationReport(False, ("not a NetworkConfig",))
+        return ("not a NetworkConfig",)
 
     # every comparison with NaN is False, so each `not lo < x < inf` also rejects NaN
     if failure := _user_density_failure(config.user_density):
@@ -247,21 +242,20 @@ def validate(config: NetworkConfig) -> ValidationReport:
         if not rho >= 0.0:
             failures.append(f"{cid.label()}: rate threshold must be >= 0 (got {rho})")
 
-    return ValidationReport(not failures, tuple(failures))
+    return tuple(failures)
 
 
 class ConfigValidationError(ValueError):
     """Raised when an operation requires a valid config and gets an invalid one."""
 
-    def __init__(self, report: ValidationReport):
-        self.report = report
-        super().__init__("; ".join(report.failures))
+    def __init__(self, failures: tuple[str, ...]):
+        self.failures = failures
+        super().__init__("; ".join(failures))
 
 
 def require_valid(config: NetworkConfig) -> NetworkConfig:
-    report = validate(config)
-    if not report.passed:
-        raise ConfigValidationError(report)
+    if failures := validate(config):
+        raise ConfigValidationError(failures)
     return config
 
 

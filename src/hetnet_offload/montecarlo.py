@@ -16,14 +16,13 @@ schedule, and deleting a class leaves every other stream untouched (which
 is what makes "removing closed APs never lowers SINR at fixed seed" a
 per-trial property, not merely a distributional one).
 
-Built one at a time those streams cost ~19 us each, so a block of trials
-(`run_trial` is a block of one) derives all of its stream states in one
-pass: SeedSequence's pool hashing redone on uint32 arrays (the seed's
-words once, each trial's words once for all its streams), then PCG64's
-128-bit seeding step, loaded into one reused generator per stream slot.
-These are the documented streams bit for bit; each block checks one of its
-states against numpy's own derivation and raises RuntimeError on a
-mismatch.
+Built one at a time those streams cost ~25 us each, so a block of trials
+derives all of its seed words in one pass: SeedSequence's hashing redone
+on uint32 arrays (numpy's own pool for the seed, then each trial's words
+once for all its streams) up to generate_state(4, uint64), from which
+each PCG64 seeds itself as it would from its SeedSequence.  These are the
+documented streams bit for bit; each block checks its last stream against
+numpy's own derivation and raises RuntimeError on a mismatch.
 
 A trial draws only what its outcome reads.  Each class stream yields the
 class's points, then its fading; fading is drawn only for classes of the
@@ -60,6 +59,7 @@ window.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -71,10 +71,8 @@ from .model import ApClass, ClassId, NetworkConfig, require_valid
 
 __all__ = [
     "SimSettings",
-    "TrialOutcome",
     "EmpiricalSummary",
     "sample_deployment",
-    "run_trial",
     "run_batch",
     "default_rate_grid",
     "default_sinr_grid",
@@ -100,22 +98,6 @@ class SimSettings:
     seed: int = 0
     deployment: str = "ppp"
     parallel_workers: int = 1
-
-
-@dataclass(frozen=True)
-class TrialOutcome:
-    """One trial's view of the typical user.
-
-    serving is None when no open AP landed in the window (vanishingly rare
-    at sane densities); load counts the typical user itself plus the other
-    users on the tagged AP.
-    """
-
-    serving: ClassId | None
-    distance_km: float
-    sinr_linear: float
-    load: int
-    rate_bps: float
 
 
 @dataclass
@@ -170,23 +152,16 @@ def _check_seed(seed) -> int:
     return int(seed)
 
 
-# numpy's SeedSequence pool hashing (pool of 4 uint32 words) and PCG64 seeding
+# numpy's SeedSequence hashing (pool of 4 uint32 words)
 _M32 = 0xFFFFFFFF
-_M128 = (1 << 128) - 1
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
 
 def _words(n: int) -> list[int]:
     """The uint32 words SeedSequence makes of a non-negative int, low first."""
-    out = [n & _M32]
-    n >>= 32
-    while n:
-        out.append(n & _M32)
-        n >>= 32
-    return out
+    return [n >> s & _M32 for s in range(0, max(32, n.bit_length()), 32)]
 
 
 def _hashmix(value, hc: int, mult: int = _MULT_A):
@@ -203,21 +178,14 @@ def _mix(x, y):
 
 def _seed_pool(seed: int) -> tuple[list[int], int]:
     """SeedSequence's pool after the entropy words of `seed`, and the hash
-    constant the spawn-key words continue from.  A spawned sequence pads
-    its entropy to the 4-word pool before the key."""
-    words = _words(_check_seed(seed))
-    words += [0] * (4 - len(words))
-    hc = _INIT_A
-    pool = []
-    for w in words[:4]:
-        h, hc = _hashmix(w, hc)
-        pool.append(h)
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                h, hc = _hashmix(pool[src], hc)
-                pool[dst] = _mix(pool[dst], h)
-    return _mix_words(pool, hc, words[4:])
+    constant the spawn-key words continue from.  Each hash advances the
+    constant once: 16 to fill and cross-mix the 4-word pool, which a short
+    seed pads with zeros (as a spawned sequence pads its entropy before the
+    key), and 4 for each word beyond the fourth."""
+    seed = _check_seed(seed)
+    hashes = 16 + 4 * max(0, len(_words(seed)) - 4)
+    pool = [int(w) for w in np.random.SeedSequence(seed).pool]
+    return pool, _INIT_A * pow(_MULT_A, hashes, 1 << 32) & _M32
 
 
 def _mix_words(pool: list, hc: int, columns) -> tuple[list, int]:
@@ -230,23 +198,19 @@ def _mix_words(pool: list, hc: int, columns) -> tuple[list, int]:
     return pool, hc
 
 
-def _pcg64_states(pool: list[np.ndarray]) -> list[tuple[int, int]]:
-    """(state, inc) of a PCG64 seeded from each pool: generate_state(4, uint64),
-    then pcg64_set_seed's two 128-bit LCG steps."""
+def _generate_state(pool: list[np.ndarray]) -> np.ndarray:
+    """SeedSequence.generate_state(4, uint64) of each pool, shape (n, 4)."""
     out = np.empty((pool[0].shape[0], 8), dtype=np.uint32)
     hc = _INIT_B
     for i in range(8):
         out[:, i], hc = _hashmix(pool[i % 4], hc, _MULT_B)
-    states = []
-    for v0, v1, v2, v3 in out.astype("<u4").view("<u8").tolist():
-        inc = ((v2 << 65) | (v3 << 1) | 1) & _M128
-        states.append(((((v0 << 64 | v1) + inc) * _PCG_MULT + inc) & _M128, inc))
-    return states
+    return out.astype("<u4").view("<u8").astype(np.uint64, copy=False)
 
 
-def _stream_states(seed: int, trials: range, keys) -> list[list[tuple[int, int]]]:
-    """(state, inc) of `_seeded_pcg64(seed, (t, *key))` for every key (outer
-    list) and every t in `trials` (inner list), hashed as uint32 arrays.
+def _stream_states(seed: int, trials: range, keys) -> list[np.ndarray]:
+    """The seed words `SeedSequence(seed, spawn_key=(t, *key)).generate_state(4,
+    uint64)` of every t in `trials`, one (len(trials), 4) array per key,
+    hashed as uint32 arrays.
 
     The seed part of the pool is hashed once; the trial words once per
     trial, for all keys; a trial >= 2^32 is two key words (then three ...),
@@ -255,7 +219,7 @@ def _stream_states(seed: int, trials: range, keys) -> list[list[tuple[int, int]]
     if trials.start < 0:
         raise ValueError(f"trial index must be non-negative, got {trials.start}")
     seed_pool, seed_hc = _seed_pool(seed)
-    out: list[list[tuple[int, int]]] = [[] for _ in keys]
+    out = [np.empty((len(trials), 4), dtype=np.uint64) for _ in keys]
     start = trials.start
     while start < trials.stop:
         n_words = max(1, -(-start.bit_length() // 32))
@@ -264,20 +228,34 @@ def _stream_states(seed: int, trials: range, keys) -> list[list[tuple[int, int]]
         cols = [((t >> (32 * j)) & _M32).astype(np.uint32) for j in range(n_words)]
         pool = [np.full(stop - start, w, dtype=np.uint32) for w in seed_pool]
         pool, hc = _mix_words(pool, seed_hc, cols)
-        for key, states in zip(keys, out):
+        rows = slice(start - trials.start, stop - trials.start)
+        for key, words in zip(keys, out):
             key_words = [w for x in key for w in _words(x)]
-            states += _pcg64_states(_mix_words(list(pool), hc, key_words)[0])
+            words[rows] = _generate_state(_mix_words(list(pool), hc, key_words)[0])
         start = stop
     return out
 
 
-def _load_state(bg: np.random.PCG64, state: tuple[int, int]) -> None:
-    bg.state = {
-        "bit_generator": "PCG64",
-        "state": {"state": state[0], "inc": state[1]},
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
+@functools.cache
+def _seed_words_type() -> type:
+    """The SeedWords class, built on first use: its base class lives in
+    numpy.random, which would otherwise add ~25 ms of CPU to the import."""
+    from numpy.random.bit_generator import ISeedSequence
+
+    class SeedWords(ISeedSequence):
+        """One stream's generate_state(4, uint64) words, handed to PCG64 in
+        place of its SeedSequence; PCG64 asks for exactly those and seeds
+        itself from them."""
+
+        def __init__(self, words: np.ndarray):
+            self.words = words
+
+        def generate_state(self, n_words, dtype):
+            if n_words != 4 or dtype != np.uint64:
+                raise ValueError(f"stream seed words are 4 uint64, not {n_words} {dtype}")
+            return self.words
+
+    return SeedWords
 
 
 def _ppp_count(cls: ApClass, settings: SimSettings, rng: np.random.Generator) -> int:
@@ -501,7 +479,7 @@ class _Plan:
 
     Present classes are addressed by slot, their index in ClassId order.
     Each slot, and the user stream after them when users are on, owns one
-    reused generator; a trial loads its stream states into them.
+    stream key; a trial seeds one generator per key from its seed words.
     """
 
     def __init__(self, config: NetworkConfig, settings: SimSettings):
@@ -518,17 +496,15 @@ class _Plan:
         self.keys = [_class_key(c.id) for c in self.classes]
         if config.user_density > 0.0:
             self.keys.append(_USER_KEY)
-        self.bit_generators = [np.random.PCG64(0) for _ in self.keys]
-        self.rngs = [np.random.Generator(bg) for bg in self.bit_generators]
 
-    def stream_states(self, start: int, stop: int) -> list[list[tuple[int, int]]]:
-        """Every stream state of trials start..stop-1 (per slot, per trial);
-        the last one is checked against numpy's own derivation."""
+    def stream_states(self, start: int, stop: int) -> list[np.ndarray]:
+        """The seed words of trials start..stop-1, one (trials, 4) array per
+        slot; the last stream is checked against numpy's own derivation."""
         seed = self.settings.seed
         states = _stream_states(seed, range(start, stop), self.keys)
         if self.keys:
-            want = _seeded_pcg64(seed, (stop - 1, *self.keys[-1])).state["state"]
-            if states[-1][-1] != (want["state"], want["inc"]):
+            got = np.random.PCG64(_seed_words_type()(states[-1][-1])).state
+            if got != _seeded_pcg64(seed, (stop - 1, *self.keys[-1])).state:
                 raise RuntimeError(
                     f"derived stream state of trial {stop - 1} differs from numpy's SeedSequence"
                 )
@@ -536,15 +512,15 @@ class _Plan:
 
 
 def _trial(plan: _Plan, states) -> tuple[int, float, float, int, float, list[int]]:
-    """One trial from its stream states, one per slot: (open rank of the
+    """One trial from its seed words, one per slot: (open rank of the
     serving class or -1, distance, SINR, load, rate, per-slot AP counts).
 
     Expects the caller to ignore divide-by-zero (an AP at distance 0 weighs
     inf).
     """
-    for bg, state in zip(plan.bit_generators, states):
-        _load_state(bg, state)
-    config, settings, classes, rngs = plan.config, plan.settings, plan.classes, plan.rngs
+    seed_words = _seed_words_type()
+    rngs = [np.random.Generator(np.random.PCG64(seed_words(w))) for w in states]
+    config, settings, classes = plan.config, plan.settings, plan.classes
     points: list[np.ndarray | None] = [None] * len(classes)
     counts = [0] * len(classes)
     for k, cls in enumerate(classes):
@@ -605,16 +581,6 @@ def _trial(plan: _Plan, states) -> tuple[int, float, float, int, float, list[int
     return rank, sdist, sinr, load, rate, counts
 
 
-def run_trial(config: NetworkConfig, settings: SimSettings, trial_index: int) -> TrialOutcome:
-    """Simulate a single trial (see module docstring for the procedure)."""
-    plan = _Plan(config, settings)
-    states = plan.stream_states(trial_index, trial_index + 1)
-    with np.errstate(divide="ignore"):
-        rank, dist, sinr, load, rate, _ = _trial(plan, [s[0] for s in states])
-    serving = plan.classes[plan.open_slots[rank]].id if rank >= 0 else None
-    return TrialOutcome(serving, dist, sinr, load, rate)
-
-
 def _run_block(config: NetworkConfig, settings: SimSettings, start: int, stop: int):
     plan = _Plan(config, settings)
     states = plan.stream_states(start, stop)
@@ -626,20 +592,21 @@ def _run_block(config: NetworkConfig, settings: SimSettings, start: int, stop: i
     rate = np.empty(n)
     counts = np.empty((n, len(plan.classes)), dtype=np.int64)
     with np.errstate(divide="ignore"):
-        for k, trial_states in enumerate(zip(*states)):
-            serving[k], dist[k], sinr[k], load[k], rate[k], counts[k] = _trial(plan, trial_states)
+        for k in range(n):
+            serving[k], dist[k], sinr[k], load[k], rate[k], counts[k] = _trial(plan, [s[k] for s in states])
     return serving, dist, sinr, load, rate, counts.sum(axis=0)
 
 
 def _ccdf(values: np.ndarray, grid: np.ndarray) -> np.ndarray:
-    """Fraction of `values` above each grid point; zeros when there are none."""
+    """Fraction of `values` above each grid point; zeros when there are none.
+
+    Counted by bisection in the sorted values, so memory stays
+    O(values + grid) however long the grid.
+    """
     if values.size == 0:
         return np.zeros_like(grid)
-    return (values[:, None] > grid[None, :]).mean(axis=0)
-
-
-def _block_worker(args):
-    return _run_block(*args)
+    above = values.size - np.searchsorted(np.sort(values), grid, side="right")
+    return above / values.size
 
 
 def run_batch(
@@ -672,7 +639,7 @@ def run_batch(
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=settings.parallel_workers) as pool:
-            results = list(pool.map(_block_worker, tasks))
+            results = list(pool.map(_run_block, *zip(*tasks)))
     else:
         results = [_run_block(*t) for t in tasks]
 
@@ -717,8 +684,8 @@ def run_batch(
     }
 
     return EmpiricalSummary(
-        sinr_ccdf=CcdfCurve("sinr_linear", sinr_grid, sinr_vals, per_class_sinr, dict(freq)),
-        rate_ccdf=CcdfCurve("rate_bps", rate_grid, rate_vals, per_class_rate, dict(freq)),
+        sinr_ccdf=CcdfCurve(sinr_grid, sinr_vals, per_class_sinr, dict(freq)),
+        rate_ccdf=CcdfCurve(rate_grid, rate_vals, per_class_rate, dict(freq)),
         association_freq=freq,
         load_histogram=load_hist,
         mean_cell_area=mean_cell_area,

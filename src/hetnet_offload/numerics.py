@@ -67,11 +67,7 @@ AREA_BIAS_FACTOR = TAGGED_CELL_SHAPE / TYPICAL_CELL_SHAPE
 
 
 class NumericalError(RuntimeError):
-    """A numerical routine failed; carries a partial estimate if it has one."""
-
-    def __init__(self, message: str, partial: float | None = None):
-        super().__init__(message)
-        self.partial = partial
+    """A numerical routine failed."""
 
 
 _DBL_MAX = np.finfo(float).max

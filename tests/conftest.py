@@ -8,11 +8,16 @@ The recurring scenarios:
 * two_class_config  — the two-open-class equal-exponent SIR playground,
                       with two_class_sir_coverage its reduced SIR coverage
 * single_class_config — one macro tier, the hand-checkable baseline
+
+run_trial is one Monte Carlo trial, read from a block of one.
 """
 
 from __future__ import annotations
 
-from hetnet_offload import CLOSED, ClassId, NetworkConfig, db_to_linear, make_class
+from typing import NamedTuple
+
+from hetnet_offload import CLOSED, ClassId, NetworkConfig, SimSettings, db_to_linear, make_class
+from hetnet_offload.montecarlo import _run_block
 from hetnet_offload.numerics import z_integral
 
 
@@ -111,3 +116,21 @@ def single_class_config(
         sinr_threshold={cls.id: db_to_linear(tau_db)},
         rate_threshold={cls.id: 256e3},
     )
+
+
+class TrialOutcome(NamedTuple):
+    """One trial's view of the typical user: serving is None when no open AP
+    landed in the window; load counts the typical user too."""
+
+    serving: ClassId | None
+    distance_km: float
+    sinr_linear: float
+    load: int
+    rate_bps: float
+
+
+def run_trial(config: NetworkConfig, settings: SimSettings, trial: int) -> TrialOutcome:
+    """Trial `trial` of the Monte Carlo engine, as `run_batch` runs it."""
+    rank, dist, sinr, load, rate = (a[0] for a in _run_block(config, settings, trial, trial + 1)[:5])
+    serving = config.open_classes()[rank].id if rank >= 0 else None
+    return TrialOutcome(serving, float(dist), float(sinr), int(load), float(rate))

@@ -46,6 +46,14 @@ DEFAULT_SETTINGS = QuadratureSettings()
 TIGHT_SETTINGS = QuadratureSettings(rel_tol=1e-11, abs_tol=1e-14, max_subdivisions=500)
 
 
+class QuadratureError(NumericalError):
+    """The adaptive quadrature did not converge; carries its partial estimate."""
+
+    def __init__(self, message: str, partial: float):
+        super().__init__(message)
+        self.partial = partial
+
+
 def _quad(f, lo, hi, settings: QuadratureSettings) -> float:
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", scipy.integrate.IntegrationWarning)
@@ -59,7 +67,7 @@ def _quad(f, lo, hi, settings: QuadratureSettings) -> float:
         )
     for w in caught:
         if issubclass(w.category, scipy.integrate.IntegrationWarning):
-            raise NumericalError(
+            raise QuadratureError(
                 f"quadrature on [{lo}, {hi}] did not converge: {w.message}",
                 partial=value,
             )
@@ -75,8 +83,8 @@ def semi_infinite_integral(
 
     The infinite tail is handled by the adaptive Gauss-Kronrod rule after
     the standard rational change of variable mapping [lower, inf) onto a
-    finite interval.  Raises NumericalError (with the partial estimate
-    attached) if the requested tolerances cannot be met.
+    finite interval.  Raises QuadratureError, a NumericalError with the
+    partial estimate attached, if the requested tolerances cannot be met.
     """
     settings = settings or DEFAULT_SETTINGS
     return _quad(f, lower, math.inf, settings)

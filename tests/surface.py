@@ -1,0 +1,59 @@
+"""Print the package's size on the three measures of ROADMAP aim 2.
+
+    python3 tests/surface.py [PACKAGE_DIR]
+
+PACKAGE_DIR defaults to this checkout's `src/hetnet_offload`; pass another
+checkout's to measure it the same way.  The measures are:
+
+* lines: `wc -l` over the package's `*.py` files;
+* exports: the names in the package's `__all__`;
+* settable values: the defaults of every `def` (positional and
+  keyword-only; lambdas not counted) plus the annotated fields of every
+  `@dataclass` class, counted with `ast`.
+"""
+
+from __future__ import annotations
+
+import ast
+import sys
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "hetnet_offload"
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    for dec in node.decorator_list:
+        target = dec.func if isinstance(dec, ast.Call) else dec
+        if getattr(target, "id", getattr(target, "attr", None)) == "dataclass":
+            return True
+    return False
+
+
+def settable_values(tree: ast.AST) -> int:
+    count = 0
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            count += len(node.args.defaults) + sum(d is not None for d in node.args.kw_defaults)
+        elif isinstance(node, ast.ClassDef) and _is_dataclass(node):
+            count += sum(isinstance(stmt, ast.AnnAssign) for stmt in node.body)
+    return count
+
+
+def exports(init: Path) -> int:
+    for node in ast.parse(init.read_text()).body:
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+            return len(node.value.elts)
+    return 0
+
+
+def main(package: Path) -> None:
+    files = sorted(package.glob("*.py"))
+    lines = sum(len(f.read_bytes().splitlines()) for f in files)
+    settable = sum(settable_values(ast.parse(f.read_text())) for f in files)
+    print(f"src lines        {lines}")
+    print(f"__all__ names    {exports(package / '__init__.py')}")
+    print(f"settable values  {settable}")
+
+
+if __name__ == "__main__":
+    main(Path(sys.argv[1]) if len(sys.argv) > 1 else PACKAGE)

@@ -7,14 +7,28 @@ import math
 import pkgutil
 import re
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hetnet_offload
-from hetnet_offload import ClassId, ConfigValidationError, db_to_linear, sinr_ccdf
+from hetnet_offload import (
+    CLOSED,
+    OPEN,
+    ApClass,
+    ClassId,
+    ConfigValidationError,
+    NetworkConfig,
+    db_to_linear,
+    linear_to_db,
+    require_valid,
+    sinr_ccdf,
+)
 from hetnet_offload.cli import ConfigSchemaError, load_config, main
 from hetnet_offload.model import dbm_to_watts
 
@@ -83,6 +97,76 @@ def test_load_config_converts_decibel_fields(tmp_path):
     closed = config.class_for(ClassId(2, 3, "closed"))
     assert closed.id.access == "closed"
     assert ClassId(2, 3, "closed") not in config.sinr_threshold
+
+
+@st.composite
+def linear_configs(draw):
+    """Random valid configs in linear units: 1-3 RATs of 1-2 open tiers, some
+    with a closed twin, per-RAT noise or none, thresholds on every open class."""
+    log_uniform = lambda lo, hi: st.floats(lo, hi).map(lambda x: 10.0**x)  # noqa: E731
+    classes, noise = [], {}
+    for rat in range(1, draw(st.integers(1, 3)) + 1):
+        noise[rat] = draw(st.one_of(st.just(0.0), log_uniform(-16.0, -8.0)))
+        for tier in range(1, draw(st.integers(1, 2)) + 1):
+            for access in (OPEN, CLOSED) if draw(st.booleans()) else (OPEN,):
+                classes.append(ApClass(
+                    id=ClassId(rat, tier, access),
+                    density=draw(log_uniform(-3.0, 3.0)),
+                    power=draw(log_uniform(-3.0, 3.0)),
+                    exponent=draw(st.floats(2.01, 8.0)),
+                    bias=draw(log_uniform(-4.0, 4.0)),
+                    bandwidth=draw(log_uniform(4.0, 9.0)),
+                ))
+    open_ids = [c.id for c in classes if c.id.is_open]
+    return NetworkConfig(
+        classes=tuple(classes),
+        user_density=draw(st.floats(0.0, 1e4)),
+        noise_power=noise,
+        sinr_threshold={cid: draw(log_uniform(-3.0, 4.0)) for cid in open_ids},
+        rate_threshold={cid: draw(log_uniform(2.0, 9.0)) for cid in open_ids},
+    )
+
+
+def _as_json(config: NetworkConfig) -> dict:
+    """The config file of `config`, its powers and ratios in dB units."""
+    classes = []
+    for c in config.classes:
+        entry = {
+            "rat": c.id.rat, "tier": c.id.tier, "access": c.id.access,
+            "density_per_km2": c.density, "power_dbm": linear_to_db(c.power) + 30.0,
+            "bias_db": linear_to_db(c.bias), "alpha": c.exponent, "bandwidth_hz": c.bandwidth,
+        }
+        if c.id in config.sinr_threshold:
+            entry["sinr_threshold_db"] = linear_to_db(config.sinr_threshold[c.id])
+            entry["rate_threshold_bps"] = config.rate_threshold[c.id]
+        classes.append(entry)
+    noise = {str(rat): None if w == 0.0 else linear_to_db(w) + 30.0 for rat, w in config.noise_power.items()}
+    return {"users_per_km2": config.user_density, "noise_dbm_per_rat": noise, "classes": classes}
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(config=linear_configs())
+def test_load_config_round_trips(config):
+    """A valid config written as JSON in dB units loads back with every
+    field within 1e-12 relative."""
+    require_valid(config)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "net.json"
+        path.write_text(json.dumps(_as_json(config)))
+        loaded = load_config(path)
+
+    def close(got, want):
+        return math.isclose(got, want, rel_tol=1e-12, abs_tol=0.0)
+
+    assert [c.id for c in loaded.classes] == [c.id for c in config.classes]
+    for got, want in zip(loaded.classes, config.classes):
+        for name in ("density", "power", "exponent", "bias", "bandwidth"):
+            assert close(getattr(got, name), getattr(want, name)), (want.id, name)
+    assert close(loaded.user_density, config.user_density)
+    for got, want in ((loaded.noise_power, config.noise_power), (loaded.sinr_threshold, config.sinr_threshold),
+                      (loaded.rate_threshold, config.rate_threshold)):
+        assert got.keys() == want.keys()
+        assert all(close(got[k], want[k]) for k in want), (got, want)
 
 
 def test_load_config_schema_errors(tmp_path):

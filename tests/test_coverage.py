@@ -110,7 +110,6 @@ def test_sinr_ccdf_structure():
     config = dual_rat_config()
     taus = 10.0 ** (np.arange(-10.0, 21.0, 2.0) / 10.0)
     curve = sinr_ccdf(config, taus)
-    assert curve.axis == "sinr_linear"
     assert np.all(np.diff(curve.values) < 0.0)  # strictly falling on this grid
     rebuilt = sum(curve.weights[cid] * curve.per_class[cid] for cid in curve.per_class)
     assert np.allclose(curve.values, rebuilt, rtol=1e-12)

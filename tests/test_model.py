@@ -131,23 +131,20 @@ def test_without_closed_drops_only_closed_classes():
 
 def test_validate_flags_bad_exponent():
     bad = single_class_config(alpha=1.5)
-    report = validate(bad)
-    assert not report.passed
-    assert any("exponent must exceed 2" in msg for msg in report.failures)
+    failures = validate(bad)
+    assert any("exponent must exceed 2" in msg for msg in failures)
 
 
 def test_validate_flags_all_closed():
     cls = make_class(1, 1, density=1.0, power_dbm=40.0, exponent=3.5, access=CLOSED)
     config = NetworkConfig(classes=(cls,), user_density=0.0)
-    report = validate(config)
-    assert not report.passed
-    assert any("V_open" in msg for msg in report.failures)
+    failures = validate(config)
+    assert any("V_open" in msg for msg in failures)
 
 
 def test_validate_flags_negative_density():
     cls = ApClass(id=ClassId(1, 1), density=-1.0, power=1.0, exponent=3.5)
-    report = validate(NetworkConfig(classes=(cls,), user_density=0.0))
-    assert not report.passed
+    assert validate(NetworkConfig(classes=(cls,), user_density=0.0))
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -155,30 +152,31 @@ def test_validate_flags_negative_density():
 def test_validate_rejects_non_finite_class_fields(field, bad):
     config = single_class_config()
     cls = replace(config.classes[0], **{field: bad})
-    assert not validate(replace(config, classes=(cls,))).passed
+    assert validate(replace(config, classes=(cls,)))
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_validate_rejects_non_finite_network_fields(bad):
     config = single_class_config()
-    assert not validate(replace(config, user_density=bad)).passed
-    assert not validate(replace(config, noise_power={1: bad})).passed
+    assert validate(replace(config, user_density=bad))
+    assert validate(replace(config, noise_power={1: bad}))
 
 
 def test_validate_rejects_nan_thresholds():
     config = single_class_config()
     cid = config.classes[0].id
-    assert not validate(replace(config, sinr_threshold={cid: math.nan})).passed
-    assert not validate(replace(config, rate_threshold={cid: math.nan})).passed
+    assert validate(replace(config, sinr_threshold={cid: math.nan}))
+    assert validate(replace(config, rate_threshold={cid: math.nan}))
     # an infinite threshold is a valid (never met) requirement
-    assert validate(replace(config, sinr_threshold={cid: math.inf})).passed
+    assert validate(replace(config, sinr_threshold={cid: math.inf})) == ()
 
 
-def test_require_valid_raises_with_report():
+def test_require_valid_raises_with_failures():
     bad = single_class_config(alpha=2.0)
     with pytest.raises(ConfigValidationError) as err:
         require_valid(bad)
-    assert not err.value.report.passed
+    assert err.value.failures == validate(bad)
+    assert len(err.value.failures) == 1 and "exponent must exceed 2" in str(err.value)
     good = single_class_config()
     assert require_valid(good) is good
 

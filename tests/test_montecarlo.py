@@ -12,7 +12,7 @@ from hypothesis import event, example, given
 from hypothesis import settings as hypothesis_settings
 from hypothesis import strategies as st
 
-from conftest import dual_rat_config, four_class_config, single_class_config, two_class_config
+from conftest import dual_rat_config, four_class_config, run_trial, single_class_config, two_class_config
 from hetnet_offload import (
     ClassId,
     NetworkConfig,
@@ -26,18 +26,19 @@ from hetnet_offload.montecarlo import (
     _DIST_BLOCK,
     _NEAR_SITES,
     _USER_KEY,
+    _ccdf,
     _class_key,
     _class_rng,
-    _load_state,
     _min_dist2,
     _octant_reach2,
+    _seed_words_type,
+    _run_block,
     _seeded_pcg64,
     _stream_states,
     _tagged_user_count,
     _uniform,
     _user_rng,
     _users_near,
-    run_trial,
     sample_deployment,
 )
 from load_oracle import tagged_user_count_reference
@@ -458,30 +459,62 @@ STREAM_KEYS = [_class_key(ClassId(2, 3, access)) for access in _ACCESS_CODE] + [
 )
 @example(seed=2**32, start=2**32 - 3, n=6)
 def test_block_stream_states_match_numpy(seed, start, n):
-    """Block-derived (state, inc) and first draws equal PCG64(SeedSequence(...))."""
+    """Block-derived seed words give PCG64(SeedSequence(...))'s state and first draws."""
     trials = range(start, start + n)
     states = _stream_states(seed, trials, STREAM_KEYS)
-    bg = np.random.PCG64(0)
     for key, key_states in zip(STREAM_KEYS, states):
-        assert len(key_states) == n
-        for t, state in zip(trials, key_states):
+        assert key_states.shape == (n, 4) and key_states.dtype == np.uint64
+        for t, words in zip(trials, key_states):
             want = _seeded_pcg64(seed, (t, *key))
-            assert state == (want.state["state"]["state"], want.state["state"]["inc"])
-            _load_state(bg, state)
-            assert np.array_equal(np.random.Generator(bg).random(3), np.random.Generator(want).random(3))
+            assert np.array_equal(words, want.seed_seq.generate_state(4, np.uint64))
+            got = np.random.PCG64(_seed_words_type()(words))
+            assert got.state == want.state
+            assert np.array_equal(np.random.Generator(got).random(3), np.random.Generator(want).random(3))
+
+
+def test_seed_words_serve_only_pcg64s_request():
+    words = _stream_states(5, range(2), [_USER_KEY])[0][1]
+    assert _seed_words_type()(words).generate_state(4, np.dtype(np.uint64)) is words
+    with pytest.raises(ValueError, match="4 uint64"):
+        _seed_words_type()(words).generate_state(4, np.uint32)
+    with pytest.raises(ValueError, match="4 uint64"):
+        _seed_words_type()(words).generate_state(2, np.uint64)
 
 
 def test_corrupted_stream_state_fails_the_spot_check(monkeypatch):
     derive = montecarlo._stream_states
 
     def corrupted(seed, trials, keys):
-        return [[(state ^ 1, inc) for state, inc in per_key] for per_key in derive(seed, trials, keys)]
+        return [words ^ np.uint64(1) for words in derive(seed, trials, keys)]
 
     monkeypatch.setattr(montecarlo, "_stream_states", corrupted)
     with pytest.raises(RuntimeError, match="SeedSequence"):
         run_trial(dual_rat_config(), SimSettings(trials=1, seed=3), 5)
     with pytest.raises(RuntimeError, match="SeedSequence"):
         run_batch(dual_rat_config(), SimSettings(window_km=8.0, trials=20, seed=3))
+
+
+def test_block_without_streams_has_no_server():
+    """A config with no present class and no users runs every trial of the
+    block, each with no server, as a block of one does."""
+    serving, dist, sinr, load, rate, counts = _run_block(single_class_config(density=0.0), SimSettings(trials=1), 3, 6)
+    assert serving.tolist() == [-1, -1, -1]
+    assert np.isnan(dist).all() and sinr.tolist() == [0.0] * 3
+    assert load.tolist() == [1, 1, 1] and rate.tolist() == [0.0] * 3
+    assert counts.shape == (0,)
+
+
+@pytest.mark.parametrize("case", range(40))
+def test_ccdf_equals_broadcast_count(case):
+    """The bisection count is the (values x grid) comparison's mean bit for
+    bit, with ties on grid points, zeros and inf among the values."""
+    rng = np.random.default_rng(case)
+    pool = np.array([0.0, 0.5, 1.0, 2.0, 2.0, np.inf])
+    values = rng.choice(pool, 30) if case % 2 else np.round(rng.exponential(1.0, 50), 1)
+    grid = np.unique(np.r_[0.0, np.round(rng.exponential(1.0, 12), 1), 2.0, np.inf])
+    got = _ccdf(values, grid)
+    assert np.array_equal(got, (values[:, None] > grid[None, :]).mean(axis=0))
+    assert np.array_equal(_ccdf(values[:0], grid), np.zeros_like(grid))
 
 
 def _broadcast_min_dist2(points, sites):
