@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ClassId, NetworkConfig, _user_density_failure
+from .model import ApClass, ClassId, NetworkConfig, _user_density_failure
 from .numerics import (
     TAGGED_CELL_SHAPE,
     TYPICAL_CELL_SHAPE,
@@ -58,11 +58,15 @@ def _g_terms(config: NetworkConfig, serving: ClassId) -> tuple[np.ndarray, np.nd
     return g, expos
 
 
+def _associations(cls: ApClass, g: np.ndarray, expos: np.ndarray) -> np.ndarray:
+    """A_ij of serving class `cls` for each row of G terms, in one kernel call."""
+    return math.pi * cls.density * decay_integral(math.pi * g, expos)
+
+
 def association_probability(config: NetworkConfig, serving: ClassId) -> float:
     """Probability that the typical user is served by class `serving`."""
     cls = _serving_class(config, serving)
-    g, expos = _g_terms(config, serving)
-    return math.pi * cls.density * float(decay_integral(math.pi * g, expos)[0])
+    return float(_associations(cls, *_g_terms(config, serving))[0])
 
 
 def association_probabilities(config: NetworkConfig) -> dict[ClassId, float]:

@@ -22,6 +22,16 @@ a load law: the tagged-AP load pmf (theorem1), or its mean alone
 thresholds, mixed over the load law for rates, weighted by association.
 For equal exponents and no noise the kernel returns the integral in closed
 form, which makes the mean-load route the paper's closed form.
+
+`_mix` works on a stack of configs that differ only in open-class biases,
+so that a bias search or sweep is one pass; a single config is a stack of
+one.  A bias changes coefficients, never an exponent, so per serving class
+the stack needs one kernel call for its association probabilities and one
+for its coverage rows (one per _STACK_ROWS rows).  The work is split in
+two: a `_Stack` holds what does not depend on the threshold (association,
+the G rows and D offsets of each config, load laws), and its `evaluate`
+builds and integrates the rows at a threshold grid, so that a percentile
+solve prepares its config once and evaluates every step.
 """
 
 from __future__ import annotations
@@ -32,7 +42,10 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .association import (
+# association_probabilities is not called here, but benchmarks/tracing.py
+# wraps it by this module's name
+from .association import (  # noqa: F401
+    _associations,
     _g_terms,
     association_probabilities,
     load_ratio,
@@ -101,26 +114,6 @@ def _d_terms(config: NetworkConfig, serving: ClassId):
         yield cls, scale, offset
 
 
-def _decay_terms(config: NetworkConfig, ref: ApClass, taus: np.ndarray):
-    """Coefficients (one row per tau) and exponents of the coverage integrand.
-
-    S_ij(tau) = pi lam_ij / A_ij * integral_0^inf exp(-sum_k c_k u^e_k) du
-    in u = y^2, with pi G and pi D terms and, for a noisy RAT, the noise
-    term tau sigma^2 / P u^(alpha/2).
-    """
-    g, g_expos = _g_terms(config, ref.id)
-    columns = [np.broadcast_to(math.pi * g, (taus.size, g.size))]
-    expos = [g_expos]
-    for cls, scale, offset in _d_terms(config, ref.id):
-        columns.append(math.pi * scale * z_integral(taus, cls.exponent, offset)[:, None])
-        expos.append([ref.exponent / cls.exponent])
-    noise = config.noise_for(ref.id.rat) / ref.power
-    if noise > 0.0:
-        columns.append(noise * taus[:, None])
-        expos.append([ref.exponent / 2.0])
-    return np.hstack(columns), np.concatenate(expos)
-
-
 def _load_law(config: NetworkConfig, cls: ApClass, method: str):
     """(loads, weights): the users on the serving AP, the typical one included.
 
@@ -134,8 +127,147 @@ def _load_law(config: NetworkConfig, cls: ApClass, method: str):
     return np.array([1.0 + AREA_BIAS_FACTOR * load_ratio(config, cls.id)]), np.ones(1)
 
 
-def _mix(config: NetworkConfig, thresholds, method: str | None = None):
-    """Coverage per open class at its thresholds, and their association-weighted sum.
+# Rows per kernel call of a stacked evaluation, and about the load-law terms
+# one prepared stack holds: a bias search on two classes at 2000 users/km^2
+# has up to 19k pmf terms a config, and all 41 of its configs in one piece
+# took the search's peak RSS from 33 to 81 MB.
+_STACK_ROWS = 2**14
+
+
+class _Serving:
+    """The threshold-free part of one open class's coverage, per config of a stack.
+
+    probs   A_ij per config
+    g       pi G_mk, one row per config
+    d       (exponent, pi * scale, offset per config) per present class of
+            the serving RAT, from `_d_terms`
+    noise   sigma^2 / P_ij of the serving RAT
+    expos   exponents of the g, d and noise columns of the integrand
+    laws    (loads, weights) per config; None for SINR thresholds
+    """
+
+    def __init__(self, configs: Sequence[NetworkConfig], cls: ApClass, laws: list | None):
+        g_rows = [_g_terms(config, cls.id) for config in configs]
+        g, g_expos = np.array([row for row, _ in g_rows]), g_rows[0][1]
+        d_rows = [list(_d_terms(config, cls.id)) for config in configs]
+        self.cls = cls
+        self.probs = _associations(cls, g, g_expos)
+        self.g = math.pi * g
+        self.d = [
+            (other.exponent, math.pi * scale, np.array([row[k][2] for row in d_rows]))
+            for k, (other, scale, _) in enumerate(d_rows[0])
+        ]
+        self.noise = configs[0].noise_for(cls.id.rat) / cls.power
+        expos = [g_expos, [cls.exponent / e for e, _, _ in self.d]]
+        self.expos = np.concatenate(expos + ([[cls.exponent / 2.0]] if self.noise > 0.0 else []))
+        self.laws = laws
+
+    def rows(self, taus: list[np.ndarray]) -> list[np.ndarray]:
+        """S_ij at each config b's thresholds taus[b], in kernel calls of at most _STACK_ROWS rows."""
+        out = [np.empty(t.size) for t in taus]
+        call, rows = [], 0
+        for b, t in enumerate(taus):
+            for start in range(0, t.size, _STACK_ROWS):
+                piece = t[start : start + _STACK_ROWS]
+                if rows + piece.size > _STACK_ROWS:
+                    self._kernel_call(call, out)
+                    call, rows = [], 0
+                call.append((b, start, piece))
+                rows += piece.size
+        if call:
+            self._kernel_call(call, out)
+        return out
+
+    def _kernel_call(self, call: list, out: list) -> None:
+        """Write S_ij at each piece (b, start, taus) of one kernel call to out[b][start:].
+
+        S_ij(tau) = pi lam_ij / A_ij * integral_0^inf exp(-sum_k c_k u^e_k) du
+        in u = y^2, with pi G and pi D terms and, for a noisy RAT, the noise
+        term tau sigma^2 / P u^(alpha/2): one row of coefficients per tau.
+        """
+        taus = call[0][2] if len(call) == 1 else np.concatenate([t for _, _, t in call])
+        spans, lo = [], 0
+        for b, _, t in call:
+            spans.append((b, lo, lo + t.size))
+            lo += t.size
+        columns = [scale * z_integral(taus, e, _offsets(offsets, spans, taus.size)) for e, scale, offsets in self.d]
+        if self.noise > 0.0:
+            columns.append(self.noise * taus)
+        # allocated after Z's temporaries are freed, so that it can take their
+        # place; columns contiguous, as the kernel's row sums and maxima want them
+        coefs = np.empty((taus.size, self.expos.size), order="F")
+        ng = self.g.shape[1]
+        for b, lo, hi in spans:
+            coefs[lo:hi, :ng] = self.g[b]
+        for col, column in enumerate(columns, start=ng):
+            coefs[:, col] = column
+        kernel = decay_integral(coefs, self.expos)
+        for (b, lo, hi), (_, start, _) in zip(spans, call):
+            factor = math.pi * self.cls.density / self.probs[b]
+            np.multiply(factor, kernel[lo:hi], out=out[b][start : start + hi - lo])
+
+
+class _Stack:
+    """The leading configs of a stack, prepared: what the threshold does not
+    change, per open class.  `evaluate` then gives their coverage at a grid.
+
+    The configs must differ only in open-class biases.  For rates, configs
+    are taken until their load laws hold _STACK_ROWS terms (at least one
+    config is); SINRs need no load law, and all configs are taken.
+    """
+
+    def __init__(self, configs: Sequence[NetworkConfig], method: str | None):
+        laws = None
+        if method is not None:
+            laws, terms = [], 0
+            for config in configs:
+                laws.append([_load_law(config, cls, method) for cls in config.open_classes()])
+                terms += sum(loads.size for loads, _ in laws[-1])
+                if terms >= _STACK_ROWS:
+                    break
+            configs = configs[: len(laws)]
+        self.configs = configs
+        self.method = method
+        self.classes = [
+            _Serving(configs, cls, None if laws is None else [law[i] for law in laws])
+            for i, cls in enumerate(configs[0].open_classes())
+        ]
+
+    def evaluate(self, thresholds):
+        """Coverage of every prepared config at `thresholds`, as `_mix` returns it."""
+        base = self.configs[0]
+        own = base.sinr_threshold_for if self.method is None else base.rate_threshold_for
+        per_class, probs = {}, {}
+        for sv in self.classes:
+            x = np.array([own(sv.cls.id)]) if thresholds is None else np.asarray(thresholds, dtype=float)
+            _check_grid(x, "SINR" if self.method is None else "rate")
+            if sv.laws is None:
+                curves = sv.rows([x] * len(self.configs))
+            else:
+                taus = [shannon_threshold(np.outer(x / sv.cls.bandwidth, loads)).ravel() for loads, _ in sv.laws]
+                rows = sv.rows(taus)
+                # einsum: see decay_integral
+                curves = [np.einsum("rn,n->r", r.reshape(x.size, -1), w) for r, (_, w) in zip(rows, sv.laws)]
+            per_class[sv.cls.id] = np.array(curves)
+            probs[sv.cls.id] = sv.probs
+        values = sum(probs[cid][:, None] * curves for cid, curves in per_class.items())
+        return values, per_class, probs
+
+
+def _offsets(offsets: np.ndarray, spans: list, rows: int):
+    """The Z offset of each row of a kernel call; one float if its configs share it."""
+    first = offsets[spans[0][0]]
+    if all(offsets[b] == first for b, _, _ in spans):
+        return float(first)
+    c = np.empty(rows)
+    for b, lo, hi in spans:
+        c[lo:hi] = offsets[b]
+    return c
+
+
+def _mix(configs: Sequence[NetworkConfig], thresholds, method: str | None = None):
+    """Coverage per open class at its thresholds, and their association-weighted
+    sum, for each of a stack of configs that differ only in open-class biases.
 
     thresholds  a 1-D grid shared by all classes, or None for each class's
                 own threshold from the config
@@ -143,24 +275,32 @@ def _mix(config: NetworkConfig, thresholds, method: str | None = None):
                 they are rates (bits/s), each needing SINR t(rho / W * load)
                 at every load of the class's load law, mixed over its weights.
 
-    Returns (values, per_class, weights).
+    Runs of configs are prepared and evaluated in turn (`_Stack`).
+    Returns (values, per_class, weights): values[b, k] is config b's
+    coverage at threshold k, per_class[cid][b, k] its coverage given class
+    cid, and weights[cid][b] its association probability A_cid.
     """
-    own = config.sinr_threshold_for if method is None else config.rate_threshold_for
-    probs = association_probabilities(config)
-    per_class = {}
-    for cls in config.open_classes():
-        x = np.array([own(cls.id)]) if thresholds is None else np.asarray(thresholds, dtype=float)
-        _check_grid(x, "SINR" if method is None else "rate")
-        taus = x
-        if method is not None:
-            loads, weights = _load_law(config, cls, method)
-            taus = shannon_threshold(np.outer(x / cls.bandwidth, loads)).ravel()
-        coverage = math.pi * cls.density / probs[cls.id] * decay_integral(*_decay_terms(config, cls, taus))
-        if method is not None:
-            coverage = np.einsum("rn,n->r", coverage.reshape(x.size, -1), weights)  # einsum: see decay_integral
-        per_class[cls.id] = coverage
-    values = sum(probs[cid] * curve for cid, curve in per_class.items())
-    return values, per_class, probs
+    parts = []
+    while configs:
+        stack = _Stack(configs, method)
+        parts.append(stack.evaluate(thresholds))
+        configs = configs[len(stack.configs) :]
+    if len(parts) == 1:
+        return parts[0]
+    values = np.concatenate([v for v, _, _ in parts])
+    per_class = {cid: np.concatenate([p[cid] for _, p, _ in parts]) for cid in parts[0][1]}
+    weights = {cid: np.concatenate([w[cid] for _, _, w in parts]) for cid in parts[0][2]}
+    return values, per_class, weights
+
+
+def _curve(grid: np.ndarray, values, per_class, weights) -> CcdfCurve:
+    """The CcdfCurve of a stack of one."""
+    return CcdfCurve(
+        grid,
+        values[0],
+        {cid: curve[0] for cid, curve in per_class.items()},
+        {cid: float(w[0]) for cid, w in weights.items()},
+    )
 
 
 def _check_grid(grid: np.ndarray, what: str) -> None:
@@ -170,7 +310,7 @@ def _check_grid(grid: np.ndarray, what: str) -> None:
 
 def sinr_coverage(config: NetworkConfig) -> float:
     """P(SINR > tau_ij) with each class checked against its own threshold."""
-    return float(_mix(config, None)[0][0])
+    return float(_mix([config], None)[0][0, 0])
 
 
 def sinr_ccdf(config: NetworkConfig, taus: Sequence[float]) -> CcdfCurve:
@@ -179,8 +319,7 @@ def sinr_ccdf(config: NetworkConfig, taus: Sequence[float]) -> CcdfCurve:
     per_class[cid][k] is P(SINR > taus[k] | served by class cid).
     """
     grid = np.asarray(taus, dtype=float)
-    values, per_class, probs = _mix(config, grid)
-    return CcdfCurve(grid, values, per_class, probs)
+    return _curve(grid, *_mix([config], grid))
 
 
 # ---------------------------------------------------------------------------
@@ -194,14 +333,13 @@ def rate_coverage(config: NetworkConfig, rho_common: float | None = None) -> flo
     Thresholds come from config.rate_threshold unless `rho_common`
     overrides them all (used by percentile solving and CCDF sweeps).
     """
-    return float(_mix(config, None if rho_common is None else [rho_common], "theorem1")[0][0])
+    return float(_mix([config], None if rho_common is None else [rho_common], "theorem1")[0][0, 0])
 
 
 def rate_ccdf(config: NetworkConfig, rhos: Sequence[float]) -> CcdfCurve:
     """Rate CCDF over a common bits/s grid applied to all classes."""
     grid = np.asarray(rhos, dtype=float)
-    values, per_class, probs = _mix(config, grid, "theorem1")
-    return CcdfCurve(grid, values, per_class, probs)
+    return _curve(grid, *_mix([config], grid, "theorem1"))
 
 
 def rate_coverage_mean_load(config: NetworkConfig, rho_common: float | None = None) -> float:
@@ -210,7 +348,21 @@ def rate_coverage_mean_load(config: NetworkConfig, rho_common: float | None = No
     Each class sees the single effective load 1 + (9/7) r_ij; accurate when
     the load is concentrated, cheap always.
     """
-    return float(_mix(config, None if rho_common is None else [rho_common], "meanload")[0][0])
+    return float(_mix([config], None if rho_common is None else [rho_common], "meanload")[0][0, 0])
+
+
+def _require_closed_form(config: NetworkConfig) -> None:
+    """Raise ClosedFormInapplicableError unless the closed form applies to `config`.
+
+    Biases do not enter its conditions, so one check covers a bias stack.
+    """
+    use = "; use method meanload or theorem1 (--method on the command line)"
+    exps = {c.exponent for c in config.present_classes()}
+    if len(exps) > 1:
+        raise ClosedFormInapplicableError(f"exponents must all match (got {sorted(exps)}){use}")
+    noisy = [rat for rat in config.rats() if config.noise_for(rat) != 0.0]
+    if noisy:
+        raise ClosedFormInapplicableError(f"noise must be zero for all RATs (RATs {noisy} are noisy){use}")
 
 
 def rate_coverage_closed_form(config: NetworkConfig, rho_common: float | None = None) -> float:
@@ -225,11 +377,5 @@ def rate_coverage_closed_form(config: NetworkConfig, rho_common: float | None = 
     Raises ClosedFormInapplicableError otherwise.  Under these conditions
     the mean-load route takes exactly this closed form for every class.
     """
-    use = "; use method meanload or theorem1 (--method on the command line)"
-    exps = {c.exponent for c in config.present_classes()}
-    if len(exps) > 1:
-        raise ClosedFormInapplicableError(f"exponents must all match (got {sorted(exps)}){use}")
-    noisy = [rat for rat in config.rats() if config.noise_for(rat) != 0.0]
-    if noisy:
-        raise ClosedFormInapplicableError(f"noise must be zero for all RATs (RATs {noisy} are noisy){use}")
+    _require_closed_form(config)
     return rate_coverage_mean_load(config, rho_common=rho_common)

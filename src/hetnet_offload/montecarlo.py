@@ -66,7 +66,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .coverage import CcdfCurve
+from .coverage import CcdfCurve, _check_grid
 from .model import ApClass, ClassId, NetworkConfig, require_valid
 
 __all__ = [
@@ -563,7 +563,8 @@ def _trial(plan: _Plan, states) -> tuple[int, float, float, int, float, list[int
         gains = rng.exponential(1.0, pts.shape[0])
         contrib = cls.power * gains * r2 ** (-cls.exponent / 2.0)
         if k == slot:
-            power_received = serving.power * gains[sidx] * sdist ** (-serving.exponent)
+            path_gain = sdist ** (-serving.exponent) if sdist > 0.0 else math.inf
+            power_received = serving.power * gains[sidx] * path_gain
             contrib[sidx] = 0.0
         interference += float(contrib.sum())
     denom = interference + config.noise_for(serving.id.rat)
@@ -630,6 +631,7 @@ def run_batch(
     _check_seed(settings.seed)
     _check_deployment(settings)
     rate_grid = default_rate_grid() if rate_grid is None else np.asarray(rate_grid, dtype=float)
+    _check_grid(rate_grid, "rate")
     sinr_grid = default_sinr_grid()
 
     block = 512

@@ -209,8 +209,10 @@ def _complete_beta(s: float) -> float:
     return math.pi / math.sin(math.pi * s)
 
 
-def _incomplete_beta(s: float, a: np.ndarray, c: float) -> np.ndarray:
-    """B_x(s, 1-s) at x = a/(a+c) for a 1-D array a >= 0; 0 < s < 1, 0 < c < inf.
+def _incomplete_beta(s: float, a: np.ndarray, c) -> np.ndarray:
+    """B_x(s, 1-s) at x = a/(a+c) for a 1-D array a >= 0; 0 < s < 1, and c
+    a float in (0, inf) or an array of a's size (0 and inf allowed, but not
+    where a equals them).
 
     Below x = 1/2 the series runs in x; above it, B_x(s, 1-s) = B(s, 1-s) -
     B_y(1-s, s) with y = c/(a+c) taken directly, not as 1 - x, so that the
@@ -228,34 +230,42 @@ def _incomplete_beta(s: float, a: np.ndarray, c: float) -> np.ndarray:
     return np.subtract(_complete_beta(s), part, out=part, where=~low)
 
 
-def z_integral(a, b: float, c: float):
+def z_integral(a, b: float, c):
     """Z(a, b, c) = a^(2/b) * integral_{(c/a)^(2/b)}^inf du / (1 + u^(b/2)).
 
     The building block of every interference term: a is the (scaled) SINR
     threshold, b the path-loss exponent of the interfering class, c the
     lower-bound offset (c=0 for closed interferers, which can be arbitrarily
-    close).  Z(1,4,1) = pi/4 and Z(1,4,0) = pi/2.  `a` may be an array;
-    the result has its shape (a float for a scalar).
+    close).  Z(1,4,1) = pi/4 and Z(1,4,0) = pi/2.  `a` and `c` may be
+    arrays that broadcast together, an array `c` holding one offset per
+    element of `a`; the result has their broadcast shape (a float when
+    both are scalars).
     """
     if b <= 2.0:
         raise ValueError(f"path-loss exponent must exceed 2 (got {b})")
     a_arr = np.asarray(a, dtype=float)
-    if c < 0.0 or not (a_arr >= 0.0).all():
+    c_arr = np.asarray(c, dtype=float)
+    if not ((c >= 0.0) if c_arr.ndim == 0 else (c_arr >= 0.0).all()) or not (a_arr >= 0.0).all():
         raise ValueError(f"Z arguments must be non-negative (a={a}, c={c})")
     s = 1.0 - 2.0 / b
     if b == 4.0:
         # For exponent 4 the integrand 1/(1+u^2) has an arctan primitive.
         with np.errstate(divide="ignore", invalid="ignore"):
-            z = np.sqrt(a_arr) * (math.pi / 2.0 - np.arctan(np.sqrt(c / a_arr)))
+            z = np.sqrt(a_arr) * (math.pi / 2.0 - np.arctan(np.sqrt(c_arr / a_arr)))
         z = np.where(a_arr == 0.0, 0.0, np.where(np.isinf(a_arr), math.inf, z))
-    elif math.isinf(c):
+    elif c_arr.ndim == 0 and math.isinf(c):
         z = np.where(np.isinf(a_arr), math.inf, 0.0)
-    elif c == 0.0:
+    elif c_arr.ndim == 0 and c == 0.0:
         z = (1.0 - s) * _complete_beta(s) * a_arr ** (1.0 - s)
     else:
         # integral_L^inf du/(1+u^p) with L=(c/a)^(1/p) is (1/p) B_x(1-1/p, 1/p)
         # with x = a/(a+c) and p = b/2 = 1/(1-s)
-        z = _incomplete_beta(s, a_arr.ravel(), c).reshape(a_arr.shape)
+        if c_arr.ndim:
+            a_arr, c_arr = np.broadcast_arrays(a_arr, c_arr)
+            # the series also holds at c = 0 and c = inf, but not where a = c
+            # there (x = 0/0); at a = 0 or inf, Z is 0 or inf whatever c is
+            c_arr = np.where((a_arr == c_arr) & ((c_arr == 0.0) | np.isinf(c_arr)), 1.0, c_arr).ravel()
+        z = _incomplete_beta(s, a_arr.ravel(), c_arr if c_arr.ndim else float(c)).reshape(a_arr.shape)
         z *= a_arr ** (1.0 - s)
         z *= 1.0 - s
     return float(z) if z.ndim == 0 else z

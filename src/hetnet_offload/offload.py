@@ -14,7 +14,10 @@ optimal bias, the offload fraction A_2 = Z1/(Z1+Z2) and a maximum coverage
 The rate objective has no such closed maximizer (the load couples to b
 through A_ij), so the rate solver brackets by exhaustive coarse grid and
 polishes with golden-section search in log-bias, recording every
-evaluation so multimodality would be visible in the trace.
+evaluation so multimodality would be visible in the trace.  The coarse
+grid, like a bias sweep, is one stack of configs for `coverage._mix`; the
+polish is sequential and evaluates one config at a time.  A percentile
+solve prepares its config once and evaluates each bisection step.
 """
 
 from __future__ import annotations
@@ -23,7 +26,12 @@ import math
 from dataclasses import dataclass
 
 from .association import rat_offload_fraction
-from .coverage import (
+# sinr_coverage is not called here, but benchmarks/tracing.py wraps it by
+# this module's name
+from .coverage import (  # noqa: F401
+    _mix,
+    _require_closed_form,
+    _Stack,
     rate_coverage,
     rate_coverage_closed_form,
     rate_coverage_mean_load,
@@ -150,6 +158,20 @@ def _rate_objective(method: str):
     raise ValueError(f"unknown method {method!r}")
 
 
+# the load law each rate method mixes over: closedform is meanload on the
+# configs its conditions admit
+_LOAD_LAWS = {"closedform": "meanload", "meanload": "meanload", "theorem1": "theorem1"}
+
+
+def _load_method(method: str, config: NetworkConfig) -> str:
+    """The load law of a rate method, checked to apply to `config`."""
+    if method not in _LOAD_LAWS:
+        raise ValueError(f"unknown method {method!r}")
+    if method == "closedform":
+        _require_closed_form(config)
+    return _LOAD_LAWS[method]
+
+
 def _default_target(config: NetworkConfig) -> ClassId:
     """The open class on the second RAT, if exactly two open classes sit on two RATs."""
     open_classes = config.open_classes()
@@ -202,7 +224,10 @@ def optimal_bias_rate(
 
     steps = int(round((hi_db - lo_db) / _COARSE_STEP_DB))
     grid = [lo_db + k * _COARSE_STEP_DB for k in range(steps + 1)]
-    values = [f_db(x) for x in grid]
+    biases = [db_to_linear(x) for x in grid]
+    stack = [config.with_bias(target, b) for b in biases]
+    values = _mix(stack, None, _load_method(method, config))[0][:, 0].tolist()
+    trace.extend(zip(biases, values))
     k_best = max(range(len(grid)), key=values.__getitem__)
     boundary = k_best in (0, len(grid) - 1)
 
@@ -243,18 +268,14 @@ def bias_sweep(
     config.class_for(target)  # raise early on unknown class
     if metric not in ("sir_coverage", "rate_coverage", "percentile_rate"):
         raise ValueError(f"unknown metric {metric!r}")
-    rate_obj = _rate_objective(method) if metric == "rate_coverage" else None
-    out = []
-    for b_db in grid_db:
-        tuned = config.with_bias(target, db_to_linear(b_db))
-        if metric == "sir_coverage":
-            value = sinr_coverage(tuned)
-        elif metric == "rate_coverage":
-            value = rate_obj(tuned)
-        else:
-            value = percentile_rate(tuned, coverage_target, method=method)
-        out.append((float(b_db), value))
-    return out
+    load_law = _load_method(method, config) if metric == "rate_coverage" else None  # None: SINR
+    grid_db = [float(b_db) for b_db in grid_db]
+    configs = [config.with_bias(target, db_to_linear(b_db)) for b_db in grid_db]
+    if metric == "percentile_rate":
+        values = [percentile_rate(tuned, coverage_target, method=method) for tuned in configs]
+    else:
+        values = _mix(configs, None, load_law)[0][:, 0].tolist() if configs else []
+    return list(zip(grid_db, values))
 
 
 def percentile_rate(
@@ -273,10 +294,10 @@ def percentile_rate(
     if not (0.0 < coverage_target < 1.0):
         raise ValueError(f"coverage target must be in (0,1), got {coverage_target}")
     _require_positive("rel_tol", rel_tol)
-    base = _rate_objective(method)
+    stack = _Stack([config], _load_method(method, config))
 
     def r_of(rho: float) -> float:
-        return base(config, rho)
+        return float(stack.evaluate([rho])[0][0, 0])
 
     lo = 1.0
     if r_of(lo) < coverage_target:

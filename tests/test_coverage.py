@@ -4,8 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import dual_rat_config, single_class_config, two_class_config
+from conftest import dual_rat_config, four_class_config, single_class_config, two_class_config
 from hetnet_offload import (
     ClassId,
     ClosedFormInapplicableError,
@@ -22,7 +24,9 @@ from hetnet_offload.coverage import (
     rate_coverage_mean_load,
     shannon_threshold,
 )
+from hetnet_offload import coverage, offload
 from quad_oracle import conditional_coverage, mean_load_rate_coverage
+from test_kernel import network_configs
 
 MACRO = ClassId(1, 1)
 SMALL = ClassId(2, 3)
@@ -168,3 +172,115 @@ def test_closed_form_rejects_mixed_exponents_and_noise():
         rate_coverage_closed_form(dual_rat_config())  # alpha 3.5 vs 4.0
     with pytest.raises(ClosedFormInapplicableError, match="noise.*meanload or theorem1"):
         rate_coverage_closed_form(single_class_config(noise_w=1e-12))
+
+
+# ---------------------------------------------------------------------------
+# Stacked evaluation: a stack of configs that differ only in open-class
+# biases, held to one-config-at-a-time calls of the same `_mix`
+# ---------------------------------------------------------------------------
+
+
+def _assert_stack_equals_singles(configs, thresholds, method):
+    values, per_class, weights = coverage._mix(configs, thresholds, method)
+    assert values.shape[0] == len(configs)
+    for b, config in enumerate(configs):
+        one_values, one_per_class, one_weights = coverage._mix([config], thresholds, method)
+        np.testing.assert_allclose(values[b], one_values[0], rtol=1e-12, atol=1e-300)
+        assert list(per_class) == list(one_per_class) == [c.id for c in config.open_classes()]
+        for cid in per_class:
+            np.testing.assert_allclose(per_class[cid][b], one_per_class[cid][0], rtol=1e-12, atol=1e-300)
+            assert weights[cid][b] == pytest.approx(one_weights[cid][0], rel=1e-12)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    config=network_configs(),
+    stack_biases=st.lists(st.lists(st.floats(-25.0, 25.0), min_size=4, max_size=4), min_size=1, max_size=5),
+    method=st.sampled_from([None, "theorem1", "meanload"]),
+    own=st.booleans(),
+    cap=st.sampled_from([7, 100, coverage._STACK_ROWS]),
+)
+def test_stacked_mix_equals_one_config_at_a_time(config, stack_biases, method, own, cap):
+    """Random configs with mixed exponents, closed classes and noise: every
+    config of a bias stack gets the coverage, conditional curves and
+    association of its own one-config call, to 1e-12 relative, also when
+    the row cap splits configs across kernel calls and stacks into runs."""
+    open_ids = [c.id for c in config.open_classes()]
+    configs = []
+    for biases in stack_biases:
+        tuned = config
+        for cid, bias_db in zip(open_ids, biases):
+            tuned = tuned.with_bias(cid, 10.0 ** (bias_db / 10.0))
+        configs.append(tuned)
+    if own:
+        thresholds = None
+    elif method is None:
+        thresholds = np.logspace(-3.0, 3.0, 9)
+    else:
+        thresholds = np.logspace(3.0, 8.0, 6)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(coverage, "_STACK_ROWS", cap)
+        _assert_stack_equals_singles(configs, thresholds, method)
+
+
+@pytest.fixture
+def kernel_rows(monkeypatch):
+    """Rows of every coverage kernel call (`decay_integral`, `z_integral`) and
+    of every association kernel call, as `coverage` makes them."""
+    rows = {"decay": [], "z": [], "association": []}
+    real_decay, real_z, real_assoc = coverage.decay_integral, coverage.z_integral, coverage._associations
+
+    def decay_spy(coefs, expos):
+        rows["decay"].append(np.shape(coefs)[0])
+        return real_decay(coefs, expos)
+
+    def z_spy(a, b, c):
+        rows["z"].append(np.size(a))
+        return real_z(a, b, c)
+
+    def assoc_spy(cls, g, expos):
+        rows["association"].append(np.shape(g)[0])
+        return real_assoc(cls, g, expos)
+
+    monkeypatch.setattr(coverage, "decay_integral", decay_spy)
+    monkeypatch.setattr(coverage, "z_integral", z_spy)
+    monkeypatch.setattr(coverage, "_associations", assoc_spy)
+    return rows
+
+
+def test_stacked_mix_on_a_bias_search_grid(kernel_rows):
+    """The four-class rate search's 1 dB grid as one stack: one association
+    and one coverage kernel call per serving class for all 41 configs, with
+    the values of one-config calls."""
+    configs = [four_class_config(b23_db=float(b)) for b in range(-20, 21)]
+    for method in ("theorem1", "meanload", None):
+        for calls in kernel_rows.values():
+            calls.clear()
+        coverage._mix(configs, None, method)
+        assert len(kernel_rows["decay"]) == 4 and kernel_rows["association"] == [41] * 4
+        _assert_stack_equals_singles(configs, None, method)
+
+
+def test_stack_kernel_calls_stay_under_the_row_cap(kernel_rows):
+    """At 2000 users/km^2 a two-class config has up to ~19k pmf terms: no
+    coverage kernel call of its bias search, sweep or rate CCDF gets more
+    rows than the cap."""
+    config = two_class_config(user_density=2000.0)
+    offload.optimal_bias_rate(config, SMALL, (-20.0, 20.0), method="theorem1")
+    offload.bias_sweep(config, SMALL, [-6.0, -3.0, 0.0, 3.0, 6.0], method="theorem1")
+    rate_ccdf(config, np.logspace(4.0, 8.0, 5))
+    cap = coverage._STACK_ROWS
+    assert max(kernel_rows["decay"]) <= cap and max(kernel_rows["z"]) <= cap
+    assert max(kernel_rows["decay"]) > cap // 2  # the cap is what bounds the calls
+
+
+def test_a_prepared_stack_stops_at_the_row_cap_of_load_terms():
+    """A stack keeps the load laws of its configs only up to the config whose
+    terms reach the cap, so that a long stack of large pmfs is prepared and
+    evaluated in runs rather than held whole."""
+    configs = [two_class_config(bias_db=float(b), user_density=2000.0) for b in range(-20, 21)]
+    stack = coverage._Stack(configs, "theorem1")
+    terms = [sum(sv.laws[b][0].size for sv in stack.classes) for b in range(len(stack.configs))]
+    assert 1 <= len(stack.configs) < len(configs)
+    assert sum(terms[:-1]) < coverage._STACK_ROWS <= sum(terms)
+    assert len(coverage._Stack(configs, None).configs) == len(configs)  # SINRs hold no load law

@@ -18,6 +18,7 @@ from hetnet_offload import (
     NetworkConfig,
     SimSettings,
     make_class,
+    rate_ccdf,
     run_batch,
 )
 from hetnet_offload import montecarlo
@@ -350,6 +351,24 @@ def test_trial_without_aps_has_no_server():
     assert out.serving is None and out.load == 1 and out.rate_bps == 0.0
 
 
+@pytest.mark.parametrize("user_density", [0.0, 50.0])
+def test_serving_ap_at_the_user_gives_infinite_sinr(user_density, monkeypatch):
+    """An AP exactly at the user weighs inf in the serving choice, and its
+    received power is inf too: SINR and rate are inf, not a ZeroDivisionError."""
+    real = montecarlo.sample_deployment
+
+    def first_ap_at_origin(cls, settings, rng):
+        points = real(cls, settings, rng)
+        points[:1] = 0.0
+        return points
+
+    monkeypatch.setattr(montecarlo, "sample_deployment", first_ap_at_origin)
+    config = single_class_config(user_density=user_density)
+    out = run_trial(config, SimSettings(window_km=4.0, trials=1, seed=3), 0)
+    assert out.serving == config.open_classes()[0].id and out.distance_km == 0.0
+    assert out.sinr_linear == math.inf and out.rate_bps == math.inf and out.load >= 1
+
+
 def test_same_seed_reproduces_trials():
     config = dual_rat_config()
     settings = SimSettings(window_km=10.0, trials=1, seed=42)
@@ -433,6 +452,15 @@ def test_run_batch_rejects_empty_runs():
 def test_run_batch_rejects_invalid_settings(changes, message):
     with pytest.raises(ValueError, match=message):
         run_batch(dual_rat_config(), SimSettings(trials=1, **changes))
+
+
+@pytest.mark.parametrize("grid", [[1e7, 1e5, math.nan, -1.0], [1e5, 1e5], [-1.0, 1e5], [1e5, math.nan]])
+def test_run_batch_rejects_rate_grid_as_rate_ccdf_does(grid):
+    message = "rate thresholds must be non-negative and strictly increasing"
+    with pytest.raises(ValueError, match=message):
+        rate_ccdf(dual_rat_config(), grid)
+    with pytest.raises(ValueError, match=message):
+        run_batch(dual_rat_config(), SimSettings(window_km=8.0, trials=50, seed=1), rate_grid=grid)
 
 
 def test_run_trial_rejects_negative_seed_and_trial():

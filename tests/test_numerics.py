@@ -76,6 +76,28 @@ def betainc_z(a: np.ndarray, b: float, c: float) -> np.ndarray:
     return (2.0 / b) * a ** (2.0 / b) * scipy.special.beta(s, 1.0 - s) * frac
 
 
+@pytest.mark.parametrize("b", [2.5, 3.5, 3.8, 4.0, 6.0])
+def test_z_integral_array_offset_equals_scalar_calls(b):
+    """An array c, one offset per element of a, gives the scalar call's Z at
+    each element to 1e-14 (a stacked call sums its series in other blocks),
+    with the scalar calls' zeros and infinities where a or c is 0 or inf."""
+    rng = np.random.default_rng(11)
+    a = np.concatenate([10.0 ** rng.uniform(-4.0, 6.0, 3000), [0.0, 0.0, 2.0, math.inf, math.inf, 5.0]])
+    c = np.concatenate([10.0 ** rng.uniform(-3.0, 3.0, 3000), [0.0, 1.0, 0.0, math.inf, 0.0, math.inf]])
+    got = z_integral(a, b, c)
+    want = np.array([z_integral(x, b, y) for x, y in zip(a, c)])
+    assert got.shape == a.shape
+    np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
+    # c broadcasts with a: one offset per row of a (rows x thresholds) array
+    grid = a[:60].reshape(6, 10)
+    want = [[z_integral(x, b, y) for x in row] for row, y in zip(grid, c[:6])]
+    np.testing.assert_allclose(z_integral(grid, b, c[:6, None]), want, rtol=1e-14, atol=0.0)
+    with pytest.raises(ValueError, match="non-negative"):
+        z_integral(a[:3], b, np.array([1.0, -1.0, 1.0]))
+    with pytest.raises(ValueError, match="non-negative"):
+        z_integral(a[:3], b, np.array([1.0, math.nan, 1.0]))
+
+
 @pytest.mark.parametrize("c", [0.0, 1e-6, 1e-3, 1.0, 1e3, 1e6, math.inf])
 def test_z_integral_matches_betainc(c):
     """The series kernel equals scipy's incomplete beta within 1e-12 relative,

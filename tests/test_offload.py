@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import dual_rat_config, two_class_config, two_class_sir_coverage
+from conftest import dual_rat_config, four_class_config, two_class_config, two_class_sir_coverage
 from hetnet_offload import (
     ClassId,
     SolverError,
@@ -16,6 +16,7 @@ from hetnet_offload import (
     optimal_bias_rate,
     optimal_bias_sir,
     percentile_rate,
+    rate_coverage,
     sinr_coverage,
 )
 from hetnet_offload.coverage import rate_coverage_mean_load
@@ -219,3 +220,65 @@ def test_percentile_rate_guards():
         percentile_rate(config, 1.0)
     with pytest.raises(SolverError, match="below the target"):
         percentile_rate(config, 0.9999999, method="meanload")
+
+
+def _search_one_config_at_a_time(config, target, bracket_db):
+    """optimal_bias_rate's theorem1 search, every evaluation its own
+    rate_coverage call: the reference for the stacked coarse grid."""
+    trace = []
+
+    def f_db(b_db):
+        b = db_to_linear(b_db)
+        value = rate_coverage(config.with_bias(target, b))
+        trace.append((b, value))
+        return value
+
+    lo_db, hi_db = bracket_db
+    grid = [lo_db + k for k in range(int(round(hi_db - lo_db)) + 1)]
+    values = [f_db(x) for x in grid]
+    k = max(range(len(grid)), key=values.__getitem__)
+    golden_section_max(f_db, grid[k - 1], grid[k + 1], 0.01)
+    return trace
+
+
+@pytest.mark.parametrize("config", [dual_rat_config(), four_class_config()], ids=["dual_rat", "four_class"])
+def test_optimal_bias_rate_trace_equals_one_config_loop(config):
+    """The stacked coarse grid and the sequential polish visit the biases of
+    a one-config-at-a-time search, with its values to 1e-12."""
+    res = optimal_bias_rate(config, SMALL, (-20.0, 20.0), method="theorem1")
+    want = _search_one_config_at_a_time(config, SMALL, (-20.0, 20.0))
+    assert not res.boundary_warning
+    assert [b for b, _ in res.trace] == [b for b, _ in want]
+    np.testing.assert_allclose([v for _, v in res.trace], [v for _, v in want], rtol=1e-12, atol=0.0)
+    assert res.objective_at_opt == pytest.approx(max(v for _, v in want), rel=1e-12)
+
+
+@pytest.mark.parametrize("method", ["theorem1", "meanload", "closedform"])
+def test_bias_sweep_rate_matches_pointwise_evaluation(method):
+    config = two_class_config() if method == "closedform" else four_class_config()
+    grid = [-9.0, -3.0, 0.0, 4.5, 12.0]
+    pairs = bias_sweep(config, SMALL, grid, metric="rate_coverage", method=method)
+    assert [b for b, _ in pairs] == grid
+    objective = offload._rate_objective(method)
+    for b_db, value in pairs:
+        assert value == pytest.approx(objective(config.with_bias(SMALL, db_to_linear(b_db))), rel=1e-12)
+    assert bias_sweep(config, SMALL, [], metric="rate_coverage", method=method) == []
+    with pytest.raises(ValueError, match="unknown method"):
+        bias_sweep(config, SMALL, grid, metric="rate_coverage", method="magic")
+
+
+def test_closed_form_search_rejects_mixed_exponents_before_any_evaluation(objective_calls):
+    with pytest.raises(ValueError, match="exponents must all match"):
+        optimal_bias_rate(dual_rat_config(), SMALL, method="closedform")
+    with pytest.raises(ValueError, match="exponents must all match"):
+        percentile_rate(dual_rat_config(), 0.95, method="closedform")
+    assert objective_calls == []
+
+
+@pytest.mark.parametrize("method", ["theorem1", "meanload"])
+def test_percentile_rate_prepared_once_hits_target(method):
+    """The solve prepares its config once; its answer holds on a fresh
+    rate-coverage call."""
+    config = dual_rat_config()
+    rho = percentile_rate(config, 0.9, method=method)
+    assert offload._rate_objective(method)(config, rho) == pytest.approx(0.9, abs=2e-3)
