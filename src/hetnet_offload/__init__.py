@@ -32,7 +32,6 @@ from .association import (
 )
 from .coverage import (
     CcdfCurve,
-    ClosedFormInapplicableError,
     rate_ccdf,
     rate_coverage,
     sinr_ccdf,
@@ -55,7 +54,6 @@ __all__ = [
     "CLOSED",
     "CcdfCurve",
     "ClassId",
-    "ClosedFormInapplicableError",
     "ConfigValidationError",
     "EmpiricalSummary",
     "LoadDistribution",

@@ -22,13 +22,13 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import __version__
-from .coverage import rate_ccdf, sinr_ccdf
+from .coverage import _mix, rate_ccdf, sinr_ccdf
 from .model import (
     CLOSED, OPEN, ApClass, ClassId, NetworkConfig, db_to_linear, dbm_to_watts, linear_to_db, require_valid
 )
 from .montecarlo import SimSettings, run_batch
 from .numerics import NumericalError
-from .offload import SolverError, _rate_objective, bias_sweep, optimal_bias_rate, optimal_bias_sir
+from .offload import SolverError, bias_sweep, optimal_bias_rate, optimal_bias_sir
 
 _CLASS_KEYS = {
     "rat", "tier", "access", "density_per_km2", "power_dbm", "bias_db", "alpha", "bandwidth_hz",
@@ -228,9 +228,8 @@ def _analyze_rate(config: NetworkConfig, args):
     grid = _log_grid(args.rho_grid, "--rho-grid")
     if args.method == "theorem1":
         text = _curve_csv(config, "rho_bps", grid, "coverage", rate_ccdf(config, grid))
-    else:
-        objective = _rate_objective(args.method)
-        text = _csv(["rho_bps", "coverage"], [[rho, objective(config, float(rho))] for rho in grid])
+    else:  # the overall curve alone
+        text = _csv(["rho_bps", "coverage"], zip(grid, _mix([config], grid, args.method)[0][0]))
     return _one_file(args, "rate_ccdf.csv", text)
 
 
@@ -322,7 +321,7 @@ class _Command(NamedTuple):
     flags: dict  # flag -> add_argument keywords, besides --config and --output
 
 
-_METHODS = ("theorem1", "meanload", "closedform")
+_METHOD_FLAG = {"--method": dict(choices=("theorem1", "meanload"), default="theorem1")}
 _SIM_FLAGS = {
     "--trials": dict(type=int, default=10_000),
     "--seed": dict(type=int, default=0),
@@ -336,7 +335,7 @@ _COMMANDS = (
     }),
     _Command(("analyze", "rate"), _analyze_rate, "rate CCDF over a log bps grid", {
         "--rho-grid": dict(default="1e4:1e8:25"),
-        "--method": dict(choices=_METHODS, default="theorem1"),
+        **_METHOD_FLAG,
     }),
     _Command(("simulate",), _simulate, "Monte Carlo empirical distributions", {
         **_SIM_FLAGS,
@@ -346,7 +345,7 @@ _COMMANDS = (
         "--class": dict(dest="target", required=True, help="RAT,TIER (e.g. 2,3)"),
         "--range-db": dict(required=True, help="LO:HI:STEP in dB"),
         "--metric": dict(choices=tuple(_METRICS), required=True),
-        "--method": dict(choices=_METHODS, default="theorem1"),
+        **_METHOD_FLAG,
         "--coverage-target": dict(type=float, default=0.95),
     }),
     _Command(("optimize", "bias"), _optimize_bias, "SIR closed form or rate line search", {
@@ -354,7 +353,7 @@ _COMMANDS = (
         "--class": dict(dest="target", default=None, help="free class for rate mode"),
         "--bracket-lo-db": dict(type=float, default=-20.0),
         "--bracket-hi-db": dict(type=float, default=20.0),
-        "--method": dict(choices=_METHODS, default="closedform"),
+        **_METHOD_FLAG,
     }),
     _Command(("compare",), _compare, "analytic vs Monte Carlo rate CCDF", {
         **_SIM_FLAGS,

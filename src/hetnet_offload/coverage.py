@@ -17,21 +17,23 @@ threshold array per serving class.
 
 Rates: an AP serving n+1 users splits its bandwidth evenly, so the typical
 user's rate is W / (n+1) * log2(1 + SINR) and rate coverage mixes S_ij over
-a load law: the tagged-AP load pmf (theorem1), or its mean alone
-(meanload).  Every route is one `_mix`: per open class, S_ij at the class's
-thresholds, mixed over the load law for rates, weighted by association.
-For equal exponents and no noise the kernel returns the integral in closed
-form, which makes the mean-load route the paper's closed form.
+a load law with ratio r = lam_u A_ij / lam_ij: the tagged-AP load pmf
+(theorem1), or its mean alone (meanload).  Every route is one `_mix`: per
+open class, S_ij at the class's thresholds, mixed over the load law for
+rates, weighted by association.  For equal exponents and no noise the
+kernel returns the integral in closed form, so that there the mean-load
+route is the paper's closed form by itself.
 
 `_mix` works on a stack of configs that differ only in open-class biases,
 so that a bias search or sweep is one pass; a single config is a stack of
 one.  A bias changes coefficients, never an exponent, so per serving class
-the stack needs one kernel call for its association probabilities and one
-for its coverage rows (one per _STACK_ROWS rows).  The work is split in
-two: a `_Stack` holds what does not depend on the threshold (association,
-the G rows and D offsets of each config, load laws), and its `evaluate`
-builds and integrates the rows at a threshold grid, so that a percentile
-solve prepares its config once and evaluates every step.
+the stack needs one kernel call for its association probabilities, which
+also give its load laws, and one for its coverage rows (one per
+_STACK_ROWS rows).  The work is split in two: a `_Stack` holds what does
+not depend on the threshold (association, the G rows and D offsets of each
+config, load laws), and its `evaluate` builds and integrates the rows at a
+threshold grid, so that a percentile solve prepares its config once and
+evaluates every step.
 """
 
 from __future__ import annotations
@@ -42,17 +44,17 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-# association_probabilities is not called here, but benchmarks/tracing.py
-# wraps it by this module's name
+# association_probabilities and tagged_load_distribution are not called
+# here, but benchmarks/tracing.py wraps them by this module's name
 from .association import (  # noqa: F401
     _associations,
     _g_terms,
+    _nb_pmf,
     association_probabilities,
-    load_ratio,
     tagged_load_distribution,
 )
-from .model import ApClass, ClassId, NetworkConfig
-from .numerics import AREA_BIAS_FACTOR, decay_integral, z_integral
+from .model import ApClass, ClassId, NetworkConfig, _user_density_failure
+from .numerics import AREA_BIAS_FACTOR, TAGGED_CELL_SHAPE, decay_integral, z_integral
 
 __all__ = [
     "shannon_threshold",
@@ -114,21 +116,29 @@ def _d_terms(config: NetworkConfig, serving: ClassId):
         yield cls, scale, offset
 
 
-def _load_law(config: NetworkConfig, cls: ApClass, method: str):
-    """(loads, weights): the users on the serving AP, the typical one included.
+def _load_law(method: str):
+    """The load law of a rate method, as r -> (loads, weights): the users on
+    the serving AP at load ratio r = lam_u A_ij / lam_ij, the typical one
+    included.
 
     theorem1: n+1 with weight pmf[n] over the tagged-AP pmf's non-zero
     terms; meanload: the single mean 1 + (9/7) r with weight 1.
     """
     if method == "theorem1":
-        pmf = tagged_load_distribution(config, cls.id).pmf
-        n = np.flatnonzero(pmf)
-        return n + 1.0, pmf[n]
-    return np.array([1.0 + AREA_BIAS_FACTOR * load_ratio(config, cls.id)]), np.ones(1)
+        return _tagged_law
+    if method == "meanload":
+        return lambda r: (np.array([1.0 + AREA_BIAS_FACTOR * r]), np.ones(1))
+    raise ValueError(f"unknown method {method!r}")
+
+
+def _tagged_law(r: float):
+    pmf = _nb_pmf(r, TAGGED_CELL_SHAPE)
+    n = np.flatnonzero(pmf)
+    return n + 1.0, pmf[n]
 
 
 # Rows per kernel call of a stacked evaluation, and about the load-law terms
-# one prepared stack holds: a bias search on two classes at 2000 users/km^2
+# one run of a stack holds: a bias search on two classes at 2000 users/km^2
 # has up to 19k pmf terms a config, and all 41 of its configs in one piece
 # took the search's peak RSS from 33 to 81 MB.
 _STACK_ROWS = 2**14
@@ -143,10 +153,9 @@ class _Serving:
             the serving RAT, from `_d_terms`
     noise   sigma^2 / P_ij of the serving RAT
     expos   exponents of the g, d and noise columns of the integrand
-    laws    (loads, weights) per config; None for SINR thresholds
     """
 
-    def __init__(self, configs: Sequence[NetworkConfig], cls: ApClass, laws: list | None):
+    def __init__(self, configs: Sequence[NetworkConfig], cls: ApClass):
         g_rows = [_g_terms(config, cls.id) for config in configs]
         g, g_expos = np.array([row for row, _ in g_rows]), g_rows[0][1]
         d_rows = [list(_d_terms(config, cls.id)) for config in configs]
@@ -160,13 +169,13 @@ class _Serving:
         self.noise = configs[0].noise_for(cls.id.rat) / cls.power
         expos = [g_expos, [cls.exponent / e for e, _, _ in self.d]]
         self.expos = np.concatenate(expos + ([[cls.exponent / 2.0]] if self.noise > 0.0 else []))
-        self.laws = laws
 
-    def rows(self, taus: list[np.ndarray]) -> list[np.ndarray]:
-        """S_ij at each config b's thresholds taus[b], in kernel calls of at most _STACK_ROWS rows."""
-        out = [np.empty(t.size) for t in taus]
+    def rows(self, first: int, taus: list[np.ndarray]) -> list[np.ndarray]:
+        """S_ij at the thresholds taus[k] of config first + k, in kernel calls
+        of at most _STACK_ROWS rows."""
+        out = {b: np.empty(t.size) for b, t in enumerate(taus, first)}
         call, rows = [], 0
-        for b, t in enumerate(taus):
+        for b, t in enumerate(taus, first):
             for start in range(0, t.size, _STACK_ROWS):
                 piece = t[start : start + _STACK_ROWS]
                 if rows + piece.size > _STACK_ROWS:
@@ -176,9 +185,9 @@ class _Serving:
                 rows += piece.size
         if call:
             self._kernel_call(call, out)
-        return out
+        return list(out.values())
 
-    def _kernel_call(self, call: list, out: list) -> None:
+    def _kernel_call(self, call: list, out: dict) -> None:
         """Write S_ij at each piece (b, start, taus) of one kernel call to out[b][start:].
 
         S_ij(tau) = pi lam_ij / A_ij * integral_0^inf exp(-sum_k c_k u^e_k) du
@@ -208,49 +217,62 @@ class _Serving:
 
 
 class _Stack:
-    """The leading configs of a stack, prepared: what the threshold does not
-    change, per open class.  `evaluate` then gives their coverage at a grid.
+    """A stack of configs, prepared: what the threshold does not change, per
+    open class.  `evaluate` then gives their coverage at a grid.
 
-    The configs must differ only in open-class biases.  For rates, configs
-    are taken until their load laws hold _STACK_ROWS terms (at least one
-    config is); SINRs need no load law, and all configs are taken.
+    The configs must differ only in open-class biases.  Each open class's
+    association is computed once for the whole stack.  For rates, each
+    config's load laws come from it, r = lam_u A_ij / lam_ij, built for runs
+    of configs whose laws hold about _STACK_ROWS terms (at least one config a
+    run).  The leading run's laws are kept, so that a stack of one builds
+    them once for all its evaluations; later runs build theirs at each.
     """
 
     def __init__(self, configs: Sequence[NetworkConfig], method: str | None):
-        laws = None
-        if method is not None:
-            laws, terms = [], 0
-            for config in configs:
-                laws.append([_load_law(config, cls, method) for cls in config.open_classes()])
-                terms += sum(loads.size for loads, _ in laws[-1])
-                if terms >= _STACK_ROWS:
-                    break
-            configs = configs[: len(laws)]
+        self.law = None if method is None else _load_law(method)
+        if self.law is not None and (failure := _user_density_failure(configs[0].user_density)):
+            raise ValueError(failure)
         self.configs = configs
-        self.method = method
-        self.classes = [
-            _Serving(configs, cls, None if laws is None else [law[i] for law in laws])
-            for i, cls in enumerate(configs[0].open_classes())
-        ]
+        self.classes = [_Serving(configs, cls) for cls in configs[0].open_classes()]
+        self.leading = None if self.law is None else self._laws(0)
+
+    def _laws(self, first: int) -> list:
+        """The load laws of a run of configs from `first`, taken until they hold
+        _STACK_ROWS terms: laws[k][i] is config first + k's for open class i."""
+        laws, terms = [], 0
+        user_density = self.configs[0].user_density
+        for b in range(first, len(self.configs)):
+            laws.append([self.law(user_density * sv.probs[b] / sv.cls.density) for sv in self.classes])
+            terms += sum(loads.size for loads, _ in laws[-1])
+            if terms >= _STACK_ROWS:
+                break
+        return laws
 
     def evaluate(self, thresholds):
-        """Coverage of every prepared config at `thresholds`, as `_mix` returns it."""
+        """Coverage of every config of the stack at `thresholds`, as `_mix` returns it."""
         base = self.configs[0]
-        own = base.sinr_threshold_for if self.method is None else base.rate_threshold_for
-        per_class, probs = {}, {}
+        own = base.sinr_threshold_for if self.law is None else base.rate_threshold_for
+        grids = []
         for sv in self.classes:
             x = np.array([own(sv.cls.id)]) if thresholds is None else np.asarray(thresholds, dtype=float)
-            _check_grid(x, "SINR" if self.method is None else "rate")
-            if sv.laws is None:
-                curves = sv.rows([x] * len(self.configs))
-            else:
-                taus = [shannon_threshold(np.outer(x / sv.cls.bandwidth, loads)).ravel() for loads, _ in sv.laws]
-                rows = sv.rows(taus)
-                # einsum: see decay_integral
-                curves = [np.einsum("rn,n->r", r.reshape(x.size, -1), w) for r, (_, w) in zip(rows, sv.laws)]
-            per_class[sv.cls.id] = np.array(curves)
-            probs[sv.cls.id] = sv.probs
-        values = sum(probs[cid][:, None] * curves for cid, curves in per_class.items())
+            _check_grid(x, "SINR" if self.law is None else "rate")
+            grids.append(x)
+        if self.law is None:
+            curves = [sv.rows(0, [x] * len(self.configs)) for sv, x in zip(self.classes, grids)]
+        else:
+            curves = [[] for _ in self.classes]
+            first = 0
+            while first < len(self.configs):
+                laws = self.leading if first == 0 else self._laws(first)
+                for sv, x, out, law in zip(self.classes, grids, curves, zip(*laws)):
+                    taus = [shannon_threshold(np.outer(x / sv.cls.bandwidth, loads)).ravel() for loads, _ in law]
+                    rows = sv.rows(first, taus)
+                    # einsum: see decay_integral
+                    out += [np.einsum("rn,n->r", r.reshape(x.size, -1), w) for r, (_, w) in zip(rows, law)]
+                first += len(laws)
+        per_class = {sv.cls.id: np.array(c) for sv, c in zip(self.classes, curves)}
+        probs = {sv.cls.id: sv.probs for sv in self.classes}
+        values = sum(probs[cid][:, None] * c for cid, c in per_class.items())
         return values, per_class, probs
 
 
@@ -274,23 +296,13 @@ def _mix(configs: Sequence[NetworkConfig], thresholds, method: str | None = None
     method      None: the thresholds are SINRs.  "theorem1" or "meanload":
                 they are rates (bits/s), each needing SINR t(rho / W * load)
                 at every load of the class's load law, mixed over its weights.
+                Any other method raises ValueError before any kernel call.
 
-    Runs of configs are prepared and evaluated in turn (`_Stack`).
     Returns (values, per_class, weights): values[b, k] is config b's
     coverage at threshold k, per_class[cid][b, k] its coverage given class
     cid, and weights[cid][b] its association probability A_cid.
     """
-    parts = []
-    while configs:
-        stack = _Stack(configs, method)
-        parts.append(stack.evaluate(thresholds))
-        configs = configs[len(stack.configs) :]
-    if len(parts) == 1:
-        return parts[0]
-    values = np.concatenate([v for v, _, _ in parts])
-    per_class = {cid: np.concatenate([p[cid] for _, p, _ in parts]) for cid in parts[0][1]}
-    weights = {cid: np.concatenate([w[cid] for _, _, w in parts]) for cid in parts[0][2]}
-    return values, per_class, weights
+    return _Stack(configs, method).evaluate(thresholds)
 
 
 def _curve(grid: np.ndarray, values, per_class, weights) -> CcdfCurve:
@@ -351,20 +363,6 @@ def rate_coverage_mean_load(config: NetworkConfig, rho_common: float | None = No
     return float(_mix([config], None if rho_common is None else [rho_common], "meanload")[0][0, 0])
 
 
-def _require_closed_form(config: NetworkConfig) -> None:
-    """Raise ClosedFormInapplicableError unless the closed form applies to `config`.
-
-    Biases do not enter its conditions, so one check covers a bias stack.
-    """
-    use = "; use method meanload or theorem1 (--method on the command line)"
-    exps = {c.exponent for c in config.present_classes()}
-    if len(exps) > 1:
-        raise ClosedFormInapplicableError(f"exponents must all match (got {sorted(exps)}){use}")
-    noisy = [rat for rat in config.rats() if config.noise_for(rat) != 0.0]
-    if noisy:
-        raise ClosedFormInapplicableError(f"noise must be zero for all RATs (RATs {noisy} are noisy){use}")
-
-
 def rate_coverage_closed_form(config: NetworkConfig, rho_common: float | None = None) -> float:
     """Closed-form mean-load rate coverage.
 
@@ -375,7 +373,14 @@ def rate_coverage_closed_form(config: NetworkConfig, rho_common: float | None = 
         t_ij = t(rho_ij / W_ij * (1 + 9/7 r_ij)).
 
     Raises ClosedFormInapplicableError otherwise.  Under these conditions
-    the mean-load route takes exactly this closed form for every class.
+    the mean-load route takes exactly this closed form for every class, so
+    this is `rate_coverage_mean_load` with the conditions checked.
     """
-    _require_closed_form(config)
+    use = "; use the meanload or theorem1 route"
+    exps = {c.exponent for c in config.present_classes()}
+    if len(exps) > 1:
+        raise ClosedFormInapplicableError(f"exponents must all match (got {sorted(exps)}){use}")
+    noisy = [rat for rat in config.rats() if config.noise_for(rat) != 0.0]
+    if noisy:
+        raise ClosedFormInapplicableError(f"noise must be zero for all RATs (RATs {noisy} are noisy){use}")
     return rate_coverage_mean_load(config, rho_common=rho_common)

@@ -16,8 +16,10 @@ through A_ij), so the rate solver brackets by exhaustive coarse grid and
 polishes with golden-section search in log-bias, recording every
 evaluation so multimodality would be visible in the trace.  The coarse
 grid, like a bias sweep, is one stack of configs for `coverage._mix`; the
-polish is sequential and evaluates one config at a time.  A percentile
-solve prepares its config once and evaluates each bisection step.
+polish is sequential and evaluates one config at a time through the same
+`_mix`.  A percentile solve prepares its config once and evaluates each
+bisection step.  Every rate route takes a method, theorem1 or meanload,
+which `coverage` checks before it evaluates anything.
 """
 
 from __future__ import annotations
@@ -26,11 +28,10 @@ import math
 from dataclasses import dataclass
 
 from .association import rat_offload_fraction
-# sinr_coverage is not called here, but benchmarks/tracing.py wraps it by
-# this module's name
+# the rate_coverage* and sinr_coverage objectives are not called here, but
+# benchmarks/tracing.py wraps them by this module's name
 from .coverage import (  # noqa: F401
     _mix,
-    _require_closed_form,
     _Stack,
     rate_coverage,
     rate_coverage_closed_form,
@@ -147,31 +148,6 @@ def golden_section_max(f, lo: float, hi: float, tol: float):
     return d, yd
 
 
-def _rate_objective(method: str):
-    """A callable (config, rho_common) -> rate coverage for one method name."""
-    if method == "closedform":
-        return lambda cfg, rho=None: rate_coverage_closed_form(cfg, rho_common=rho)
-    if method == "meanload":
-        return lambda cfg, rho=None: rate_coverage_mean_load(cfg, rho_common=rho)
-    if method == "theorem1":
-        return lambda cfg, rho=None: rate_coverage(cfg, rho_common=rho)
-    raise ValueError(f"unknown method {method!r}")
-
-
-# the load law each rate method mixes over: closedform is meanload on the
-# configs its conditions admit
-_LOAD_LAWS = {"closedform": "meanload", "meanload": "meanload", "theorem1": "theorem1"}
-
-
-def _load_method(method: str, config: NetworkConfig) -> str:
-    """The load law of a rate method, checked to apply to `config`."""
-    if method not in _LOAD_LAWS:
-        raise ValueError(f"unknown method {method!r}")
-    if method == "closedform":
-        _require_closed_form(config)
-    return _LOAD_LAWS[method]
-
-
 def _default_target(config: NetworkConfig) -> ClassId:
     """The open class on the second RAT, if exactly two open classes sit on two RATs."""
     open_classes = config.open_classes()
@@ -188,19 +164,19 @@ def optimal_bias_rate(
     config: NetworkConfig,
     target: ClassId | None = None,
     bracket_db: tuple[float, float] = (-20.0, 20.0),
-    method: str = "closedform",
+    method: str = "theorem1",
 ) -> OptimizationResult:
     """Rate-coverage-maximizing association bias for one open class.
 
-    The objective is the mean-load rate coverage (closed form by default,
-    per the equal-exponent zero-noise regime it was derived for; `method`
-    can switch to the quadrature mean-load route or the full load-averaged
-    coverage).  Search: evaluate a 1 dB grid over `bracket_db` (which must
-    be finite and span at least 40 dB), then refine around the best grid
-    point with golden-section search down to 0.01 dB.  If the coarse
-    maximum sits on the bracket edge the result carries
-    boundary_warning=True.  Without a target, the open class on the second
-    RAT is tuned when exactly two open classes sit on two RATs.
+    The objective is the rate coverage with the tagged-AP load pmf
+    (theorem1, the default) or its mean alone (meanload, which takes the
+    paper's closed form by itself on equal-exponent, noise-free configs).
+    Search: evaluate a 1 dB grid over `bracket_db` (which must be finite
+    and span at least 40 dB), then refine around the best grid point with
+    golden-section search down to 0.01 dB.  If the coarse maximum sits on
+    the bracket edge the result carries boundary_warning=True.  Without a
+    target, the open class on the second RAT is tuned when exactly two open
+    classes sit on two RATs.
     """
     lo_db, hi_db = bracket_db
     if not (math.isfinite(lo_db) and math.isfinite(hi_db)):
@@ -212,13 +188,12 @@ def optimal_bias_rate(
     if not target.is_open:
         raise ValueError(f"target class {target.label()} must be open")
     config.class_for(target)  # raise early on unknown class
-    objective = _rate_objective(method)
 
     trace: list[tuple[float, float]] = []
 
     def f_db(b_db: float) -> float:
         b = db_to_linear(b_db)
-        value = objective(config.with_bias(target, b))
+        value = float(_mix([config.with_bias(target, b)], None, method)[0][0, 0])
         trace.append((b, value))
         return value
 
@@ -226,7 +201,7 @@ def optimal_bias_rate(
     grid = [lo_db + k * _COARSE_STEP_DB for k in range(steps + 1)]
     biases = [db_to_linear(x) for x in grid]
     stack = [config.with_bias(target, b) for b in biases]
-    values = _mix(stack, None, _load_method(method, config))[0][:, 0].tolist()
+    values = _mix(stack, None, method)[0][:, 0].tolist()
     trace.extend(zip(biases, values))
     k_best = max(range(len(grid)), key=values.__getitem__)
     boundary = k_best in (0, len(grid) - 1)
@@ -268,13 +243,13 @@ def bias_sweep(
     config.class_for(target)  # raise early on unknown class
     if metric not in ("sir_coverage", "rate_coverage", "percentile_rate"):
         raise ValueError(f"unknown metric {metric!r}")
-    load_law = _load_method(method, config) if metric == "rate_coverage" else None  # None: SINR
     grid_db = [float(b_db) for b_db in grid_db]
     configs = [config.with_bias(target, db_to_linear(b_db)) for b_db in grid_db]
     if metric == "percentile_rate":
         values = [percentile_rate(tuned, coverage_target, method=method) for tuned in configs]
     else:
-        values = _mix(configs, None, load_law)[0][:, 0].tolist() if configs else []
+        rate_method = method if metric == "rate_coverage" else None  # None: SINR
+        values = _mix(configs, None, rate_method)[0][:, 0].tolist() if configs else []
     return list(zip(grid_db, values))
 
 
@@ -294,7 +269,7 @@ def percentile_rate(
     if not (0.0 < coverage_target < 1.0):
         raise ValueError(f"coverage target must be in (0,1), got {coverage_target}")
     _require_positive("rel_tol", rel_tol)
-    stack = _Stack([config], _load_method(method, config))
+    stack = _Stack([config], method)
 
     def r_of(rho: float) -> float:
         return float(stack.evaluate([rho])[0][0, 0])

@@ -13,6 +13,7 @@ from hetnet_offload import (
     ClassId,
     NumericalError,
     association_probabilities,
+    bias_sweep,
     rat_offload_fraction,
     rate_ccdf,
     rate_coverage,
@@ -111,6 +112,8 @@ def test_load_routes_reject_bad_user_density(user_density):
         lambda: rate_coverage(config),
         lambda: rate_coverage_mean_load(config),
         lambda: rate_ccdf(config, [1e5, 1e6]),
+        lambda: bias_sweep(config, SMALL, [0.0, 3.0], metric="rate_coverage"),
+        lambda: bias_sweep(config, SMALL, [0.0, 3.0], metric="rate_coverage", method="meanload"),
         lambda: tagged_load_distribution(config, MACRO),
     ):
         with pytest.raises(ValueError, match="user density must be finite and >= 0"):

@@ -29,7 +29,9 @@ from hetnet_offload import (
     require_valid,
     sinr_ccdf,
 )
+from hetnet_offload import cli
 from hetnet_offload.cli import ConfigSchemaError, load_config, main
+from hetnet_offload.coverage import rate_coverage_mean_load
 from hetnet_offload.model import dbm_to_watts
 
 MACRO = ClassId(1, 1)
@@ -371,22 +373,39 @@ def test_analyze_rate_methods(tmp_path):
     values = [float(l.split(",")[1]) for l in lines[1:]]
     assert all(a >= b for a, b in zip(values, values[1:]))  # CCDF falls
 
-    # closed form needs equal exponents and no noise: supply them
-    eq = write_config(tmp_path, base_config_dict(alpha2=3.5), "eq.json")
-    out2 = tmp_path / "rate-cf"
+    # meanload writes the overall curve alone, on any config
+    for name, alpha2 in (("eq.json", 3.5), ("mx.json", 4.0)):
+        out2 = tmp_path / f"rate-ml-{alpha2}"
+        code = main(
+            ["analyze", "rate", "--config", write_config(tmp_path, base_config_dict(alpha2=alpha2), name),
+             "--rho-grid", "1e4:1e7:6", "--method", "meanload", "-o", str(out2)]
+        )
+        assert code == 0
+        lines = (out2 / "rate_ccdf.csv").read_text().strip().splitlines()
+        assert lines[0] == "rho_bps,coverage" and len(lines) == 7
+    # the retired closedform method is a usage error: it writes nothing
+    out3 = tmp_path / "rate-cf"
     code = main(
-        ["analyze", "rate", "--config", eq, "--rho-grid", "1e4:1e7:6",
-         "--method", "closedform", "-o", str(out2)]
-    )
-    assert code == 0
-    # mixed exponents through the closed form must fail cleanly, not crash, and write nothing
-    out3 = tmp_path / "rate-mx"
-    code = main(
-        ["analyze", "rate", "--config", write_config(tmp_path, base_config_dict(alpha2=4.0), "mx.json"),
-         "--rho-grid", "1e4:1e7:6", "--method", "closedform", "-o", str(out3)]
+        ["analyze", "rate", "--config", path, "--rho-grid", "1e4:1e7:6", "--method", "closedform", "-o", str(out3)]
     )
     assert code == 1
     assert not out3.exists()
+
+
+@pytest.mark.parametrize("config_name", ["two_class_sir", "two_rat_three_tier"])
+def test_analyze_rate_meanload_matches_pointwise(tmp_path, monkeypatch, config_name):
+    """The meanload CSV, one stacked evaluation of the grid, equals the
+    pointwise mean-load rate coverage within 1e-12 at every point (written
+    at full precision for the comparison)."""
+    monkeypatch.setattr(cli, "_fmt", lambda x: repr(float(x)))
+    path = ROOT / "configs" / f"{config_name}.json"
+    out = tmp_path / "ml"
+    assert main(["analyze", "rate", "--config", str(path), "--method", "meanload", "-o", str(out)]) == 0
+    rows = np.loadtxt(out / "rate_ccdf.csv", delimiter=",", skiprows=1)
+    config = load_config(path)
+    want = [rate_coverage_mean_load(config, rho_common=rho) for rho in np.logspace(4.0, 8.0, 25)]
+    assert rows.shape == (25, 2)
+    np.testing.assert_allclose(rows[:, 1], want, rtol=1e-12, atol=0.0)
 
 
 def test_simulate_outputs(tmp_path):
@@ -481,7 +500,7 @@ def test_optimize_bias_rate_json(tmp_path):
     path = write_config(tmp_path, data, "rate.json")
     out = tmp_path / "optr"
     code = main(
-        ["optimize", "bias", "--config", path, "--mode", "rate", "--method", "closedform",
+        ["optimize", "bias", "--config", path, "--mode", "rate", "--method", "meanload",
          "--bracket-lo-db", "-10", "--bracket-hi-db", "45", "-o", str(out)]
     )
     assert code == 0
@@ -504,12 +523,13 @@ def test_optimize_bias_rate_default_class(tmp_path, capsys):
         blobs.append(json.loads((out / "optimize_bias.json").read_text()))
     assert blobs[0] == blobs[1]
 
-    # the default method, closedform, needs one exponent: the error names the routes that apply
-    capsys.readouterr()
-    assert main(["optimize", "bias", "--config", config, "--mode", "rate", "-o", str(tmp_path / "cf")]) == 1
-    err = capsys.readouterr().err
-    assert "meanload" in err and "theorem1" in err and "--method" in err
-    assert not (tmp_path / "cf").exists()
+    # the default method is theorem1, as for analyze rate and sweep bias
+    for k, method in enumerate(([], ["--method", "theorem1"])):
+        out = tmp_path / f"t1{k}"
+        assert main(["optimize", "bias", "--config", config, "--mode", "rate", *method, "-o", str(out)]) == 0
+        blobs.append(json.loads((out / "optimize_bias.json").read_text()))
+    assert blobs[2] == blobs[3]
+    assert blobs[2]["b_opt_db"] == pytest.approx(12.4350, abs=1e-4)
 
     data = base_config_dict()
     data["classes"].append({**data["classes"][1], "tier": 4})  # a third open class

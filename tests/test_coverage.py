@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 from conftest import dual_rat_config, four_class_config, single_class_config, two_class_config
 from hetnet_offload import (
     ClassId,
-    ClosedFormInapplicableError,
     NetworkConfig,
+    db_to_linear,
     association_probabilities,
     make_class,
     rate_ccdf,
@@ -19,12 +19,14 @@ from hetnet_offload import (
     sinr_ccdf,
     sinr_coverage,
 )
+from hetnet_offload.association import load_ratio
 from hetnet_offload.coverage import (
+    ClosedFormInapplicableError,
     rate_coverage_closed_form,
     rate_coverage_mean_load,
     shannon_threshold,
 )
-from hetnet_offload import coverage, offload
+from hetnet_offload import association, coverage, offload, tagged_load_distribution
 from quad_oracle import conditional_coverage, mean_load_rate_coverage
 from test_kernel import network_configs
 
@@ -274,13 +276,70 @@ def test_stack_kernel_calls_stay_under_the_row_cap(kernel_rows):
     assert max(kernel_rows["decay"]) > cap // 2  # the cap is what bounds the calls
 
 
-def test_a_prepared_stack_stops_at_the_row_cap_of_load_terms():
+def test_a_prepared_stack_stops_at_the_row_cap_of_load_terms(monkeypatch):
     """A stack keeps the load laws of its configs only up to the config whose
-    terms reach the cap, so that a long stack of large pmfs is prepared and
-    evaluated in runs rather than held whole."""
+    terms reach the cap, so that a long stack of large pmfs is evaluated in
+    runs rather than held whole; its association is still one kernel call
+    per class for every config."""
     configs = [two_class_config(bias_db=float(b), user_density=2000.0) for b in range(-20, 21)]
     stack = coverage._Stack(configs, "theorem1")
-    terms = [sum(sv.laws[b][0].size for sv in stack.classes) for b in range(len(stack.configs))]
-    assert 1 <= len(stack.configs) < len(configs)
+    terms = [sum(loads.size for loads, _ in law) for law in stack.leading]
+    assert 1 <= len(stack.leading) < len(configs)
     assert sum(terms[:-1]) < coverage._STACK_ROWS <= sum(terms)
-    assert len(coverage._Stack(configs, None).configs) == len(configs)  # SINRs hold no load law
+    assert [sv.probs.size for sv in stack.classes] == [len(configs)] * 2
+    assert coverage._Stack(configs, None).leading is None  # SINRs hold no load law
+
+    runs = []
+    real = coverage._Stack._laws
+    monkeypatch.setattr(coverage._Stack, "_laws", lambda self, first: runs.append(first) or real(self, first))
+    values = stack.evaluate(None)[0]
+    assert runs[0] == len(stack.leading) and runs == sorted(runs) and len(runs) > 1
+    np.testing.assert_array_equal(values, coverage._mix(configs, None, "theorem1")[0])
+
+
+# ---------------------------------------------------------------------------
+# Load laws from the stack's own association: held bit for bit to the
+# pointwise load routes, with one association integral per open class
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("config", [dual_rat_config(), four_class_config()], ids=["dual_rat", "four_class"])
+def test_stack_load_laws_equal_the_pointwise_load_routes(config):
+    """On a 41-config bias stack, the theorem1 law of each config and class
+    is the tagged-AP pmf's non-zero terms, and the meanload law is
+    1 + (9/7) r, both bit for bit."""
+    configs = [config.with_bias(SMALL, db_to_linear(float(b))) for b in range(-20, 21)]
+    tagged = coverage._Stack(configs, "theorem1")
+    mean = coverage._Stack(configs, "meanload")
+    assert len(tagged.leading) == len(mean.leading) == len(configs)
+    for b, cfg in enumerate(configs):
+        for i, cls in enumerate(cfg.open_classes()):
+            pmf = tagged_load_distribution(cfg, cls.id).pmf
+            n = np.flatnonzero(pmf)
+            loads, weights = tagged.leading[b][i]
+            np.testing.assert_array_equal(loads, n + 1.0)
+            np.testing.assert_array_equal(weights, pmf[n])
+            loads, weights = mean.leading[b][i]
+            np.testing.assert_array_equal(loads, [1.0 + 9.0 / 7.0 * load_ratio(cfg, cls.id)])
+            np.testing.assert_array_equal(weights, [1.0])
+
+
+def test_rate_coverage_integrates_each_association_once(monkeypatch):
+    """One rate coverage on four-class computes A_ij once per open class,
+    4 association integrals, not once more per load law."""
+    calls = []
+    for module in (coverage, association):
+        real = module._associations
+        monkeypatch.setattr(module, "_associations", lambda *a, real=real: calls.append(1) or real(*a))
+    for route in (rate_coverage, rate_coverage_mean_load):
+        calls.clear()
+        route(four_class_config())
+        assert len(calls) == 4, route.__name__
+
+
+def test_unknown_load_law_method_is_rejected():
+    """Only None (SINRs), theorem1 and meanload name a load law; another name
+    used to be taken for meanload."""
+    for method in ("magic", "closedform", "Theorem1"):
+        with pytest.raises(ValueError, match="unknown method"):
+            coverage._mix([two_class_config()], [1e5], method)

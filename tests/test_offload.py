@@ -21,7 +21,7 @@ from hetnet_offload import (
 )
 from hetnet_offload.coverage import rate_coverage_mean_load
 from hetnet_offload.numerics import z_integral
-from hetnet_offload import offload
+from hetnet_offload import coverage
 from hetnet_offload.offload import golden_section_max
 
 MACRO = ClassId(1, 1)
@@ -133,13 +133,18 @@ def test_golden_section_max_parabola():
 BAD_TOLERANCES = [0.0, -1.0, math.nan, math.inf]
 
 
+# the pointwise route of each rate method, the oracle of the stacked solvers
+POINTWISE = {"theorem1": rate_coverage, "meanload": rate_coverage_mean_load}
+
+
 @pytest.fixture
 def objective_calls(monkeypatch):
-    """Every rate objective the solvers can reach, counted."""
+    """Every evaluation the solvers can reach, counted: a prepared stack's
+    `evaluate`, and the association kernel that preparing one calls."""
     calls = []
-    for name in ("rate_coverage", "rate_coverage_mean_load", "rate_coverage_closed_form"):
-        real = getattr(offload, name)
-        monkeypatch.setattr(offload, name, lambda *a, real=real, **k: calls.append(1) or real(*a, **k))
+    for owner, name in ((coverage._Stack, "evaluate"), (coverage, "_associations")):
+        real = getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda *a, real=real, **k: calls.append(1) or real(*a, **k))
     return calls
 
 
@@ -163,7 +168,7 @@ def test_percentile_rate_rejects_bad_rel_tol(rel_tol, objective_calls):
 def test_optimal_bias_rate_interior_maximum():
     """Coarse grid + golden refinement lands on the interior optimum."""
     config = two_class_config(user_density=200.0)
-    res = optimal_bias_rate(config, bracket_db=(-10.0, 45.0), method="closedform")
+    res = optimal_bias_rate(config, bracket_db=(-10.0, 45.0), method="meanload")
     assert not res.boundary_warning
     assert linear_to_db(res.b_opt) == pytest.approx(22.106, abs=0.02)
     assert res.objective_at_opt == pytest.approx(0.70906, abs=1e-4)
@@ -175,7 +180,7 @@ def test_optimal_bias_rate_interior_maximum():
 
 def test_optimal_bias_rate_flags_bracket_edge():
     config = two_class_config(user_density=200.0)
-    res = optimal_bias_rate(config, bracket_db=(-20.0, 20.0), method="closedform")
+    res = optimal_bias_rate(config, bracket_db=(-20.0, 20.0), method="meanload")
     assert res.boundary_warning
     assert linear_to_db(res.b_opt) == pytest.approx(20.0, abs=1e-9)
 
@@ -187,8 +192,6 @@ def test_optimal_bias_rate_guards():
     for bracket in ((-20.0, math.nan), (math.nan, 20.0), (-20.0, math.inf), (-math.inf, 20.0)):
         with pytest.raises(ValueError, match="finite"):
             optimal_bias_rate(config, bracket_db=bracket)
-    with pytest.raises(ValueError, match="unknown method"):
-        optimal_bias_rate(config, method="magic")
     with pytest.raises(ValueError, match="open"):
         optimal_bias_rate(dual_rat_config(), target=ClassId(2, 3, "closed"))
 
@@ -253,25 +256,35 @@ def test_optimal_bias_rate_trace_equals_one_config_loop(config):
     assert res.objective_at_opt == pytest.approx(max(v for _, v in want), rel=1e-12)
 
 
-@pytest.mark.parametrize("method", ["theorem1", "meanload", "closedform"])
-def test_bias_sweep_rate_matches_pointwise_evaluation(method):
-    config = two_class_config() if method == "closedform" else four_class_config()
+@pytest.mark.parametrize(
+    "method, config",
+    [("theorem1", four_class_config()), ("meanload", four_class_config()), ("meanload", two_class_config())],
+    ids=["theorem1", "meanload", "meanload-closed-form"],
+)
+def test_bias_sweep_rate_matches_pointwise_evaluation(method, config):
+    """On two_class_config (one exponent, no noise) the mean-load route is
+    the paper's closed form."""
     grid = [-9.0, -3.0, 0.0, 4.5, 12.0]
     pairs = bias_sweep(config, SMALL, grid, metric="rate_coverage", method=method)
     assert [b for b, _ in pairs] == grid
-    objective = offload._rate_objective(method)
     for b_db, value in pairs:
-        assert value == pytest.approx(objective(config.with_bias(SMALL, db_to_linear(b_db))), rel=1e-12)
+        assert value == pytest.approx(POINTWISE[method](config.with_bias(SMALL, db_to_linear(b_db))), rel=1e-12)
     assert bias_sweep(config, SMALL, [], metric="rate_coverage", method=method) == []
-    with pytest.raises(ValueError, match="unknown method"):
-        bias_sweep(config, SMALL, grid, metric="rate_coverage", method="magic")
 
 
-def test_closed_form_search_rejects_mixed_exponents_before_any_evaluation(objective_calls):
-    with pytest.raises(ValueError, match="exponents must all match"):
-        optimal_bias_rate(dual_rat_config(), SMALL, method="closedform")
-    with pytest.raises(ValueError, match="exponents must all match"):
-        percentile_rate(dual_rat_config(), 0.95, method="closedform")
+def test_unknown_method_is_rejected_before_any_evaluation(objective_calls):
+    """An unknown load-law method raises, and no association or coverage is
+    evaluated first; the retired closedform name is unknown too."""
+    config = four_class_config()
+    for method in ("magic", "closedform"):
+        with pytest.raises(ValueError, match="unknown method"):
+            optimal_bias_rate(config, SMALL, method=method)
+        with pytest.raises(ValueError, match="unknown method"):
+            bias_sweep(config, SMALL, [0.0, 3.0], metric="rate_coverage", method=method)
+        with pytest.raises(ValueError, match="unknown method"):
+            percentile_rate(config, 0.95, method=method)
+        with pytest.raises(ValueError, match="unknown method"):
+            coverage._mix([config], [1e5], method)
     assert objective_calls == []
 
 
@@ -281,4 +294,4 @@ def test_percentile_rate_prepared_once_hits_target(method):
     rate-coverage call."""
     config = dual_rat_config()
     rho = percentile_rate(config, 0.9, method=method)
-    assert offload._rate_objective(method)(config, rho) == pytest.approx(0.9, abs=2e-3)
+    assert POINTWISE[method](config, rho_common=rho) == pytest.approx(0.9, abs=2e-3)
