@@ -22,7 +22,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import __version__
-from .coverage import _mix, rate_ccdf, sinr_ccdf
+from .coverage import _Stack, rate_ccdf, sinr_ccdf
 from .model import (
     CLOSED, OPEN, ApClass, ClassId, NetworkConfig, db_to_linear, dbm_to_watts, linear_to_db, require_valid
 )
@@ -229,7 +229,7 @@ def _analyze_rate(config: NetworkConfig, args):
     if args.method == "theorem1":
         text = _curve_csv(config, "rho_bps", grid, "coverage", rate_ccdf(config, grid))
     else:  # the overall curve alone
-        text = _csv(["rho_bps", "coverage"], zip(grid, _mix([config], grid, args.method)[0][0]))
+        text = _csv(["rho_bps", "coverage"], zip(grid, _Stack([config], args.method).evaluate(grid)[0][0]))
     return _one_file(args, "rate_ccdf.csv", text)
 
 

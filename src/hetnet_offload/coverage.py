@@ -18,22 +18,25 @@ threshold array per serving class.
 Rates: an AP serving n+1 users splits its bandwidth evenly, so the typical
 user's rate is W / (n+1) * log2(1 + SINR) and rate coverage mixes S_ij over
 a load law with ratio r = lam_u A_ij / lam_ij: the tagged-AP load pmf
-(theorem1), or its mean alone (meanload).  Every route is one `_mix`: per
-open class, S_ij at the class's thresholds, mixed over the load law for
-rates, weighted by association.  For equal exponents and no noise the
-kernel returns the integral in closed form, so that there the mean-load
-route is the paper's closed form by itself.
+(theorem1), or its mean alone (meanload).  SINR coverage is the same mix
+with one load of weight 1, taken at the SINR thresholds themselves, so the
+three are named routes of one computation ("sinr", "theorem1",
+"meanload", from `_load_law`): per open class, S_ij at the class's
+thresholds, mixed over the route's load law, weighted by association.
+For equal exponents and no noise the kernel returns the integral in
+closed form, so that there the mean-load route is the paper's closed form
+by itself.
 
-`_mix` works on a stack of configs that differ only in open-class biases,
-so that a bias search or sweep is one pass; a single config is a stack of
-one.  A bias changes coefficients, never an exponent, so per serving class
-the stack needs one kernel call for its association probabilities, which
-also give its load laws, and one for its coverage rows (one per
-_STACK_ROWS rows).  The work is split in two: a `_Stack` holds what does
-not depend on the threshold (association, the G rows and D offsets of each
-config, load laws), and its `evaluate` builds and integrates the rows at a
-threshold grid, so that a percentile solve prepares its config once and
-evaluates every step.
+Every route evaluates a `_Stack`: configs that differ only in open-class
+biases, so that a bias search or sweep is one pass; a single config is a
+stack of one.  A bias changes coefficients, never an exponent, so per
+serving class the stack needs one kernel call for its association
+probabilities, which also give its load laws, and one for its coverage
+rows (one per _STACK_ROWS rows).  The work is split in two: a `_Stack`
+holds what does not depend on the threshold (association, the G rows and
+D offsets of each config, load laws), and its `evaluate` builds and
+integrates the rows at a threshold grid, so that a percentile solve
+prepares its config once and evaluates every step.
 """
 
 from __future__ import annotations
@@ -116,19 +119,23 @@ def _d_terms(config: NetworkConfig, serving: ClassId):
         yield cls, scale, offset
 
 
-def _load_law(method: str):
-    """The load law of a rate method, as r -> (loads, weights): the users on
-    the serving AP at load ratio r = lam_u A_ij / lam_ij, the typical one
+def _load_law(route: str):
+    """The load law of a route, as r -> (loads, weights): the users on the
+    serving AP at load ratio r = lam_u A_ij / lam_ij, the typical one
     included.
 
+    sinr: the thresholds are SINRs, and the law is one load of weight 1;
     theorem1: n+1 with weight pmf[n] over the tagged-AP pmf's non-zero
-    terms; meanload: the single mean 1 + (9/7) r with weight 1.
+    terms; meanload: the single mean 1 + (9/7) r with weight 1.  Any other
+    route, None included, raises ValueError.
     """
-    if method == "theorem1":
+    if route == "sinr":
+        return lambda r: (np.ones(1), np.ones(1))
+    if route == "theorem1":
         return _tagged_law
-    if method == "meanload":
+    if route == "meanload":
         return lambda r: (np.array([1.0 + AREA_BIAS_FACTOR * r]), np.ones(1))
-    raise ValueError(f"unknown method {method!r}")
+    raise ValueError(f"unknown method {route!r}")
 
 
 def _tagged_law(r: float):
@@ -217,24 +224,26 @@ class _Serving:
 
 
 class _Stack:
-    """A stack of configs, prepared: what the threshold does not change, per
-    open class.  `evaluate` then gives their coverage at a grid.
+    """A stack of configs, prepared for one route: what the threshold does
+    not change, per open class.  `evaluate` then gives their coverage at a
+    grid.
 
     The configs must differ only in open-class biases.  Each open class's
-    association is computed once for the whole stack.  For rates, each
-    config's load laws come from it, r = lam_u A_ij / lam_ij, built for runs
-    of configs whose laws hold about _STACK_ROWS terms (at least one config a
+    association is computed once for the whole stack, and each config's
+    load laws come from it, r = lam_u A_ij / lam_ij, built for runs of
+    configs whose laws hold about _STACK_ROWS terms (at least one config a
     run).  The leading run's laws are kept, so that a stack of one builds
     them once for all its evaluations; later runs build theirs at each.
     """
 
-    def __init__(self, configs: Sequence[NetworkConfig], method: str | None):
-        self.law = None if method is None else _load_law(method)
-        if self.law is not None and (failure := _user_density_failure(configs[0].user_density)):
+    def __init__(self, configs: Sequence[NetworkConfig], route: str):
+        self.law = _load_law(route)
+        self.rate = route != "sinr"
+        if self.rate and (failure := _user_density_failure(configs[0].user_density)):
             raise ValueError(failure)
         self.configs = configs
         self.classes = [_Serving(configs, cls) for cls in configs[0].open_classes()]
-        self.leading = None if self.law is None else self._laws(0)
+        self.leading = self._laws(0)
 
     def _laws(self, first: int) -> list:
         """The load laws of a run of configs from `first`, taken until they hold
@@ -249,27 +258,38 @@ class _Stack:
         return laws
 
     def evaluate(self, thresholds):
-        """Coverage of every config of the stack at `thresholds`, as `_mix` returns it."""
+        """Coverage per open class at its thresholds, and their
+        association-weighted sum, for each config of the stack.
+
+        thresholds  a 1-D grid shared by all classes, or None for each
+                    class's own threshold from the config.  SINRs for the
+                    sinr route; rates (bits/s) for the others, each needing
+                    SINR t(rho / W * load) at every load of the class's law.
+
+        Returns (values, per_class, weights): values[b, k] is config b's
+        coverage at threshold k, per_class[cid][b, k] its coverage given
+        class cid, and weights[cid][b] its association probability A_cid.
+        """
         base = self.configs[0]
-        own = base.sinr_threshold_for if self.law is None else base.rate_threshold_for
+        own, what = (base.rate_threshold_for, "rate") if self.rate else (base.sinr_threshold_for, "SINR")
         grids = []
         for sv in self.classes:
             x = np.array([own(sv.cls.id)]) if thresholds is None else np.asarray(thresholds, dtype=float)
-            _check_grid(x, "SINR" if self.law is None else "rate")
+            _check_grid(x, what)
             grids.append(x)
-        if self.law is None:
-            curves = [sv.rows(0, [x] * len(self.configs)) for sv, x in zip(self.classes, grids)]
-        else:
-            curves = [[] for _ in self.classes]
-            first = 0
-            while first < len(self.configs):
-                laws = self.leading if first == 0 else self._laws(first)
-                for sv, x, out, law in zip(self.classes, grids, curves, zip(*laws)):
+        curves = [[] for _ in self.classes]
+        first = 0
+        while first < len(self.configs):
+            laws = self.leading if first == 0 else self._laws(first)
+            for sv, x, out, law in zip(self.classes, grids, curves, zip(*laws)):
+                if self.rate:
                     taus = [shannon_threshold(np.outer(x / sv.cls.bandwidth, loads)).ravel() for loads, _ in law]
-                    rows = sv.rows(first, taus)
-                    # einsum: see decay_integral
-                    out += [np.einsum("rn,n->r", r.reshape(x.size, -1), w) for r, (_, w) in zip(rows, law)]
-                first += len(laws)
+                else:
+                    taus = [x] * len(law)
+                rows = sv.rows(first, taus)
+                # einsum: see decay_integral
+                out += [np.einsum("rn,n->r", r.reshape(x.size, -1), w) for r, (_, w) in zip(rows, law)]
+            first += len(laws)
         per_class = {sv.cls.id: np.array(c) for sv, c in zip(self.classes, curves)}
         probs = {sv.cls.id: sv.probs for sv in self.classes}
         values = sum(probs[cid][:, None] * c for cid, c in per_class.items())
@@ -285,24 +305,6 @@ def _offsets(offsets: np.ndarray, spans: list, rows: int):
     for b, lo, hi in spans:
         c[lo:hi] = offsets[b]
     return c
-
-
-def _mix(configs: Sequence[NetworkConfig], thresholds, method: str | None = None):
-    """Coverage per open class at its thresholds, and their association-weighted
-    sum, for each of a stack of configs that differ only in open-class biases.
-
-    thresholds  a 1-D grid shared by all classes, or None for each class's
-                own threshold from the config
-    method      None: the thresholds are SINRs.  "theorem1" or "meanload":
-                they are rates (bits/s), each needing SINR t(rho / W * load)
-                at every load of the class's load law, mixed over its weights.
-                Any other method raises ValueError before any kernel call.
-
-    Returns (values, per_class, weights): values[b, k] is config b's
-    coverage at threshold k, per_class[cid][b, k] its coverage given class
-    cid, and weights[cid][b] its association probability A_cid.
-    """
-    return _Stack(configs, method).evaluate(thresholds)
 
 
 def _curve(grid: np.ndarray, values, per_class, weights) -> CcdfCurve:
@@ -322,7 +324,7 @@ def _check_grid(grid: np.ndarray, what: str) -> None:
 
 def sinr_coverage(config: NetworkConfig) -> float:
     """P(SINR > tau_ij) with each class checked against its own threshold."""
-    return float(_mix([config], None)[0][0, 0])
+    return float(_Stack([config], "sinr").evaluate(None)[0][0, 0])
 
 
 def sinr_ccdf(config: NetworkConfig, taus: Sequence[float]) -> CcdfCurve:
@@ -331,7 +333,7 @@ def sinr_ccdf(config: NetworkConfig, taus: Sequence[float]) -> CcdfCurve:
     per_class[cid][k] is P(SINR > taus[k] | served by class cid).
     """
     grid = np.asarray(taus, dtype=float)
-    return _curve(grid, *_mix([config], grid))
+    return _curve(grid, *_Stack([config], "sinr").evaluate(grid))
 
 
 # ---------------------------------------------------------------------------
@@ -345,13 +347,13 @@ def rate_coverage(config: NetworkConfig, rho_common: float | None = None) -> flo
     Thresholds come from config.rate_threshold unless `rho_common`
     overrides them all (used by percentile solving and CCDF sweeps).
     """
-    return float(_mix([config], None if rho_common is None else [rho_common], "theorem1")[0][0, 0])
+    return float(_Stack([config], "theorem1").evaluate(None if rho_common is None else [rho_common])[0][0, 0])
 
 
 def rate_ccdf(config: NetworkConfig, rhos: Sequence[float]) -> CcdfCurve:
     """Rate CCDF over a common bits/s grid applied to all classes."""
     grid = np.asarray(rhos, dtype=float)
-    return _curve(grid, *_mix([config], grid, "theorem1"))
+    return _curve(grid, *_Stack([config], "theorem1").evaluate(grid))
 
 
 def rate_coverage_mean_load(config: NetworkConfig, rho_common: float | None = None) -> float:
@@ -360,7 +362,7 @@ def rate_coverage_mean_load(config: NetworkConfig, rho_common: float | None = No
     Each class sees the single effective load 1 + (9/7) r_ij; accurate when
     the load is concentrated, cheap always.
     """
-    return float(_mix([config], None if rho_common is None else [rho_common], "meanload")[0][0, 0])
+    return float(_Stack([config], "meanload").evaluate(None if rho_common is None else [rho_common])[0][0, 0])
 
 
 def rate_coverage_closed_form(config: NetworkConfig, rho_common: float | None = None) -> float:

@@ -14,10 +14,10 @@ optimal bias, the offload fraction A_2 = Z1/(Z1+Z2) and a maximum coverage
 The rate objective has no such closed maximizer (the load couples to b
 through A_ij), so the rate solver brackets by exhaustive coarse grid and
 polishes with golden-section search in log-bias, recording every
-evaluation so multimodality would be visible in the trace.  The coarse
-grid, like a bias sweep, is one stack of configs for `coverage._mix`; the
-polish is sequential and evaluates one config at a time through the same
-`_mix`.  A percentile solve prepares its config once and evaluates each
+evaluation so multimodality would be visible in the trace.  Both take
+their values from `bias_sweep`: the coarse grid is one sweep, one stack of
+configs for `coverage._Stack`, and each polish step is a sweep of one
+bias.  A percentile solve prepares its config once and evaluates each
 bisection step.  Every rate route takes a method, theorem1 or meanload,
 which `coverage` checks before it evaluates anything.
 """
@@ -31,7 +31,6 @@ from .association import rat_offload_fraction
 # the rate_coverage* and sinr_coverage objectives are not called here, but
 # benchmarks/tracing.py wraps them by this module's name
 from .coverage import (  # noqa: F401
-    _mix,
     _Stack,
     rate_coverage,
     rate_coverage_closed_form,
@@ -55,6 +54,7 @@ _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0  # 1/phi
 _INV_PHI2 = (3.0 - math.sqrt(5.0)) / 2.0  # 1/phi^2
 _COARSE_STEP_DB = 1.0  # grid step of the rate search's coarse pass
 _TOL_DB = 0.01  # width at which its golden-section polish stops
+_REL_TOL = 1e-3  # relative bracket width at which a percentile solve stops
 
 
 class SolverError(RuntimeError):
@@ -185,31 +185,24 @@ def optimal_bias_rate(
         raise ValueError("bias bracket must span at least 40 dB")
     if target is None:
         target = _default_target(config)
-    if not target.is_open:
-        raise ValueError(f"target class {target.label()} must be open")
-    config.class_for(target)  # raise early on unknown class
 
     trace: list[tuple[float, float]] = []
 
-    def f_db(b_db: float) -> float:
-        b = db_to_linear(b_db)
-        value = float(_mix([config.with_bias(target, b)], None, method)[0][0, 0])
-        trace.append((b, value))
-        return value
+    def sweep(grid_db: list[float]) -> list[float]:
+        pairs = bias_sweep(config, target, grid_db, "rate_coverage", method=method)
+        trace.extend((db_to_linear(b_db), value) for b_db, value in pairs)
+        return [value for _, value in pairs]
 
     steps = int(round((hi_db - lo_db) / _COARSE_STEP_DB))
     grid = [lo_db + k * _COARSE_STEP_DB for k in range(steps + 1)]
-    biases = [db_to_linear(x) for x in grid]
-    stack = [config.with_bias(target, b) for b in biases]
-    values = _mix(stack, None, method)[0][:, 0].tolist()
-    trace.extend(zip(biases, values))
+    values = sweep(grid)
     k_best = max(range(len(grid)), key=values.__getitem__)
     boundary = k_best in (0, len(grid) - 1)
 
     if boundary:
         b_db, best = grid[k_best], values[k_best]
     else:
-        b_db, best = golden_section_max(f_db, grid[k_best - 1], grid[k_best + 1], _TOL_DB)
+        b_db, best = golden_section_max(lambda x: sweep([x])[0], grid[k_best - 1], grid[k_best + 1], _TOL_DB)
         if values[k_best] > best:
             b_db, best = grid[k_best], values[k_best]
 
@@ -235,8 +228,9 @@ def bias_sweep(
 ) -> list[tuple[float, float]]:
     """Evaluate a coverage metric over a grid of biases (dB) for one class.
 
-    metric: sir_coverage | rate_coverage | percentile_rate.  Works for any
-    number of classes; only `target`'s bias moves.
+    metric: sir_coverage | rate_coverage | percentile_rate.  The rate
+    metrics take `method`'s load law; sir_coverage takes the sinr route.
+    Works for any number of classes; only `target`'s bias moves.
     """
     if not target.is_open:
         raise ValueError(f"target class {target.label()} must be open")
@@ -248,8 +242,8 @@ def bias_sweep(
     if metric == "percentile_rate":
         values = [percentile_rate(tuned, coverage_target, method=method) for tuned in configs]
     else:
-        rate_method = method if metric == "rate_coverage" else None  # None: SINR
-        values = _mix(configs, None, rate_method)[0][:, 0].tolist() if configs else []
+        route = method if metric == "rate_coverage" else "sinr"
+        values = _Stack(configs, route).evaluate(None)[0][:, 0].tolist() if configs else []
     return list(zip(grid_db, values))
 
 
@@ -257,18 +251,16 @@ def percentile_rate(
     config: NetworkConfig,
     coverage_target: float,
     method: str = "theorem1",
-    rel_tol: float = 1e-3,
 ) -> float:
     """The rate rho with R(rho) = coverage_target (e.g. 0.95 -> rho_95).
 
     R is nonincreasing in a common rate threshold, so bisection on log-rho
-    applies.  The bracket starts at [1 bps, max bandwidth] and expands
-    upward on demand; failure to reach the target at 1 bps raises
-    SolverError.
+    applies.  The bracket starts at [1 bps, max bandwidth], expands upward
+    on demand and is bisected down to a relative width of _REL_TOL; failure
+    to reach the target at 1 bps raises SolverError.
     """
     if not (0.0 < coverage_target < 1.0):
         raise ValueError(f"coverage target must be in (0,1), got {coverage_target}")
-    _require_positive("rel_tol", rel_tol)
     stack = _Stack([config], method)
 
     def r_of(rho: float) -> float:
@@ -287,7 +279,7 @@ def percentile_rate(
         expansions += 1
         if expansions > 12:
             raise SolverError("could not bracket the percentile rate from above")
-    while hi / lo > 1.0 + rel_tol:
+    while hi / lo > 1.0 + _REL_TOL:
         mid = math.sqrt(lo * hi)
         if r_of(mid) >= coverage_target:
             lo = mid

@@ -178,15 +178,15 @@ def test_closed_form_rejects_mixed_exponents_and_noise():
 
 # ---------------------------------------------------------------------------
 # Stacked evaluation: a stack of configs that differ only in open-class
-# biases, held to one-config-at-a-time calls of the same `_mix`
+# biases, held to one-config-at-a-time evaluations of the same route
 # ---------------------------------------------------------------------------
 
 
-def _assert_stack_equals_singles(configs, thresholds, method):
-    values, per_class, weights = coverage._mix(configs, thresholds, method)
+def _assert_stack_equals_singles(configs, thresholds, route):
+    values, per_class, weights = coverage._Stack(configs, route).evaluate(thresholds)
     assert values.shape[0] == len(configs)
     for b, config in enumerate(configs):
-        one_values, one_per_class, one_weights = coverage._mix([config], thresholds, method)
+        one_values, one_per_class, one_weights = coverage._Stack([config], route).evaluate(thresholds)
         np.testing.assert_allclose(values[b], one_values[0], rtol=1e-12, atol=1e-300)
         assert list(per_class) == list(one_per_class) == [c.id for c in config.open_classes()]
         for cid in per_class:
@@ -198,11 +198,11 @@ def _assert_stack_equals_singles(configs, thresholds, method):
 @given(
     config=network_configs(),
     stack_biases=st.lists(st.lists(st.floats(-25.0, 25.0), min_size=4, max_size=4), min_size=1, max_size=5),
-    method=st.sampled_from([None, "theorem1", "meanload"]),
+    route=st.sampled_from(["sinr", "theorem1", "meanload"]),
     own=st.booleans(),
     cap=st.sampled_from([7, 100, coverage._STACK_ROWS]),
 )
-def test_stacked_mix_equals_one_config_at_a_time(config, stack_biases, method, own, cap):
+def test_stacked_mix_equals_one_config_at_a_time(config, stack_biases, route, own, cap):
     """Random configs with mixed exponents, closed classes and noise: every
     config of a bias stack gets the coverage, conditional curves and
     association of its own one-config call, to 1e-12 relative, also when
@@ -216,13 +216,13 @@ def test_stacked_mix_equals_one_config_at_a_time(config, stack_biases, method, o
         configs.append(tuned)
     if own:
         thresholds = None
-    elif method is None:
+    elif route == "sinr":
         thresholds = np.logspace(-3.0, 3.0, 9)
     else:
         thresholds = np.logspace(3.0, 8.0, 6)
     with pytest.MonkeyPatch.context() as monkeypatch:
         monkeypatch.setattr(coverage, "_STACK_ROWS", cap)
-        _assert_stack_equals_singles(configs, thresholds, method)
+        _assert_stack_equals_singles(configs, thresholds, route)
 
 
 @pytest.fixture
@@ -255,12 +255,12 @@ def test_stacked_mix_on_a_bias_search_grid(kernel_rows):
     and one coverage kernel call per serving class for all 41 configs, with
     the values of one-config calls."""
     configs = [four_class_config(b23_db=float(b)) for b in range(-20, 21)]
-    for method in ("theorem1", "meanload", None):
+    for route in ("theorem1", "meanload", "sinr"):
         for calls in kernel_rows.values():
             calls.clear()
-        coverage._mix(configs, None, method)
+        coverage._Stack(configs, route).evaluate(None)
         assert len(kernel_rows["decay"]) == 4 and kernel_rows["association"] == [41] * 4
-        _assert_stack_equals_singles(configs, None, method)
+        _assert_stack_equals_singles(configs, None, route)
 
 
 def test_stack_kernel_calls_stay_under_the_row_cap(kernel_rows):
@@ -287,14 +287,16 @@ def test_a_prepared_stack_stops_at_the_row_cap_of_load_terms(monkeypatch):
     assert 1 <= len(stack.leading) < len(configs)
     assert sum(terms[:-1]) < coverage._STACK_ROWS <= sum(terms)
     assert [sv.probs.size for sv in stack.classes] == [len(configs)] * 2
-    assert coverage._Stack(configs, None).leading is None  # SINRs hold no load law
+    sinr = coverage._Stack(configs, "sinr")  # one load of weight 1, every config in one run
+    assert len(sinr.leading) == len(configs)
+    assert all(loads.tolist() == weights.tolist() == [1.0] for law in sinr.leading for loads, weights in law)
 
     runs = []
     real = coverage._Stack._laws
     monkeypatch.setattr(coverage._Stack, "_laws", lambda self, first: runs.append(first) or real(self, first))
     values = stack.evaluate(None)[0]
     assert runs[0] == len(stack.leading) and runs == sorted(runs) and len(runs) > 1
-    np.testing.assert_array_equal(values, coverage._mix(configs, None, "theorem1")[0])
+    np.testing.assert_array_equal(values, coverage._Stack(configs, "theorem1").evaluate(None)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -337,9 +339,11 @@ def test_rate_coverage_integrates_each_association_once(monkeypatch):
         assert len(calls) == 4, route.__name__
 
 
-def test_unknown_load_law_method_is_rejected():
-    """Only None (SINRs), theorem1 and meanload name a load law; another name
-    used to be taken for meanload."""
-    for method in ("magic", "closedform", "Theorem1"):
+def test_unknown_load_law_method_is_rejected(kernel_rows):
+    """Only sinr, theorem1 and meanload name a route; another name used to be
+    taken for meanload, and None for SINRs.  Each raises before any kernel
+    call."""
+    for method in ("magic", "closedform", "Theorem1", None):
         with pytest.raises(ValueError, match="unknown method"):
-            coverage._mix([two_class_config()], [1e5], method)
+            coverage._Stack([two_class_config()], method)
+    assert kernel_rows == {"decay": [], "z": [], "association": []}

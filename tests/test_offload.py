@@ -157,14 +157,6 @@ def test_golden_section_max_rejects_bad_tol(tol):
     assert probes == []
 
 
-@pytest.mark.parametrize("rel_tol", BAD_TOLERANCES)
-def test_percentile_rate_rejects_bad_rel_tol(rel_tol, objective_calls):
-    """A zero tolerance used to bisect forever."""
-    with pytest.raises(ValueError, match="rel_tol"):
-        percentile_rate(two_class_config(), 0.95, method="meanload", rel_tol=rel_tol)
-    assert objective_calls == []
-
-
 def test_optimal_bias_rate_interior_maximum():
     """Coarse grid + golden refinement lands on the interior optimum."""
     config = two_class_config(user_density=200.0)
@@ -274,9 +266,10 @@ def test_bias_sweep_rate_matches_pointwise_evaluation(method, config):
 
 def test_unknown_method_is_rejected_before_any_evaluation(objective_calls):
     """An unknown load-law method raises, and no association or coverage is
-    evaluated first; the retired closedform name is unknown too."""
+    evaluated first; the retired closedform name is unknown too, and so is
+    None, which used to give SINR coverage under a rate solver's name."""
     config = four_class_config()
-    for method in ("magic", "closedform"):
+    for method in ("magic", "closedform", None):
         with pytest.raises(ValueError, match="unknown method"):
             optimal_bias_rate(config, SMALL, method=method)
         with pytest.raises(ValueError, match="unknown method"):
@@ -284,7 +277,7 @@ def test_unknown_method_is_rejected_before_any_evaluation(objective_calls):
         with pytest.raises(ValueError, match="unknown method"):
             percentile_rate(config, 0.95, method=method)
         with pytest.raises(ValueError, match="unknown method"):
-            coverage._mix([config], [1e5], method)
+            coverage._Stack([config], method).evaluate([1e5])
     assert objective_calls == []
 
 
