@@ -2,11 +2,14 @@
 
 Each subcommand (analyze sinr, analyze rate, simulate, sweep bias, optimize
 bias, compare) is one row of `_COMMANDS`: its words, handler, help text and
-flags.  A handler takes (config, args) and returns the text of each output
-file and a message; `_run` writes them into --output next to a
-manifest.json of the flags, seed, tool version and wall-clock duration, and
-only once the handler has succeeded.  Exit codes: 0 ok, 1 bad
-config/arguments, 2 numerical failure, 3 I/O failure.
+flags.  A call builds the parsers of the row it names alone, and of every
+row when it names none; a filtered level spells its choices from the whole
+table, so help and error text are the same (`build_parser`).  A handler
+takes (config, args) and returns the text of each output file and a
+message; `_run` writes them into --output next to a manifest.json of the
+flags, seed, tool version and wall-clock duration, and only once the
+handler has succeeded.  Exit codes: 0 ok, 1 bad config/arguments, 2
+numerical failure, 3 I/O failure.
 """
 
 from __future__ import annotations
@@ -365,19 +368,35 @@ _GROUPS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(argv: list[str]) -> argparse.ArgumentParser:
+    """The parser of the command that `argv` names, or of every command.
+
+    When the leading tokens of `argv` are a row's words, only that row is
+    built (the top parser, its group and its leaf); otherwise (--help,
+    --version, a missing or unknown command) every row is, so argparse
+    reports against every choice.  A filtered level lists only part of its
+    choices, so its metavar spells them from the whole table, as argparse
+    would; the whole tree keeps no metavar, as its errors name a level by
+    its dest.
+    """
+    rows = [cmd for cmd in _COMMANDS if cmd.words == tuple(argv[:len(cmd.words)])]
+
+    def choices(prefix: tuple[str, ...]) -> dict:
+        names = dict.fromkeys(cmd.words[len(prefix)] for cmd in _COMMANDS if cmd.words[:len(prefix)] == prefix)
+        return {"metavar": "{" + ",".join(names) + "}"} if rows else {}
+
     parser = argparse.ArgumentParser(
         prog="hetnet-offload",
         description="Multi-RAT heterogeneous network coverage analysis and offload design",
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
-    top = parser.add_subparsers(dest="command", required=True)
+    top = parser.add_subparsers(dest="command", required=True, **choices(()))
     groups = {}
-    for cmd in _COMMANDS:
+    for cmd in rows or _COMMANDS:
         head, *rest = cmd.words
         if rest and head not in groups:
             group = top.add_parser(head, help=_GROUPS[head])
-            groups[head] = group.add_subparsers(dest="what", required=True)
+            groups[head] = group.add_subparsers(dest="what", required=True, **choices((head,)))
         p = groups[head].add_parser(rest[0], help=cmd.help) if rest else top.add_parser(head, help=cmd.help)
         p.add_argument("--config", required=True)
         dests = [p.add_argument(flag, **kwargs).dest for flag, kwargs in cmd.flags.items()]
@@ -434,8 +453,9 @@ def _merge_grid_flags(argv: list[str]) -> list[str]:
 
 
 def main(argv=None) -> int:
+    argv = _merge_grid_flags(list(sys.argv[1:] if argv is None else argv))
     try:
-        args = build_parser().parse_args(_merge_grid_flags(list(sys.argv[1:] if argv is None else argv)))
+        args = build_parser(argv).parse_args(argv)
     except SystemExit as e:
         # argparse exits 2 on a usage error, which here means a numerical failure
         return 1 if e.code == 2 else e.code

@@ -19,7 +19,8 @@ their values from `bias_sweep`: the coarse grid is one sweep, one stack of
 configs for `coverage._Stack`, and each polish step is a sweep of one
 bias.  A percentile solve prepares its config once and evaluates each
 bisection step.  Every rate route takes a method, theorem1 or meanload,
-which `coverage` checks before it evaluates anything.
+which `coverage` checks before it evaluates anything; the solvers refuse
+its sinr route, whose thresholds are not rates.
 """
 
 from __future__ import annotations
@@ -148,6 +149,14 @@ def golden_section_max(f, lo: float, hi: float, tol: float):
     return d, yd
 
 
+def _rate_method(method: str) -> str:
+    """A rate solver's load-law method: `coverage` checks the name, but
+    "sinr" is a route there, whose thresholds are SINRs, not rates."""
+    if method == "sinr":
+        raise ValueError(f"unknown method {method!r}")
+    return method
+
+
 def _default_target(config: NetworkConfig) -> ClassId:
     """The open class on the second RAT, if exactly two open classes sit on two RATs."""
     open_classes = config.open_classes()
@@ -237,6 +246,8 @@ def bias_sweep(
     config.class_for(target)  # raise early on unknown class
     if metric not in ("sir_coverage", "rate_coverage", "percentile_rate"):
         raise ValueError(f"unknown metric {metric!r}")
+    if metric != "sir_coverage":
+        _rate_method(method)
     grid_db = [float(b_db) for b_db in grid_db]
     configs = [config.with_bias(target, db_to_linear(b_db)) for b_db in grid_db]
     if metric == "percentile_rate":
@@ -261,7 +272,7 @@ def percentile_rate(
     """
     if not (0.0 < coverage_target < 1.0):
         raise ValueError(f"coverage target must be in (0,1), got {coverage_target}")
-    stack = _Stack([config], method)
+    stack = _Stack([config], _rate_method(method))
 
     def r_of(rho: float) -> float:
         return float(stack.evaluate([rho])[0][0, 0])

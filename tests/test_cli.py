@@ -1,5 +1,6 @@
 """Command-line layer: config ingestion, outputs, manifests, exit codes."""
 
+import argparse
 import importlib
 import importlib.util
 import json
@@ -310,6 +311,86 @@ def test_help_and_version_exit_0(capsys):
     assert "--coverage-target" in capsys.readouterr().out
     assert main(["--version"]) == 0
     assert capsys.readouterr().out == f"hetnet-offload {hetnet_offload.__version__}\n"
+
+
+_X = ["--config", "x.json"]
+# every help level, --version, no argument, and each class of usage error:
+# argvs that argparse ends, with or without naming a command
+PARSER_ARGVS = [
+    ["--help"],
+    ["analyze", "--help"],
+    ["sweep", "--help"],
+    ["optimize", "--help"],
+    *([*cmd.words, "--help"] for cmd in cli._COMMANDS),
+    ["--version"],
+    [],
+    ["bogus"],  # invalid choice, top level
+    ["analyze", "bogus"],  # invalid choice, group level
+    ["optimize", "sir", *_X],
+    ["analyze"],  # missing subcommand
+    ["sweep", *_X],
+    ["analyze", "sinr", "--trials", "3", *_X],  # unrecognized after a named command
+    ["simulate", *_X, "--extra"],
+    ["compare", *_X, "stray"],
+    ["analyze", "sinr", "--version"],
+    ["optimize", "bias", "--mode", "foo", *_X],  # bad leaf choice
+    ["analyze", "rate", "--method", "closedform", *_X],
+    ["simulate", "--trials", "many", *_X],  # bad type
+    ["optimize", "bias", "--mode", "rate", "--bracket-lo-db", "low", *_X],
+    ["sweep", "bias", "--range-db", "0:5:5", "--metric", "sir", *_X],  # no --class
+]
+
+
+def _main_text(argv, capsys):
+    code = main(argv)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("columns", ["100", "40"])
+@pytest.mark.parametrize("argv", PARSER_ARGVS, ids=lambda argv: " ".join(argv) or "(none)")
+def test_parser_text_is_the_whole_trees(argv, columns, capsys, monkeypatch):
+    """A call builds only its command's parser, yet prints the help, usage
+    and error text, and exits with the code, of the whole tree."""
+    monkeypatch.setenv("COLUMNS", columns)
+    got = _main_text(argv, capsys)
+    whole = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda argv: whole([]))
+    assert _main_text(argv, capsys) == got
+    assert got[0] in (0, 1)
+
+
+def test_whole_tree_names_its_subcommands_by_dest(capsys):
+    """The whole tree keeps argparse's own spelling: its errors name a
+    subcommand level by its dest, not by a spelled choice list."""
+    assert main(["analyze", "bogus"]) == 1
+    assert "error: argument what: invalid choice: 'bogus'" in capsys.readouterr().err
+    assert main([]) == 1
+    assert "error: the following arguments are required: command" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "words, parsers",
+    [
+        (("analyze", "sinr"), 3),
+        (("analyze", "rate"), 3),
+        (("simulate",), 2),
+        (("sweep", "bias"), 3),
+        (("optimize", "bias"), 3),
+        (("compare",), 2),
+        ((), 10),
+    ],
+)
+def test_a_call_builds_only_its_commands_parsers(words, parsers, capsys, monkeypatch):
+    """A named command builds the top parser, its group and its leaf; a call
+    that names none builds the whole tree, every time (no cache)."""
+    built = []
+    real = argparse.ArgumentParser.__init__
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", lambda self, *a, **k: built.append(1) or real(self, *a, **k))
+    for _ in range(2):
+        built.clear()
+        assert main([*words, "--help"]) == 0
+        assert len(built) == parsers
 
 
 @pytest.mark.parametrize(

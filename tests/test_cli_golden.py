@@ -16,8 +16,10 @@ from pathlib import Path
 
 import pytest
 
+from hetnet_offload import cli
+
 sys.path.insert(0, str(Path(__file__).resolve().parent / "golden"))
-from record import MATRIX, run_entry  # noqa: E402
+from record import COMMANDS, MATRIX, run_entry  # noqa: E402
 
 ENTRIES = json.loads(MATRIX.read_text())
 # commands whose files come from a Monte Carlo run: they must stay byte-identical
@@ -61,6 +63,20 @@ def test_cli_output_matches_recording(want, tmp_path):
             assert got["files"][name] == text, name
         else:
             assert _same_text(got["files"][name], text), name
+
+
+@pytest.mark.parametrize("command", COMMANDS, ids=" ".join)
+def test_command_parses_as_in_the_whole_tree(command, capsys):
+    """Each recorded command parses to the same namespace from its own
+    parser as from the whole tree, or fails there with the same error."""
+    argv = cli._merge_grid_flags([*command, "--config", "c.json", "-o", "out"])
+    outcomes = []
+    for parser in (cli.build_parser(argv), cli.build_parser([])):
+        try:
+            outcomes.append(vars(parser.parse_args(argv)))
+        except SystemExit as e:
+            outcomes.append((e.code, capsys.readouterr().err))
+    assert outcomes[0] == outcomes[1]
 
 
 def test_number_comparison_reads_numbers():

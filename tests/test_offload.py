@@ -266,18 +266,21 @@ def test_bias_sweep_rate_matches_pointwise_evaluation(method, config):
 
 def test_unknown_method_is_rejected_before_any_evaluation(objective_calls):
     """An unknown load-law method raises, and no association or coverage is
-    evaluated first; the retired closedform name is unknown too, and so is
-    None, which used to give SINR coverage under a rate solver's name."""
+    evaluated first; the retired closedform name is unknown too, and so are
+    None and the sinr route, which used to give SINR coverage under a rate
+    solver's name (sinr is a route of `_Stack` itself)."""
     config = four_class_config()
-    for method in ("magic", "closedform", None):
+    for method in ("magic", "closedform", None, "sinr"):
         with pytest.raises(ValueError, match="unknown method"):
             optimal_bias_rate(config, SMALL, method=method)
-        with pytest.raises(ValueError, match="unknown method"):
-            bias_sweep(config, SMALL, [0.0, 3.0], metric="rate_coverage", method=method)
+        for metric in ("rate_coverage", "percentile_rate"):
+            with pytest.raises(ValueError, match="unknown method"):
+                bias_sweep(config, SMALL, [0.0, 3.0], metric=metric, method=method)
         with pytest.raises(ValueError, match="unknown method"):
             percentile_rate(config, 0.95, method=method)
-        with pytest.raises(ValueError, match="unknown method"):
-            coverage._Stack([config], method).evaluate([1e5])
+        if method != "sinr":
+            with pytest.raises(ValueError, match="unknown method"):
+                coverage._Stack([config], method).evaluate([1e5])
     assert objective_calls == []
 
 
