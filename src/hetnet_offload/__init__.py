@@ -9,7 +9,27 @@ cross-checks everything against a Monte Carlo simulator.
 This namespace holds what a user of the library calls; the building blocks
 behind it (kernels, the load ratio, the mean-load rate routes, the solvers'
 helpers, the Monte Carlo deployment sampler) are imported from their modules.
+
+The package computes on one thread: when it is the first to import numpy,
+it asks OpenBLAS for one thread unless the caller's OPENBLAS_NUM_THREADS,
+GOTO_NUM_THREADS or OMP_NUM_THREADS says otherwise, and leaves the
+environment as it found it.
 """
+
+import os
+import sys
+
+# OpenBLAS reads its thread count once, as numpy loads it, and its idle
+# worker thread spins for about 65 ms of CPU during `import numpy`; the
+# kernels here never call a multi-threaded BLAS routine (numerics.py)
+if "numpy" not in sys.modules and not any(
+    v in os.environ for v in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+):
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        import numpy  # noqa: F401
+    finally:
+        os.environ.pop("OPENBLAS_NUM_THREADS", None)
 
 from .model import (
     CLOSED,

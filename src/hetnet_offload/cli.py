@@ -57,6 +57,23 @@ def _from_db(convert, value: float, what: str) -> float:
     return linear
 
 
+def _number(value, what: str) -> float:
+    """A JSON number as a float; a boolean, string, array, object or null
+    is a bad input named by `what`."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigSchemaError(f"{what}: must be a number (got {json.dumps(value)})")
+    try:
+        return float(value)
+    except OverflowError:  # an integer literal beyond the float range
+        raise ConfigSchemaError(f"{what}: too large for a float") from None
+
+
+def _integer(value, what: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigSchemaError(f"{what}: must be an integer (got {json.dumps(value)})")
+    return value
+
+
 def load_config(path: str | Path) -> NetworkConfig:
     """Parse and validate a JSON network config.
 
@@ -64,7 +81,9 @@ def load_config(path: str | Path) -> NetworkConfig:
     classes: [{rat, tier, access, density_per_km2, power_dbm, bias_db,
     alpha, bandwidth_hz, sinr_threshold_db, rate_threshold_bps}]}.
     dB/dBm fields are converted to linear/watts here; a missing or null
-    noise entry means zero noise (interference-limited).
+    noise entry means zero noise (interference-limited).  Every numeric
+    field must be a JSON number (rat and tier integers); any other value
+    is a ConfigSchemaError that names its field.
     """
     text = Path(path).read_text()
     try:
@@ -93,37 +112,41 @@ def load_config(path: str | Path) -> NetworkConfig:
             if access not in (OPEN, CLOSED):
                 raise ConfigSchemaError(f"classes[{k}]: access must be open|closed")
             cls = ApClass(
-                id=ClassId(int(obj["rat"]), int(obj["tier"]), access),
-                density=float(obj["density_per_km2"]),
-                power=_from_db(dbm_to_watts, float(obj["power_dbm"]), "power_dbm"),
-                exponent=float(obj["alpha"]),
-                bias=_from_db(db_to_linear, float(obj.get("bias_db", 0.0)), "bias_db"),
-                bandwidth=float(obj.get("bandwidth_hz", 10e6)),
+                id=ClassId(_integer(obj["rat"], "rat"), _integer(obj["tier"], "tier"), access),
+                density=_number(obj["density_per_km2"], "density_per_km2"),
+                power=_from_db(dbm_to_watts, _number(obj["power_dbm"], "power_dbm"), "power_dbm"),
+                exponent=_number(obj["alpha"], "alpha"),
+                bias=_from_db(db_to_linear, _number(obj.get("bias_db", 0.0), "bias_db"), "bias_db"),
+                bandwidth=_number(obj.get("bandwidth_hz", 10e6), "bandwidth_hz"),
             )
         except KeyError as e:
             raise ConfigSchemaError(f"classes[{k}]: missing field {e.args[0]!r}") from None
         except (TypeError, ValueError) as e:
             raise ConfigSchemaError(f"classes[{k}]: {e}") from None
         classes.append(cls)
-        if "sinr_threshold_db" in obj and obj["sinr_threshold_db"] is not None:
-            tau_db = float(obj["sinr_threshold_db"])
-            sinr_thr[cls.id] = _from_db(db_to_linear, tau_db, f"classes[{k}]: sinr_threshold_db")
-        if "rate_threshold_bps" in obj and obj["rate_threshold_bps"] is not None:
-            rate_thr[cls.id] = float(obj["rate_threshold_bps"])
+        if obj.get("sinr_threshold_db") is not None:
+            what = f"classes[{k}]: sinr_threshold_db"
+            sinr_thr[cls.id] = _from_db(db_to_linear, _number(obj["sinr_threshold_db"], what), what)
+        if obj.get("rate_threshold_bps") is not None:
+            rate_thr[cls.id] = _number(obj["rate_threshold_bps"], f"classes[{k}]: rate_threshold_bps")
 
+    noise_dbm = raw.get("noise_dbm_per_rat")
+    if noise_dbm is not None and not isinstance(noise_dbm, dict):
+        raise ConfigSchemaError(f"noise_dbm_per_rat: must be an object (got {json.dumps(noise_dbm)})")
     noise: dict[int, float] = {}
-    for rat, val in (raw.get("noise_dbm_per_rat") or {}).items():
+    for rat, val in (noise_dbm or {}).items():
         try:
             rat_idx = int(rat)
         except ValueError:
             raise ConfigSchemaError(f"noise_dbm_per_rat: bad RAT key {rat!r}") from None
         where = f"noise_dbm_per_rat[{rat!r}]"
-        noise[rat_idx] = 0.0 if val is None else _from_db(dbm_to_watts, float(val), where)
+        noise[rat_idx] = 0.0 if val is None else _from_db(dbm_to_watts, _number(val, where), where)
 
+    user_density = _number(raw.get("users_per_km2", 0.0), "users_per_km2")
     try:
         config = NetworkConfig(
             classes=tuple(classes),
-            user_density=float(raw.get("users_per_km2", 0.0)),
+            user_density=user_density,
             noise_power=noise,
             sinr_threshold=sinr_thr,
             rate_threshold=rate_thr,

@@ -130,7 +130,8 @@ def decay_integral(coefs, expos) -> np.ndarray:
             block = values[: idx.size]
             # einsum, not `@`: a BLAS call wakes OpenBLAS worker threads whose
             # spinning slowed the single-threaded work after it by up to 75%
-            # on a 2-vCPU machine
+            # on a 2-vCPU machine.  The package loads OpenBLAS with one thread
+            # (__init__.py), but a process that imported numpy first has them
             np.einsum("rk,kn->rn", scaled, powers, out=block)
             # numpy's exp is 5x slower on an argument that underflows than
             # on -inf (module docstring): the dead exponents become inf
@@ -196,7 +197,8 @@ def _series_sums(coefs: np.ndarray, w: np.ndarray) -> np.ndarray:
     top = min(_BETA_TERMS, math.ceil(_LOG_BETA_TOL / math.log(w_max))) if w_max > 0.0 else 1
     head = top if top * w.size <= _BETA_FULL else min(top, _BETA_HEAD)
     # `@`, unlike decay_integral's einsum: a two-row product of at most
-    # 2048 columns woke no OpenBLAS worker thread (per-thread CPU counts)
+    # 2048 columns woke no OpenBLAS worker thread (per-thread CPU counts),
+    # which matters where numpy was imported before the package
     sums = coefs[:, :head] @ _powers(w, head)
     if head < top:
         wide = np.flatnonzero(w > math.exp(_LOG_BETA_TOL / head))

@@ -54,6 +54,9 @@ __all__ = [
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0  # 1/phi
 _INV_PHI2 = (3.0 - math.sqrt(5.0)) / 2.0  # 1/phi^2
 _COARSE_STEP_DB = 1.0  # grid step of the rate search's coarse pass
+_DEFAULT_BRACKET_DB = (-20.0, 20.0)  # its bracket when the caller gives none
+_WIDEST_DB = 60.0  # a default bracket widens up to +-this many dB ...
+_WIDEN_STEPS = 10  # ... by this many coarse steps at a time
 _TOL_DB = 0.01  # width at which its golden-section polish stops
 _REL_TOL = 1e-3  # relative bracket width at which a percentile solve stops
 
@@ -172,7 +175,7 @@ def _default_target(config: NetworkConfig) -> ClassId:
 def optimal_bias_rate(
     config: NetworkConfig,
     target: ClassId | None = None,
-    bracket_db: tuple[float, float] = (-20.0, 20.0),
+    bracket_db: tuple[float, float] | None = None,
     method: str = "theorem1",
 ) -> OptimizationResult:
     """Rate-coverage-maximizing association bias for one open class.
@@ -182,12 +185,15 @@ def optimal_bias_rate(
     paper's closed form by itself on equal-exponent, noise-free configs).
     Search: evaluate a 1 dB grid over `bracket_db` (which must be finite
     and span at least 40 dB), then refine around the best grid point with
-    golden-section search down to 0.01 dB.  If the coarse maximum sits on
-    the bracket edge the result carries boundary_warning=True.  Without a
+    golden-section search down to 0.01 dB.  Without a bracket the grid
+    starts at -20...20 dB, and while its maximum sits on an edge that side
+    grows by whole grid steps, up to +-60 dB; a bracket the caller gives
+    is searched as it is.  If the coarse maximum sits on the final
+    bracket's edge the result carries boundary_warning=True.  Without a
     target, the open class on the second RAT is tuned when exactly two open
     classes sit on two RATs.
     """
-    lo_db, hi_db = bracket_db
+    lo_db, hi_db = _DEFAULT_BRACKET_DB if bracket_db is None else bracket_db
     if not (math.isfinite(lo_db) and math.isfinite(hi_db)):
         raise ValueError(f"bias bracket must be finite (got {lo_db} ... {hi_db} dB)")
     if hi_db - lo_db < 40.0:
@@ -206,6 +212,20 @@ def optimal_bias_rate(
     grid = [lo_db + k * _COARSE_STEP_DB for k in range(steps + 1)]
     values = sweep(grid)
     k_best = max(range(len(grid)), key=values.__getitem__)
+    # the default bracket grows on the side of an edge maximum, on the same
+    # lattice; only the new points are evaluated, as one sweep
+    while bracket_db is None and k_best in (0, len(grid) - 1):
+        side = -1.0 if k_best == 0 else 1.0
+        room = int(round((_WIDEST_DB - side * grid[k_best]) / _COARSE_STEP_DB))
+        if room <= 0:
+            break
+        new = [grid[k_best] + side * k * _COARSE_STEP_DB for k in range(1, min(room, _WIDEN_STEPS) + 1)]
+        if side < 0:
+            new.reverse()
+            grid, values = new + grid, sweep(new) + values
+        else:
+            grid, values = grid + new, values + sweep(new)
+        k_best = max(range(len(grid)), key=values.__getitem__)
     boundary = k_best in (0, len(grid) - 1)
 
     if boundary:

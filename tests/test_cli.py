@@ -205,6 +205,43 @@ def test_load_config_schema_errors(tmp_path):
         load_config(path)
 
 
+_CLASS_NUMBERS = ("rat", "tier", "density_per_km2", "power_dbm", "bias_db", "alpha", "bandwidth_hz",
+                  "sinr_threshold_db", "rate_threshold_bps")
+
+
+@pytest.mark.parametrize("value", [[1], "x", {"1": 1}, True], ids=["list", "string", "object", "boolean"])
+@pytest.mark.parametrize("field", [*_CLASS_NUMBERS, "users_per_km2", "noise_dbm_per_rat['2']"])
+def test_malformed_number_names_its_field(tmp_path, capsys, field, value):
+    """A numeric field holding anything but a JSON number exits 1 with an
+    error that names the field, without a traceback or any output file."""
+    data = base_config_dict()
+    if field in _CLASS_NUMBERS:
+        data["classes"][1][field] = value
+        named = f"classes[1]: {field}"
+    elif field == "users_per_km2":
+        data[field] = value
+        named = field
+    else:
+        data["noise_dbm_per_rat"]["2"] = value
+        named = field
+    out = tmp_path / "out"
+    assert main(["analyze", "sinr", "--config", write_config(tmp_path, data), "-o", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and named in err, err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", [[1], "x", True, 5])
+def test_noise_table_must_be_an_object(tmp_path, capsys, value):
+    data = base_config_dict()
+    data["noise_dbm_per_rat"] = value
+    out = tmp_path / "out"
+    assert main(["analyze", "sinr", "--config", write_config(tmp_path, data), "-o", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: noise_dbm_per_rat: must be an object")
+    assert not out.exists()
+
+
 def test_exit_codes(tmp_path, capsys, monkeypatch):
     ok = write_config(tmp_path)
     out = str(tmp_path / "out")

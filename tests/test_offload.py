@@ -2,6 +2,7 @@
 
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,11 +22,13 @@ from hetnet_offload import (
 )
 from hetnet_offload.coverage import rate_coverage_mean_load
 from hetnet_offload.numerics import z_integral
-from hetnet_offload import coverage
+from hetnet_offload import coverage, offload
+from hetnet_offload.cli import load_config
 from hetnet_offload.offload import golden_section_max
 
 MACRO = ClassId(1, 1)
 SMALL = ClassId(2, 3)
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def _two_class(a: float = 10.0, tau1: float = 1.0, tau2: float = 1.0, alpha: float = 3.5):
@@ -175,6 +178,36 @@ def test_optimal_bias_rate_flags_bracket_edge():
     res = optimal_bias_rate(config, bracket_db=(-20.0, 20.0), method="meanload")
     assert res.boundary_warning
     assert linear_to_db(res.b_opt) == pytest.approx(20.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("target, final", [(SMALL, (-20.0, 30.0)), (MACRO, (-30.0, 20.0))], ids=["high", "low"])
+def test_default_bracket_widens_off_an_edge_maximum(target, final):
+    """On two_class_sir the rate optimum lies past 20 dB (past -20 dB for
+    the macro's bias): without a bracket the search widens that side by
+    whole grid steps and finds it, as a search over the final bracket does."""
+    config = load_config(ROOT / "configs" / "two_class_sir.json")
+    res = optimal_bias_rate(config, target)
+    dbs = [linear_to_db(b) for b, _ in res.trace]
+    assert (round(min(dbs), 9), round(max(dbs), 9)) == final
+    assert not res.boundary_warning
+    assert abs(linear_to_db(res.b_opt)) == pytest.approx(22.2012, abs=1e-4)
+    want = optimal_bias_rate(config, target, final)
+    assert res.b_opt == pytest.approx(want.b_opt, rel=1e-12)
+    assert res.objective_at_opt == pytest.approx(want.objective_at_opt, rel=1e-12)
+    assert res.offload_fraction == pytest.approx(want.offload_fraction, rel=1e-12)
+    np.testing.assert_allclose(sorted(res.trace), sorted(want.trace), rtol=1e-12, atol=0.0)
+    # a bracket the caller gives is searched as it is
+    edge = optimal_bias_rate(config, target, (-20.0, 20.0))
+    assert edge.boundary_warning
+    assert abs(linear_to_db(edge.b_opt)) == pytest.approx(20.0, abs=1e-9)
+
+
+def test_default_bracket_widens_no_further_than_its_limit(monkeypatch):
+    monkeypatch.setattr(offload, "_WIDEST_DB", 21.0)
+    res = optimal_bias_rate(load_config(ROOT / "configs" / "two_class_sir.json"))
+    assert res.boundary_warning
+    assert linear_to_db(res.b_opt) == pytest.approx(21.0, abs=1e-9)
+    assert max(linear_to_db(b) for b, _ in res.trace) == pytest.approx(21.0, abs=1e-9)
 
 
 def test_optimal_bias_rate_guards():
