@@ -10,28 +10,59 @@ message; `_run` writes them into --output next to a manifest.json of the
 flags, seed, tool version and wall-clock duration, and only once the
 handler has succeeded.  Exit codes: 0 ok, 1 bad config/arguments, 2
 numerical failure, 3 I/O failure.
+
+The module loads argparse when it builds a parser, and the modules a
+handler computes with (coverage, offload, montecarlo) when the handler
+first calls them: `load_config` needs only model and numerics.
 """
 
 from __future__ import annotations
 
-import argparse
+import importlib
 import json
 import math
 import sys
 import time
 from pathlib import Path
-from typing import Callable, NamedTuple
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 import numpy as np
 
 from . import __version__
-from .coverage import _Stack, rate_ccdf, sinr_ccdf
 from .model import (
     CLOSED, OPEN, ApClass, ClassId, NetworkConfig, db_to_linear, dbm_to_watts, linear_to_db, require_valid
 )
-from .montecarlo import SimSettings, run_batch
-from .numerics import NumericalError
-from .offload import SolverError, bias_sweep, optimal_bias_rate, optimal_bias_sir
+from .numerics import NumericalError, SolverError
+
+if TYPE_CHECKING:
+    import argparse
+
+    from .montecarlo import SimSettings
+
+# What the handlers call from the command modules.  Each name is imported
+# on its first use and bound in this module (PEP 562 `__getattr__`), so a
+# call loads only its own command's modules.
+_LATE = {
+    "coverage": ("_Stack", "rate_ccdf", "sinr_ccdf"),
+    "offload": ("bias_sweep", "optimal_bias_rate", "optimal_bias_sir"),
+    "montecarlo": ("SimSettings", "run_batch"),
+}
+_LATE_MODULE = {name: module for module, names in _LATE.items() for name in names}
+
+
+def __getattr__(name: str):
+    if name not in _LATE_MODULE:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_LATE_MODULE[name]}", __package__), name)
+    globals()[name] = value
+    return value
+
+
+def _late(name: str):
+    """This module's `name`: the one bound here if any (a tracer's wrapper,
+    a test's stub), else its command module's, bound now."""
+    return globals()[name] if name in globals() else __getattr__(name)
+
 
 _CLASS_KEYS = {
     "rat", "tier", "access", "density_per_km2", "power_dbm", "bias_db", "alpha", "bandwidth_hz",
@@ -74,6 +105,17 @@ def _integer(value, what: str) -> int:
     return value
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object as a dict; a key it spells twice is a schema error
+    (json.loads would keep the last value)."""
+    obj: dict = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ConfigSchemaError(f"key {key!r} appears twice in one object")
+        obj[key] = value
+    return obj
+
+
 def load_config(path: str | Path) -> NetworkConfig:
     """Parse and validate a JSON network config.
 
@@ -83,11 +125,13 @@ def load_config(path: str | Path) -> NetworkConfig:
     dB/dBm fields are converted to linear/watts here; a missing or null
     noise entry means zero noise (interference-limited).  Every numeric
     field must be a JSON number (rat and tier integers); any other value
-    is a ConfigSchemaError that names its field.
+    is a ConfigSchemaError that names its field.  So is a key that appears
+    twice in one object, and a noise key that is not a RAT number in
+    plain decimal ("2", not "02" or " 2").
     """
     text = Path(path).read_text()
     try:
-        raw = json.loads(text)
+        raw = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as e:
         raise ConfigSchemaError(f"parse error at line {e.lineno}, column {e.colno}: {e.msg}") from e
     if not isinstance(raw, dict):
@@ -135,12 +179,11 @@ def load_config(path: str | Path) -> NetworkConfig:
         raise ConfigSchemaError(f"noise_dbm_per_rat: must be an object (got {json.dumps(noise_dbm)})")
     noise: dict[int, float] = {}
     for rat, val in (noise_dbm or {}).items():
-        try:
-            rat_idx = int(rat)
-        except ValueError:
-            raise ConfigSchemaError(f"noise_dbm_per_rat: bad RAT key {rat!r}") from None
+        # one spelling per RAT: int() would read "01" and " 1" as "1" too
+        if not (rat.isascii() and rat.isdigit() and rat[0] != "0"):
+            raise ConfigSchemaError(f"noise_dbm_per_rat: bad RAT key {rat!r} (a RAT number such as \"2\")")
         where = f"noise_dbm_per_rat[{rat!r}]"
-        noise[rat_idx] = 0.0 if val is None else _from_db(dbm_to_watts, _number(val, where), where)
+        noise[int(rat)] = 0.0 if val is None else _from_db(dbm_to_watts, _number(val, where), where)
 
     user_density = _number(raw.get("users_per_km2", 0.0), "users_per_km2")
     try:
@@ -246,28 +289,29 @@ def _parse_class_flag(text: str) -> ClassId:
 
 def _analyze_sinr(config: NetworkConfig, args):
     taus_db = _db_grid(args.tau_grid_db, "--tau-grid-db")
-    curve = sinr_ccdf(config, [db_to_linear(t) for t in taus_db])
+    curve = _late("sinr_ccdf")(config, [db_to_linear(t) for t in taus_db])
     return _one_file(args, "sinr_ccdf.csv", _curve_csv(config, "tau_db", taus_db, "coverage", curve))
 
 
 def _analyze_rate(config: NetworkConfig, args):
     grid = _log_grid(args.rho_grid, "--rho-grid")
     if args.method == "theorem1":
-        text = _curve_csv(config, "rho_bps", grid, "coverage", rate_ccdf(config, grid))
+        text = _curve_csv(config, "rho_bps", grid, "coverage", _late("rate_ccdf")(config, grid))
     else:  # the overall curve alone
-        text = _csv(["rho_bps", "coverage"], zip(grid, _Stack([config], args.method).evaluate(grid)[0][0]))
+        values = _late("_Stack")([config], args.method).evaluate(grid)[0][0]
+        text = _csv(["rho_bps", "coverage"], zip(grid, values))
     return _one_file(args, "rate_ccdf.csv", text)
 
 
 def _settings(args) -> SimSettings:
-    return SimSettings(window_km=args.window_km, trials=args.trials, seed=args.seed,
-                       deployment=args.deployment, parallel_workers=args.workers)
+    return _late("SimSettings")(window_km=args.window_km, trials=args.trials, seed=args.seed,
+                                deployment=args.deployment, parallel_workers=args.workers)
 
 
 def _simulate(config: NetworkConfig, args):
     settings = _settings(args)
     rate_grid = _log_grid(args.rho_grid, "--rho-grid") if args.rho_grid else None
-    summary = run_batch(config, settings, rate_grid=rate_grid)
+    summary = _late("run_batch")(config, settings, rate_grid=rate_grid)
     open_ids = [c.id for c in config.open_classes()]
     sg, rg = summary.sinr_ccdf, summary.rate_ccdf
     blob = {
@@ -293,7 +337,7 @@ def _sweep_bias(config: NetworkConfig, args):
     target = _parse_class_flag(args.target)
     grid = _db_grid(args.range_db, "--range-db")
     metric = _METRICS[args.metric]
-    pairs = bias_sweep(
+    pairs = _late("bias_sweep")(
         config, target, grid, metric=metric, coverage_target=args.coverage_target, method=args.method
     )
     return _one_file(args, "bias_sweep.csv", _csv(["bias_db", metric], pairs))
@@ -301,11 +345,11 @@ def _sweep_bias(config: NetworkConfig, args):
 
 def _optimize_bias(config: NetworkConfig, args):
     if args.mode == "sir":
-        res = optimal_bias_sir(config)
+        res = _late("optimal_bias_sir")(config)
     else:
         _from_db(db_to_linear, args.bracket_lo_db, "--bracket-lo-db")
         _from_db(db_to_linear, args.bracket_hi_db, "--bracket-hi-db")
-        res = optimal_bias_rate(
+        res = _late("optimal_bias_rate")(
             config,
             target=_parse_class_flag(args.target) if args.target else None,
             bracket_db=(args.bracket_lo_db, args.bracket_hi_db),
@@ -327,8 +371,8 @@ def _optimize_bias(config: NetworkConfig, args):
 
 def _compare(config: NetworkConfig, args):
     grid = _log_grid(args.rho_grid, "--rho-grid")
-    analytic = rate_ccdf(config, grid).values
-    empirical = run_batch(config, _settings(args), rate_grid=grid).rate_ccdf.values
+    analytic = _late("rate_ccdf")(config, grid).values
+    empirical = _late("run_batch")(config, _settings(args), rate_grid=grid).rate_ccdf.values
     gap = np.abs(analytic - empirical)
     rows = [[grid[k], analytic[k], empirical[k], gap[k]] for k in range(len(grid))]
     k = int(gap.argmax())
@@ -402,6 +446,8 @@ def build_parser(argv: list[str]) -> argparse.ArgumentParser:
     would; the whole tree keeps no metavar, as its errors name a level by
     its dest.
     """
+    import argparse
+
     rows = [cmd for cmd in _COMMANDS if cmd.words == tuple(argv[:len(cmd.words)])]
 
     def choices(prefix: tuple[str, ...]) -> dict:

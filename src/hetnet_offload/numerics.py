@@ -49,6 +49,7 @@ import numpy as np
 
 __all__ = [
     "NumericalError",
+    "SolverError",
     "decay_integral",
     "z_integral",
     "TYPICAL_CELL_SHAPE",
@@ -68,6 +69,10 @@ AREA_BIAS_FACTOR = TAGGED_CELL_SHAPE / TYPICAL_CELL_SHAPE
 
 class NumericalError(RuntimeError):
     """A numerical routine failed."""
+
+
+class SolverError(RuntimeError):
+    """An offload solver could not bracket or reach its target."""
 
 
 _DBL_MAX = np.finfo(float).max

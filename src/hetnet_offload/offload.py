@@ -39,7 +39,7 @@ from .coverage import (  # noqa: F401
     sinr_coverage,
 )
 from .model import ClassId, NetworkConfig, db_to_linear
-from .numerics import z_integral
+from .numerics import SolverError, z_integral
 
 __all__ = [
     "OptimizationResult",
@@ -59,10 +59,6 @@ _WIDEST_DB = 60.0  # a default bracket widens up to +-this many dB ...
 _WIDEN_STEPS = 10  # ... by this many coarse steps at a time
 _TOL_DB = 0.01  # width at which its golden-section polish stops
 _REL_TOL = 1e-3  # relative bracket width at which a percentile solve stops
-
-
-class SolverError(RuntimeError):
-    """A solver could not bracket or reach its target."""
 
 
 @dataclass(frozen=True)

@@ -20,6 +20,13 @@ output on purpose (`cli` or `mc` records one of them):
 
     PYTHONPATH=src python3 tests/golden/record.py [cli|mc]
 
+A matrix entry is replayed by one rule (`mismatches`): the same exit code
+and warnings, the same text around every number in stdout, stderr and
+each output file, numbers within 1e-10 relative, and the files of a Monte
+Carlo command byte for byte.  Recording the matrix again keeps the text of
+every entry that the new run matches under that rule, so the diff shows
+only the entries that changed.
+
 `tests/test_cli_golden.py` replays the matrix and
 `tests/test_montecarlo.py` the block digests.
 """
@@ -30,7 +37,9 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import platform
+import re
 import sys
 import tempfile
 import warnings
@@ -103,6 +112,49 @@ def run_entry(config_name: str, command: list[str], workdir: Path) -> dict:
     }
 
 
+# commands whose files come from a Monte Carlo run: they must stay byte-identical
+MONTE_CARLO_COMMANDS = ("simulate", "compare")
+_NUMBER = re.compile(r"([-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?)")
+
+
+def same_text(got: str, want: str) -> bool:
+    """Equal text around the numbers, and numbers equal within 1e-10 relative."""
+    got_parts, want_parts = _NUMBER.split(got), _NUMBER.split(want)
+    if len(got_parts) != len(want_parts):
+        return False
+    for k, (g, w) in enumerate(zip(got_parts, want_parts)):
+        if g == w:
+            continue
+        if k % 2 == 0 or not math.isclose(float(g), float(w), rel_tol=1e-10, abs_tol=0.0):
+            return False  # odd parts are the numbers
+    return True
+
+
+def mismatches(got: dict, want: dict) -> list[str]:
+    """The parts of entry `got` that the replay rule finds different from
+    the recorded `want`; none when it matches."""
+    bad = [part for part in ("exit_code", "warnings") if got[part] != want[part]]
+    bad += [stream for stream in ("stdout", "stderr") if not same_text(got[stream], want[stream])]
+    if sorted(got["files"]) != sorted(want["files"]):
+        return [*bad, "file names"]
+    exact = want["command"][0] in MONTE_CARLO_COMMANDS
+    for name, text in want["files"].items():
+        if not (got["files"][name] == text if exact else same_text(got["files"][name], text)):
+            bad.append(name)
+    return bad
+
+
+def merge(recorded: list[dict], entries: list[dict]) -> list[dict]:
+    """`entries`, each replaced by its recorded twin (same config and
+    command) when it matches that twin under the replay rule."""
+    twins = {(e["config"], tuple(e["command"])): e for e in recorded}
+    merged = []
+    for entry in entries:
+        twin = twins.get((entry["config"], tuple(entry["command"])))
+        merged.append(twin if twin is not None and not mismatches(entry, twin) else entry)
+    return merged
+
+
 def mc_scenarios() -> dict[str, NetworkConfig]:
     """The block-digest scenarios: both shipped configs, dual-RAT with its
     closed APs and four-class, each with a 10 dB small-cell bias."""
@@ -172,10 +224,13 @@ if __name__ == "__main__":
     if what not in ("all", "cli", "mc"):
         sys.exit(f"usage: {sys.argv[0]} [cli|mc]")
     if what in ("all", "cli"):
-        entries = record()
+        recorded = json.loads(MATRIX.read_text()) if MATRIX.exists() else []
+        entries = merge(recorded, record())
         MATRIX.write_text(json.dumps(entries, indent=1, sort_keys=True) + "\n")
         failed = sum(e["exit_code"] != 0 for e in entries)
-        print(f"wrote {MATRIX.relative_to(ROOT)}: {len(entries)} commands, {failed} with a nonzero exit", file=sys.stderr)
+        kept = sum(e in recorded for e in entries)
+        print(f"wrote {MATRIX.relative_to(ROOT)}: {len(entries)} commands ({kept} kept as recorded), "
+              f"{failed} with a nonzero exit", file=sys.stderr)
     if what in ("all", "mc"):
         blocks = record_mc_blocks()
         MC_BLOCKS.write_text(json.dumps(blocks, indent=1, sort_keys=True) + "\n")

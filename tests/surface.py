@@ -1,4 +1,4 @@
-"""Print the package's size on the three measures of ROADMAP aim 2.
+"""Print the package's size on the three measures of ROADMAP aim 2, and its start-up.
 
     python3 tests/surface.py [PACKAGE_DIR]
 
@@ -9,12 +9,18 @@ checkout's to measure it the same way.  The measures are:
 * exports: the names in the package's `__all__`;
 * settable values: the defaults of every `def` (positional and
   keyword-only; lambdas not counted) plus the annotated fields of every
-  `@dataclass` class, counted with `ast`.
+  `@dataclass` class, counted with `ast`;
+* start-up lines: the lines of the package's modules that a fresh
+  `from hetnet_offload import cli` loads, read in a new interpreter with
+  PACKAGE_DIR's parent as PYTHONPATH, against all of the package's lines.
 """
 
 from __future__ import annotations
 
 import ast
+import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -46,13 +52,28 @@ def exports(init: Path) -> int:
     return 0
 
 
+def _lines(path: Path) -> int:
+    return len(path.read_bytes().splitlines())
+
+
+def startup_files(package: Path) -> list[Path]:
+    """The package's files that a fresh `from hetnet_offload import cli` loads."""
+    code = ("import json, sys\nfrom hetnet_offload import cli\n"
+            "print(json.dumps([m.__file__ for name, m in sys.modules.items()\n"
+            "                  if name.split('.')[0] == 'hetnet_offload']))")
+    env = {**os.environ, "PYTHONPATH": str(package.resolve().parent)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    return [Path(f) for f in json.loads(out.stdout)]
+
+
 def main(package: Path) -> None:
     files = sorted(package.glob("*.py"))
-    lines = sum(len(f.read_bytes().splitlines()) for f in files)
+    lines = sum(_lines(f) for f in files)
     settable = sum(settable_values(ast.parse(f.read_text())) for f in files)
     print(f"src lines        {lines}")
     print(f"__all__ names    {exports(package / '__init__.py')}")
     print(f"settable values  {settable}")
+    print(f"start-up lines   {sum(_lines(f) for f in startup_files(package))} of {lines}")
 
 
 if __name__ == "__main__":

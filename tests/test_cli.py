@@ -242,6 +242,46 @@ def test_noise_table_must_be_an_object(tmp_path, capsys, value):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("key", ["01", " 1", "1 ", "+1", "1.0", "0", "-1", "", "１"])
+def test_noise_key_must_be_a_plain_rat_number(tmp_path, capsys, key):
+    """Only "1" names RAT 1: "01" used to load as RAT 1 too, and the later
+    of two such keys won ({"1": -90, "01": null} gave RAT 1 no noise)."""
+    data = base_config_dict()
+    data["noise_dbm_per_rat"] = {"1": -90, key: None, "2": None}
+    out = tmp_path / "out"
+    assert main(["analyze", "sinr", "--config", write_config(tmp_path, data), "-o", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: noise_dbm_per_rat: bad RAT key {key!r} (a RAT number such as \"2\")\n"
+    assert not out.exists()
+
+
+def _replace_once(text: str, old: str, new: str) -> str:
+    assert text.count(old) == 1, old
+    return text.replace(old, new)
+
+
+@pytest.mark.parametrize(
+    "key, old, new",
+    [
+        ("users_per_km2", '"users_per_km2": 50,', '"users_per_km2": 50, "users_per_km2": 500,'),
+        ("rat", '"rat": 1,', '"rat": 1, "rat": 2,'),
+        ("2", '"2": null}', '"2": null, "2": -90}'),
+        ("classes", '"classes": [', '"classes": [], "classes": ['),
+    ],
+    ids=["top level", "class", "noise table", "classes"],
+)
+def test_a_key_twice_in_one_object_is_refused(tmp_path, capsys, key, old, new):
+    """json.loads keeps the last of two equal keys; the config loader names
+    the key instead, wherever the object is."""
+    path = tmp_path / "net.json"
+    path.write_text(_replace_once(json.dumps(base_config_dict()), old, new))
+    with pytest.raises(ConfigSchemaError, match=f"^key '{key}' appears twice in one object$"):
+        load_config(path)
+    out = tmp_path / "out"
+    assert main(["analyze", "sinr", "--config", str(path), "-o", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: key '{key}' appears twice in one object\n"
+    assert not out.exists()
+
+
 def test_exit_codes(tmp_path, capsys, monkeypatch):
     ok = write_config(tmp_path)
     out = str(tmp_path / "out")

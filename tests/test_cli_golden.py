@@ -1,16 +1,16 @@
 """Golden test of CLI outputs: the recorded command matrix, replayed.
 
 `tests/golden/record.py` recorded 13 commands on each shipped config.
-Each replay must give the same exit code, and the same text around every
-number, in stdout, stderr, the warnings and every output file.  Numbers
-must agree within 1e-10 relative, and the files of a Monte Carlo command
-byte for byte.  A change that alters an output on purpose records the
-matrix again (see that script) and says so in CHANGES.md.
+Each replay must match its recording under that script's rule
+(`mismatches`): the same exit code and warnings, the same text around
+every number in stdout, stderr and every output file, numbers within
+1e-10 relative, and the files of a Monte Carlo command byte for byte.  A
+change that alters an output on purpose records the matrix again (see
+that script) and says so in CHANGES.md.
 """
 
+import copy
 import json
-import math
-import re
 import sys
 from pathlib import Path
 
@@ -19,25 +19,9 @@ import pytest
 from hetnet_offload import cli
 
 sys.path.insert(0, str(Path(__file__).resolve().parent / "golden"))
-from record import COMMANDS, MATRIX, run_entry  # noqa: E402
+from record import COMMANDS, MATRIX, merge, mismatches, run_entry, same_text  # noqa: E402
 
 ENTRIES = json.loads(MATRIX.read_text())
-# commands whose files come from a Monte Carlo run: they must stay byte-identical
-MONTE_CARLO_COMMANDS = ("simulate", "compare")
-_NUMBER = re.compile(r"([-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?)")
-
-
-def _same_text(got: str, want: str) -> bool:
-    """Equal text around the numbers, and numbers equal within 1e-10 relative."""
-    got_parts, want_parts = _NUMBER.split(got), _NUMBER.split(want)
-    if len(got_parts) != len(want_parts):
-        return False
-    for k, (g, w) in enumerate(zip(got_parts, want_parts)):
-        if g == w:
-            continue
-        if k % 2 == 0 or not math.isclose(float(g), float(w), rel_tol=1e-10, abs_tol=0.0):
-            return False  # odd parts are the numbers
-    return True
 
 
 def _entry_id(entry: dict) -> str:
@@ -52,17 +36,7 @@ def test_matrix_covers_both_configs():
 @pytest.mark.parametrize("want", ENTRIES, ids=_entry_id)
 def test_cli_output_matches_recording(want, tmp_path):
     got = run_entry(want["config"], want["command"], tmp_path)
-    assert got["exit_code"] == want["exit_code"]
-    assert got["warnings"] == want["warnings"]
-    for stream in ("stdout", "stderr"):
-        assert _same_text(got[stream], want[stream]), (stream, got[stream], want[stream])
-    assert sorted(got["files"]) == sorted(want["files"])
-    exact = want["command"][0] in MONTE_CARLO_COMMANDS
-    for name, text in want["files"].items():
-        if exact:
-            assert got["files"][name] == text, name
-        else:
-            assert _same_text(got["files"][name], text), name
+    assert mismatches(got, want) == [], got
 
 
 @pytest.mark.parametrize("command", COMMANDS, ids=" ".join)
@@ -80,7 +54,31 @@ def test_command_parses_as_in_the_whole_tree(command, capsys):
 
 
 def test_number_comparison_reads_numbers():
-    assert _same_text("b = 1.0000000000001 dB", "b = 1.0 dB")
-    assert not _same_text("b = 1.000000001 dB", "b = 1.0 dB")
-    assert not _same_text("b = 1.0 dB", "b = 1.0 dBm")
-    assert not _same_text("a,1", "a,1,2")
+    assert same_text("b = 1.0000000000001 dB", "b = 1.0 dB")
+    assert not same_text("b = 1.000000001 dB", "b = 1.0 dB")
+    assert not same_text("b = 1.0 dB", "b = 1.0 dBm")
+    assert not same_text("a,1", "a,1,2")
+
+
+def _entry(command: list[str], stdout: str, file_text: str) -> dict:
+    return {"config": "two_class_sir", "command": command, "exit_code": 0, "stdout": stdout, "stderr": "",
+            "warnings": [], "files": {"out.csv": file_text}}
+
+
+def test_record_again_keeps_the_entries_that_replay():
+    """Recording again keeps an entry's recorded text when the new run is
+    within the replay rule, and takes the new run's otherwise."""
+    recorded = [
+        _entry(["optimize", "bias"], "b = 1.0 dB\n", "x,0.25\n"),
+        _entry(["analyze", "sinr"], "wrote 2 rows\n", "x,0.5\n"),
+        _entry(["simulate"], "wrote\n", "x,0.75\n"),
+    ]
+    runs = copy.deepcopy(recorded)
+    runs[0]["stdout"], runs[0]["files"]["out.csv"] = "b = 1.0000000000001 dB\n", "x,0.25000000000000006\n"
+    runs[1]["files"]["out.csv"] = "x,0.500001\n"  # outside 1e-10
+    runs[2]["files"]["out.csv"] = "x,0.7500000000000001\n"  # a Monte Carlo file: byte for byte
+    new = _entry(["compare"], "max gap\n", "x,1\n")  # no recording yet
+    merged = merge(recorded, [*runs, new])
+    assert merged == [recorded[0], runs[1], runs[2], new]
+    assert mismatches(runs[0], recorded[0]) == []
+    assert mismatches(runs[1], recorded[1]) == mismatches(runs[2], recorded[2]) == ["out.csv"]
