@@ -37,7 +37,7 @@ if "numpy" not in sys.modules and not any(
 else:
     import numpy  # noqa: F401  (the package loads numpy in every case)
 
-# each export by the module that defines it, for `__getattr__` (PEP 562)
+# the package's one list of public names, by defining module, for `__getattr__` (PEP 562)
 _EXPORTS = {
     "model": (
         "CLOSED", "OPEN", "ApClass", "ClassId", "ConfigValidationError", "NetworkConfig",
@@ -56,37 +56,7 @@ _SUBMODULES = (*_EXPORTS, "cli")
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ApClass",
-    "CLOSED",
-    "CcdfCurve",
-    "ClassId",
-    "ConfigValidationError",
-    "EmpiricalSummary",
-    "LoadDistribution",
-    "NetworkConfig",
-    "NumericalError",
-    "OPEN",
-    "OptimizationResult",
-    "SimSettings",
-    "SolverError",
-    "association_probabilities",
-    "bias_sweep",
-    "db_to_linear",
-    "linear_to_db",
-    "make_class",
-    "optimal_bias_rate",
-    "optimal_bias_sir",
-    "percentile_rate",
-    "rat_offload_fraction",
-    "rate_ccdf",
-    "rate_coverage",
-    "require_valid",
-    "run_batch",
-    "sinr_ccdf",
-    "sinr_coverage",
-    "tagged_load_distribution",
-]
+__all__ = sorted(_MODULE_OF)
 
 
 def __getattr__(name: str):

@@ -32,15 +32,6 @@ from .numerics import (
     decay_integral,
 )
 
-__all__ = [
-    "association_probability",
-    "association_probabilities",
-    "rat_offload_fraction",
-    "LoadDistribution",
-    "load_ratio",
-    "tagged_load_distribution",
-]
-
 
 def _serving_class(config: NetworkConfig, serving: ClassId):
     cls = config.class_for(serving)
@@ -63,28 +54,17 @@ def _associations(cls: ApClass, g: np.ndarray, expos: np.ndarray) -> np.ndarray:
     return math.pi * cls.density * decay_integral(math.pi * g, expos)
 
 
-def association_probability(config: NetworkConfig, serving: ClassId) -> float:
-    """Probability that the typical user is served by class `serving`."""
-    cls = _serving_class(config, serving)
-    return float(_associations(cls, *_g_terms(config, serving))[0])
-
-
 def association_probabilities(config: NetworkConfig) -> dict[ClassId, float]:
     """A_ij for every open class.  Sums to 1 over a valid config."""
-    return {cls.id: association_probability(config, cls.id) for cls in config.open_classes()}
+    return {cls.id: float(_associations(cls, *_g_terms(config, cls.id))[0]) for cls in config.open_classes()}
 
 
 def rat_offload_fraction(config: NetworkConfig, rat: int) -> float:
     """Fraction of users served by any open class of one RAT."""
-    total = 0.0
-    found = False
-    for cls in config.open_classes():
-        if cls.id.rat == rat:
-            total += association_probability(config, cls.id)
-            found = True
-    if not found:
+    shares = [a for cid, a in association_probabilities(config).items() if cid.rat == rat]
+    if not shares:
         raise ValueError(f"RAT {rat} has no open class with positive density")
-    return total
+    return sum(shares)
 
 
 # ---------------------------------------------------------------------------
@@ -97,7 +77,7 @@ def load_ratio(config: NetworkConfig, serving: ClassId) -> float:
     cls = _serving_class(config, serving)
     if failure := _user_density_failure(config.user_density):
         raise ValueError(failure)
-    return config.user_density * association_probability(config, serving) / cls.density
+    return config.user_density * float(_associations(cls, *_g_terms(config, serving))[0]) / cls.density
 
 
 @dataclass(frozen=True)

@@ -59,18 +59,6 @@ from .association import (  # noqa: F401
 from .model import ApClass, ClassId, NetworkConfig, _user_density_failure
 from .numerics import AREA_BIAS_FACTOR, TAGGED_CELL_SHAPE, decay_integral, z_integral
 
-__all__ = [
-    "shannon_threshold",
-    "sinr_coverage",
-    "sinr_ccdf",
-    "rate_coverage",
-    "rate_ccdf",
-    "rate_coverage_mean_load",
-    "rate_coverage_closed_form",
-    "CcdfCurve",
-    "ClosedFormInapplicableError",
-]
-
 
 class ClosedFormInapplicableError(ValueError):
     """A closed-form path was requested outside its validity conditions."""
@@ -206,7 +194,9 @@ class _Serving:
         for b, _, t in call:
             spans.append((b, lo, lo + t.size))
             lo += t.size
-        columns = [scale * z_integral(taus, e, _offsets(offsets, spans, taus.size)) for e, scale, offsets in self.d]
+        # a D coefficient past the float range is inf, and its row integrates to 0
+        with np.errstate(over="ignore"):
+            columns = [scale * z_integral(taus, e, _offsets(offsets, spans, taus.size)) for e, scale, offsets in self.d]
         if self.noise > 0.0:
             columns.append(self.noise * taus)
         # allocated after Z's temporaries are freed, so that it can take their

@@ -165,30 +165,31 @@ class NetworkConfig:
     # -- derived configurations ------------------------------------------
 
     def with_bias(self, cid: ClassId, bias: float) -> "NetworkConfig":
-        """Copy of the config with one class's linear bias replaced; the bias
-        must be finite and > 0, as `validate` requires."""
-        new = tuple(replace(c, bias=bias) if c.id == cid else c for c in self.classes)
-        if not any(c.id == cid for c in self.classes):
-            raise KeyError(f"no class {cid.label()} in config")
-        if failure := _bias_failure(cid, bias):
-            raise ValueError(failure)
-        return replace(self, classes=new)
+        """Copy with one class's linear bias replaced; it must pass `validate`'s bias rule."""
+        return self._with(cid, _bias_failure(cid, bias), bias=bias)
 
     def with_density(self, cid: ClassId, density: float) -> "NetworkConfig":
-        new = tuple(replace(c, density=density) if c.id == cid else c for c in self.classes)
-        if not any(c.id == cid for c in self.classes):
-            raise KeyError(f"no class {cid.label()} in config")
-        return replace(self, classes=new)
+        """Copy with one class's density replaced; it must pass `validate`'s density rule."""
+        return self._with(cid, _density_failure(cid, density), density=density)
 
-    def without_closed(self) -> "NetworkConfig":
-        """Copy with every closed class removed (densities untouched otherwise)."""
-        return replace(self, classes=tuple(c for c in self.classes if c.id.is_open))
+    def _with(self, cid: ClassId, failure: str | None, **change) -> "NetworkConfig":
+        self.class_for(cid)  # KeyError when there is no such class
+        if failure:
+            raise ValueError(failure)
+        return replace(self, classes=tuple(replace(c, **change) if c.id == cid else c for c in self.classes))
 
 
 def _bias_failure(cid: ClassId, bias: float) -> str | None:
     """Why a linear bias is inadmissible for class `cid`, or None if it is not."""
     if not 0.0 < bias < math.inf:
         return f"{cid.label()}: bias must be finite and > 0 (got {bias})"
+    return None
+
+
+def _density_failure(cid: ClassId, density: float) -> str | None:
+    """Why an AP density is inadmissible for class `cid`, or None if it is not."""
+    if not 0.0 <= density < math.inf:
+        return f"{cid.label()}: density must be finite and >= 0 (got {density})"
     return None
 
 
@@ -220,8 +221,8 @@ def validate(config: NetworkConfig) -> tuple[str, ...]:
         tag = cls.id.label()
         if cls.id.rat < 1 or cls.id.tier < 1:
             failures.append(f"{tag}: rat and tier indices must be >= 1")
-        if not 0.0 <= cls.density < math.inf:
-            failures.append(f"{tag}: density must be finite and >= 0 (got {cls.density})")
+        if failure := _density_failure(cls.id, cls.density):
+            failures.append(failure)
         if not 0.0 < cls.power < math.inf:
             failures.append(f"{tag}: power must be finite and > 0 W (got {cls.power})")
         if not 2.0 < cls.exponent < math.inf:

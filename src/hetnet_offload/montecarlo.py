@@ -69,14 +69,6 @@ import numpy as np
 from .coverage import CcdfCurve, _check_grid
 from .model import ApClass, ClassId, NetworkConfig, require_valid
 
-__all__ = [
-    "SimSettings",
-    "EmpiricalSummary",
-    "sample_deployment",
-    "run_batch",
-    "default_rate_grid",
-    "default_sinr_grid",
-]
 
 _ACCESS_CODE = {"open": 1, "closed": 2}
 _USER_KEY = (0, 0, 0)  # the user stream of trial t is (t, 0, 0, 0)
@@ -110,16 +102,6 @@ class EmpiricalSummary:
     trial_count: int
     far_serving_trials: int = 0
     mean_ap_count: dict[ClassId, float] = field(default_factory=dict)
-
-
-def default_rate_grid() -> np.ndarray:
-    """Log-spaced rate grid (bps) used when the caller does not pass one."""
-    return np.logspace(3.0, 9.0, 61)
-
-
-def default_sinr_grid() -> np.ndarray:
-    """Linear SINR grid covering -20..60 dB in 1 dB steps."""
-    return 10.0 ** (np.arange(-20.0, 60.5, 1.0) / 10.0)
 
 
 def _check_deployment(settings: SimSettings) -> None:
@@ -617,6 +599,8 @@ def run_batch(
 ) -> EmpiricalSummary:
     """Run all trials and aggregate empirical distributions.
 
+    The rate CCDF is taken at `rate_grid` (bps; by default 61 log-spaced
+    points from 1e3 to 1e9), the SINR CCDF from -20 to 60 dB in 1 dB steps.
     The aggregation is a deterministic ordered merge over fixed trial
     blocks, so the summary depends only on (config, settings, rate grid) —
     not on the worker count or scheduling.
@@ -630,9 +614,9 @@ def run_batch(
         raise ValueError(f"need at least one worker, got {settings.parallel_workers}")
     _check_seed(settings.seed)
     _check_deployment(settings)
-    rate_grid = default_rate_grid() if rate_grid is None else np.asarray(rate_grid, dtype=float)
+    rate_grid = np.logspace(3.0, 9.0, 61) if rate_grid is None else np.asarray(rate_grid, dtype=float)
     _check_grid(rate_grid, "rate")
-    sinr_grid = default_sinr_grid()
+    sinr_grid = 10.0 ** (np.arange(-20.0, 60.5, 1.0) / 10.0)  # -20..60 dB in 1 dB steps
 
     block = 512
     spans = [(s, min(s + block, settings.trials)) for s in range(0, settings.trials, block)]

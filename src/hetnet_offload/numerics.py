@@ -47,15 +47,6 @@ from functools import lru_cache
 
 import numpy as np
 
-__all__ = [
-    "NumericalError",
-    "SolverError",
-    "decay_integral",
-    "z_integral",
-    "TYPICAL_CELL_SHAPE",
-    "TAGGED_CELL_SHAPE",
-    "AREA_BIAS_FACTOR",
-]
 
 # Shape parameters of the Gamma approximation to the (area-weighted) Poisson
 # Voronoi cell area at unit density: C(1) ~ Gamma(3.5, rate 3.5), and the
@@ -103,14 +94,14 @@ def decay_integral(coefs, expos) -> np.ndarray:
     """
     coefs = np.atleast_2d(np.asarray(coefs, dtype=float))
     expos = np.asarray(expos, dtype=float)
-    if (expos == 1.0).all():
-        # decided before any per-element work: this is the whole cost of an
-        # equal-exponent, noise-free coverage call
-        total = coefs.sum(axis=1)
-        if not (total > 0.0).all():
-            raise ValueError("every row needs a positive coefficient")
-        return 1.0 / total
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore"):  # an inf coefficient, or sum of them, integrates to 0
+        if (expos == 1.0).all():
+            # decided before any per-element work: this is the whole cost of an
+            # equal-exponent, noise-free coverage call
+            total = coefs.sum(axis=1)
+            if not (total > 0.0).all():
+                raise ValueError("every row needs a positive coefficient")
+            return 1.0 / total
         # u at which the fastest-growing term reaches 1; the exponent at the
         # scale u = s is between 1 and K, whatever the coefficients
         reach = (coefs ** (1.0 / expos)).max(axis=1)

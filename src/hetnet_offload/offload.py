@@ -41,15 +41,6 @@ from .coverage import (  # noqa: F401
 from .model import ClassId, NetworkConfig, db_to_linear
 from .numerics import SolverError, z_integral
 
-__all__ = [
-    "OptimizationResult",
-    "SolverError",
-    "optimal_bias_sir",
-    "optimal_bias_rate",
-    "golden_section_max",
-    "bias_sweep",
-    "percentile_rate",
-]
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0  # 1/phi
 _INV_PHI2 = (3.0 - math.sqrt(5.0)) / 2.0  # 1/phi^2

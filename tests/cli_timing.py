@@ -1,17 +1,20 @@
 """Print the wall and CPU time of each CLI command, in fresh processes.
 
-    python3 tests/cli_timing.py [PACKAGE_DIR] [--runs N]
+    python3 tests/cli_timing.py [PACKAGE_DIR ...] [--runs N]
 
 PACKAGE_DIR defaults to this checkout's `src/hetnet_offload`; pass another
-checkout's to time it the same way.  Every command of the golden matrix
-(`tests/golden/record.py`'s COMMANDS) runs on each shipped config as
-`python -m hetnet_offload.cli`, N times (default 5), each in a new
-process with PACKAGE_DIR's parent as PYTHONPATH and the caller's
-environment otherwise.  A process's CPU time is read with RUSAGE_CHILDREN,
-so it includes the interpreter's start-up and every import.  The table
-gives the median wall and CPU seconds of each command and its exit code
-(a command the package refuses still pays its start-up); the last line
-sums the medians.
+checkout's to time it the same way, or several to compare them.  Every
+command of the golden matrix (`tests/golden/record.py`'s COMMANDS) runs on
+each shipped config as `python -m hetnet_offload.cli`, N times (default 5)
+on each tree, each in a new process with that PACKAGE_DIR's parent as
+PYTHONPATH and the caller's environment otherwise.  The trees take turns
+command by command, and the tree that runs first moves on at every repeat,
+so that drift in the machine's speed falls on all of them alike.  A
+process's CPU time is read with RUSAGE_CHILDREN, so it includes the
+interpreter's start-up and every import.  The table gives, per tree, the
+median wall and CPU seconds of each command, then the exit codes (a
+command the package refuses still pays its start-up); the last line sums
+the medians.
 """
 
 from __future__ import annotations
@@ -49,23 +52,36 @@ def time_command(package: Path, argv: list[str]) -> tuple[float, float, int]:
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("package", nargs="?", type=Path, default=ROOT / "src" / "hetnet_offload")
+    parser.add_argument("packages", nargs="*", type=Path, default=[ROOT / "src" / "hetnet_offload"])
     parser.add_argument("--runs", type=int, default=5)
     args = parser.parse_args()
+    trees = range(len(args.packages))
+    tags = [""] if len(trees) == 1 else [str(k + 1) for k in trees]
+    if len(trees) > 1:
+        for k, package in enumerate(args.packages, 1):
+            print(f"tree {k}: {package}")
     width = max(len(" ".join(command)) for command in COMMANDS)
-    print(f"{'config':<20} {'command':<{width}} {'wall_s':>7} {'cpu_s':>7} exit")
-    totals = [0.0, 0.0]
+    columns = "".join(f" {'wall_s' + t:>7} {'cpu_s' + t:>7}" for t in tags)
+    print(f"{'config':<20} {'command':<{width}}{columns} exit")
+    totals = [[0.0, 0.0] for _ in trees]
     for config_name in CONFIGS:
         config = str(ROOT / "configs" / f"{config_name}.json")
         for command in COMMANDS:
-            runs = [time_command(args.package, [*command, "--config", config]) for _ in range(args.runs)]
-            wall = statistics.median(r[0] for r in runs)
-            cpu = statistics.median(r[1] for r in runs)
-            totals[0] += wall
-            totals[1] += cpu
-            codes = "/".join(sorted({str(r[2]) for r in runs}))
-            print(f"{config_name:<20} {' '.join(command):<{width}} {wall:7.3f} {cpu:7.3f} {codes}")
-    print(f"{'total of medians':<{width + 21}} {totals[0]:7.3f} {totals[1]:7.3f}")
+            runs = [[] for _ in trees]
+            for repeat in range(args.runs):
+                for k in ((repeat + j) % len(trees) for j in trees):
+                    runs[k].append(time_command(args.packages[k], [*command, "--config", config]))
+            cells, codes = "", []
+            for k in trees:
+                wall = statistics.median(r[0] for r in runs[k])
+                cpu = statistics.median(r[1] for r in runs[k])
+                totals[k][0] += wall
+                totals[k][1] += cpu
+                cells += f" {wall:7.3f} {cpu:7.3f}"
+                codes.append("/".join(sorted({str(r[2]) for r in runs[k]})))
+            print(f"{config_name:<20} {' '.join(command):<{width}}{cells} {' '.join(codes)}")
+    cells = "".join(f" {wall:7.3f} {cpu:7.3f}" for wall, cpu in totals)
+    print(f"{'total of medians':<{width + 21}}{cells}")
 
 
 if __name__ == "__main__":

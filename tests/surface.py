@@ -6,7 +6,8 @@ PACKAGE_DIR defaults to this checkout's `src/hetnet_offload`; pass another
 checkout's to measure it the same way.  The measures are:
 
 * lines: `wc -l` over the package's `*.py` files;
-* exports: the names in the package's `__all__`;
+* exports: the names in the package's `__all__`, counted in the
+  `_EXPORTS` table it is built from (or a literal `__all__`);
 * settable values: the defaults of every `def` (positional and
   keyword-only; lambdas not counted) plus the annotated fields of every
   `@dataclass` class, counted with `ast`;
@@ -46,10 +47,13 @@ def settable_values(tree: ast.AST) -> int:
 
 
 def exports(init: Path) -> int:
-    for node in ast.parse(init.read_text()).body:
-        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
-            return len(node.value.elts)
-    return 0
+    """The names in the package's `_EXPORTS` table, from which `__all__` is
+    built; a checkout without the table counts its literal `__all__`."""
+    assigned = {target.id: node.value for node in ast.parse(init.read_text()).body
+                if isinstance(node, ast.Assign) for target in node.targets if isinstance(target, ast.Name)}
+    if "_EXPORTS" in assigned:
+        return sum(len(names.elts) for names in assigned["_EXPORTS"].values)
+    return len(assigned["__all__"].elts) if "__all__" in assigned else 0
 
 
 def _lines(path: Path) -> int:

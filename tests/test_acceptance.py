@@ -49,7 +49,7 @@ from hetnet_offload import (
     sinr_coverage,
     tagged_load_distribution,
 )
-from hetnet_offload.association import association_probability, load_ratio
+from hetnet_offload.association import load_ratio
 from hetnet_offload.cli import load_config
 from hetnet_offload.coverage import rate_coverage_closed_form, rate_coverage_mean_load
 from hetnet_offload.montecarlo import _run_block
@@ -313,9 +313,8 @@ def test_c06_association_consistency(dual_rat_runs, four_class_runs, capsys):
     worst_route = 0.0
     for _ in range(10):
         config = _random_config(rng, equal_exponent=True)
-        for cls in config.open_classes():
-            fast = association_probability(config, cls.id)
-            worst_route = max(worst_route, abs(fast - oracle.association_probability(config, cls.id)))
+        for cid, fast in association_probabilities(config).items():
+            worst_route = max(worst_route, abs(fast - oracle.association_probability(config, cid)))
 
     worst_sigma = 0.0
     ci_ok = True
@@ -414,7 +413,7 @@ def test_c09_monotonicity_properties(dual_rat_runs, four_class_runs, capsys):
     config = dual_rat_config()
     tau_grid = np.asarray([db_to_linear(t) for t in np.arange(-10.0, 21.0, 2.5)])
     with_closed = np.asarray(sinr_ccdf(config, tau_grid).values)
-    without = np.asarray(sinr_ccdf(config.without_closed(), tau_grid).values)
+    without = np.asarray(sinr_ccdf(dual_rat_config(with_closed=False), tau_grid).values)
     violations += int(np.sum(without < with_closed - 1e-12))
 
     ok = violations == 0

@@ -1,11 +1,11 @@
 """Command-line layer: config ingestion, outputs, manifests, exit codes."""
 
 import argparse
+import ast
 import importlib
 import importlib.util
 import json
 import math
-import pkgutil
 import re
 import sys
 import tempfile
@@ -769,15 +769,14 @@ def test_package_surface_resolves():
         assert getattr(hetnet_offload, name) is not None, name
 
 
-@pytest.mark.parametrize("module", sorted(m.name for m in pkgutil.iter_modules(hetnet_offload.__path__)))
-def test_module_exports_resolve(module):
-    """Every name in a module's __all__ exists there, once; a module without
-    __all__ (model, cli) exports its public names, which exist by definition."""
-    mod = importlib.import_module(f"hetnet_offload.{module}")
-    names = getattr(mod, "__all__", [])
-    assert len(names) == len(set(names))
-    for name in names:
-        assert hasattr(mod, name), f"{module}.{name}"
+def test_exports_table_is_the_one_list_of_public_names():
+    """`__all__` is the names of `_EXPORTS` sorted, and no submodule assigns
+    an `__all__` of its own."""
+    assert hetnet_offload.__all__ == sorted(n for names in hetnet_offload._EXPORTS.values() for n in names)
+    for path in sorted(Path(hetnet_offload.__file__).parent.glob("*.py")):
+        assigned = {t.id for node in ast.walk(ast.parse(path.read_text())) if isinstance(node, ast.Assign)
+                    for t in node.targets if isinstance(t, ast.Name)}
+        assert ("__all__" in assigned) == (path.name == "__init__.py"), path.name
 
 
 def test_readme_library_imports_are_public():

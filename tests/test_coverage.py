@@ -1,16 +1,20 @@
 """SINR and rate coverage: closed forms against the adaptive oracle, CCDF assembly."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import dual_rat_config, four_class_config, single_class_config, two_class_config
 from hetnet_offload import (
+    CLOSED,
+    OPEN,
     ClassId,
     NetworkConfig,
+    NumericalError,
     db_to_linear,
     association_probabilities,
     make_class,
@@ -20,6 +24,7 @@ from hetnet_offload import (
     sinr_coverage,
 )
 from hetnet_offload.association import load_ratio
+from hetnet_offload.model import validate
 from hetnet_offload.coverage import (
     ClosedFormInapplicableError,
     rate_coverage_closed_form,
@@ -347,3 +352,122 @@ def test_unknown_load_law_method_is_rejected(kernel_rows):
         with pytest.raises(ValueError, match="unknown method"):
             coverage._Stack([two_class_config()], method)
     assert kernel_rows == {"decay": [], "z": [], "association": []}
+
+
+# ---------------------------------------------------------------------------
+# Extreme valid input: an answer inside [0, 1] or a clear error, never a
+# numpy warning, a NaN or a silent fall outside the probability range
+# ---------------------------------------------------------------------------
+
+EXTREME_TAUS = np.array([0.0, *np.logspace(-3.0, 6.0, 7)])
+EXTREME_RHOS = np.logspace(4.0, 8.0, 5)
+
+
+def _assert_coverage(values, per_class, weights) -> None:
+    """Finite, non-increasing within 1e-10, association summing to 1 within
+    1e-9, and inside [0, 1] within that 1e-9 (values = sum_ij A_ij S_ij)."""
+    assert sum(weights.values()) == pytest.approx(1.0, abs=1e-9)
+    for curve in (values, *per_class.values()):
+        assert np.isfinite(curve).all()
+        assert ((curve >= -1e-9) & (curve <= 1.0 + 1e-9)).all()
+        assert (np.diff(curve) <= 1e-10).all()
+
+
+def _strict(run):
+    """run(), with every warning raised as an error."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return run()
+
+
+def _valid_config(classes, user_density, noise_power=None) -> NetworkConfig:
+    ids = [c.id for c in classes if c.id.is_open]
+    config = NetworkConfig(classes=tuple(classes), user_density=user_density, noise_power=noise_power or {},
+                           sinr_threshold={cid: 1.0 for cid in ids}, rate_threshold={cid: 256e3 for cid in ids})
+    assert not validate(config)
+    return config
+
+
+# Two valid configs whose rate CCDFs pass the float range at the large finite
+# SINR thresholds of a long load pmf's tail.  (a) A closed class 36 dB above
+# the open one at exponent 2.0001: its D coefficient scale * Z(tau) is inf.
+OVERFLOW_TERM = _valid_config([
+    make_class(1, 2, 1.83e-4, 12.5, 2.0001, 65.1),
+    make_class(1, 3, 2021, 48.9, 2.0001, -47.3, access=CLOSED),
+    make_class(2, 1, 8.23e4, 39.8, 4.22, -5.7, access=CLOSED),
+], user_density=2.34)
+# (b) Every exponent of the serving RAT 2.0001, so the kernel takes its closed
+# form 1 / sum_k c_k, and the sum is inf before any one coefficient is.
+OVERFLOW_SUM = _valid_config([
+    make_class(1, 3, 1.04e-3, 18.9, 2.0001, 3.7, access=CLOSED),
+    make_class(2, 1, 7.25e4, 16.1, 2.0001, 34.0, access=CLOSED),
+    make_class(2, 2, 4.83e-4, 40.3, 2.0001, 49.4, bandwidth=43.9e6),
+    make_class(2, 4, 3.72, 42.2, 2.0001, 66.2, access=CLOSED),
+], user_density=20.8, noise_power={1: 1e-13})
+
+
+@pytest.mark.parametrize("config", [OVERFLOW_TERM, OVERFLOW_SUM], ids=["a-interference-term", "b-closed-form-sum"])
+def test_an_overflowed_coefficient_covers_nothing(config):
+    """An inf coefficient integrates to 0: its rows cover nothing, and numpy
+    raises no overflow warning on the way."""
+    curve = _strict(lambda: rate_ccdf(config, np.logspace(4, 8, 9)))
+    _assert_coverage(curve.values, curve.per_class, curve.weights)
+
+
+@st.composite
+def extreme_configs(draw):
+    """Valid configs at the model's edges: 1-4 classes on two RATs, the first
+    open and the others open or closed, exponents from 2.0001 to 8 (at
+    times one for all classes, where the kernel takes its closed form),
+    biases within +-80 dB, and each RAT's noise on or off.  AP densities of
+    at least 1e-2 per km^2 against at most 5 users per km^2 keep every load
+    ratio below 500, so no load pmf nears `association._MAX_PMF_TERMS`."""
+    exponent = st.floats(2.0001, 8.0)
+    if draw(st.booleans()):
+        exponent = st.just(draw(exponent))
+    classes = [
+        make_class(
+            draw(st.integers(1, 2)),
+            tier,
+            density=10.0 ** draw(st.floats(-2.0, 5.0)),
+            power_dbm=draw(st.floats(-10.0, 70.0)),
+            exponent=draw(exponent),
+            bias_db=draw(st.floats(-80.0, 80.0)),
+            bandwidth=10.0 ** draw(st.floats(5.0, 8.0)),
+            access=OPEN if tier == 1 else draw(st.sampled_from([OPEN, CLOSED])),
+        )
+        for tier in range(1, draw(st.integers(1, 4)) + 1)
+    ]
+    ids = [c.id for c in classes if c.id.is_open]
+    return NetworkConfig(
+        classes=tuple(classes),
+        user_density=draw(st.floats(0.0, 5.0)),
+        noise_power={rat: draw(st.sampled_from([0.0, 1e-13, 1e-9, 1e-5])) for rat in (1, 2)},
+        sinr_threshold={cid: 1.0 for cid in ids},
+        rate_threshold={cid: 256e3 for cid in ids},
+    )
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(config=extreme_configs())
+@example(config=OVERFLOW_TERM)
+@example(config=OVERFLOW_SUM)
+def test_extreme_valid_configs_answer_or_refuse(config):
+    """SINR CCDF, rate CCDF and the meanload route on an extreme valid config:
+    each gives a coverage curve that `_assert_coverage` accepts, or raises
+    ValueError or NumericalError with a message; numpy warnings are errors.
+    The draws find the overflowed D coefficient on their own, not the
+    overflowed closed-form sum: both run as explicit examples."""
+    assert not validate(config)
+    routes = {
+        "sinr": lambda: sinr_ccdf(config, EXTREME_TAUS),
+        "theorem1": lambda: rate_ccdf(config, EXTREME_RHOS),
+        "meanload": lambda: coverage._curve(EXTREME_RHOS, *coverage._Stack([config], "meanload").evaluate(EXTREME_RHOS)),
+    }
+    for route, run in routes.items():
+        try:
+            curve = _strict(run)
+        except (ValueError, NumericalError) as err:
+            assert str(err), route
+            continue
+        _assert_coverage(curve.values, curve.per_class, curve.weights)

@@ -122,11 +122,23 @@ def test_with_density_returns_modified_copy():
     assert config.class_for(ClassId(2, 3)).density == 10.0
 
 
-def test_without_closed_drops_only_closed_classes():
+@pytest.mark.parametrize("density", [-1.0, math.nan, math.inf])
+def test_with_density_rejects_a_density_validate_rejects(density):
+    """A negative or NaN density would silently drop the class, and inf
+    would give a NaN coverage; validate and with_density share one rule."""
     config = dual_rat_config()
-    trimmed = config.without_closed()
-    assert [c.id for c in trimmed.present_classes()] == [ClassId(1, 1), ClassId(2, 3)]
-    assert trimmed.user_density == config.user_density
+    with pytest.raises(ValueError, match=r"2,3.*density must be finite and >= 0 \(got"):
+        config.with_density(ClassId(2, 3), density)
+    bad = replace(config, classes=tuple(replace(c, density=density) if c.id == ClassId(2, 3) else c
+                                        for c in config.classes))
+    assert "(2,3): density must be finite and >= 0" in "; ".join(validate(bad))
+
+
+def test_with_density_accepts_zero():
+    """A zero density removes the class from the deployment, as validate allows."""
+    empty = dual_rat_config().with_density(ClassId(2, 3), 0.0)
+    assert empty.class_for(ClassId(2, 3)).density == 0.0
+    assert not validate(empty)
 
 
 def test_validate_flags_bad_exponent():

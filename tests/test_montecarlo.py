@@ -382,7 +382,7 @@ def test_same_seed_reproduces_trials():
 def test_closed_removal_never_lowers_sinr():
     """Per-trial coupling: dropping closed interferers only removes power."""
     config = dual_rat_config()
-    open_only = config.without_closed()
+    open_only = dual_rat_config(with_closed=False)
     settings = SimSettings(window_km=10.0, trials=1, seed=5)
     for trial in range(60):
         with_closed = run_trial(config, settings, trial)
