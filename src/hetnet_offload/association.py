@@ -14,7 +14,8 @@ Loads: with users a PPP of density lam_u, the number of *other* users
 sharing the AP serving the typical user is negative-binomial: the paper
 takes a Gamma(3.5, 3.5) area law for the typical cell of a unit-density
 Voronoi tessellation, area-biased to Gamma(4.5, 3.5) for the cell a
-random user lands in.
+random user lands in.  Its pmf is built in one buffer sized from the law's
+mean and standard deviation, at a peak of about 1.6 times its own size.
 """
 
 from __future__ import annotations
@@ -98,24 +99,25 @@ _TAIL_MASS = 1e-10
 _TAIL_MEAN = 1e-9  # times (1 + r)
 _PMF_BLOCK = 2**16  # longest block of terms computed at once
 _SUM_ROW = 256  # terms summed on their own before the rows are summed
+_TAIL_SDS = 16.0  # standard deviations past the mean that the pmf buffer holds at first
 
 
-def _running_sum(steps: np.ndarray) -> np.ndarray:
+def _running_sum(steps: np.ndarray, out: np.ndarray) -> np.ndarray:
     """[0, cumsum(steps)], summed in rows of _SUM_ROW terms and then across rows.
 
     A plain running sum adds tens of thousands of small terms to a much
     larger total, and its rounding drifts: by ~2e-13 over a 65k-term block
     of log ratios, which shifted the pmf's end by tens of terms at
     r = 7.35e4.  Summing short rows first keeps the drift near 2e-14.  The
-    first row is numpy's plain running sum, bit for bit.
+    first row is numpy's plain running sum, bit for bit.  `out` is scratch
+    of whole rows past steps.size, its values unread: sums are prefix sums.
     """
-    sums = np.zeros(-(-(steps.size + 1) // _SUM_ROW) * _SUM_ROW)
-    sums[1 : steps.size + 1] = steps
-    rows = sums.reshape(-1, _SUM_ROW)
+    out[0] = 0.0
+    out[1 : steps.size + 1] = steps
+    rows = out.reshape(-1, _SUM_ROW)
     np.cumsum(rows, axis=1, out=rows)
-    if len(rows) > 1:
-        rows[1:] += np.cumsum(rows[:-1, -1])[:, None]
-    return sums[: steps.size + 1]
+    rows[1:] += np.cumsum(rows[:-1, -1])[:, None]
+    return out[: steps.size + 1]
 
 
 def _nb_pmf(r: float, shape: float) -> np.ndarray:
@@ -130,7 +132,11 @@ def _nb_pmf(r: float, shape: float) -> np.ndarray:
     is at most 1e-10 and the discarded tail of the mean,
     E[O; O > n] = shape r/3.5 - E[O; O <= n], at most 1e-9 * (1+r); both
     are read off the running sums of the blocks, so no block is computed
-    past the one that holds that n.
+    past the one that holds that n.  The blocks fill one buffer, first
+    sized for mean + _TAIL_SDS sd + 64 terms and doubled if short, whose
+    untouched pages cost no memory; four block-sized scratch arrays serve
+    every block, and the buffer is cut in place at n.  The build peaks at
+    about 1.6 times the pmf's size (r = 7.35e4).
     """
     if not r >= 0.0:
         raise ValueError(f"load ratio must be non-negative (got {r})")
@@ -143,29 +149,35 @@ def _nb_pmf(r: float, shape: float) -> np.ndarray:
     mean = shape * r / rate
     # about the terms the tail criteria need, so one block usually does
     block = min(_PMF_BLOCK, 64 + math.ceil(12.0 * r))
-    blocks = []
+    sd = math.sqrt(mean * (1.0 + r / rate))
+    buf = np.empty(max(block, math.ceil(min(64.0 + mean + _TAIL_SDS * sd, _MAX_PMF_TERMS))))
+    n, tmp = np.arange(block, dtype=float), np.empty(block)
+    log_sums, sums = np.zeros((2, -(-(block + 1) // _SUM_ROW) * _SUM_ROW))
     mass = first_moment = log_coef = 0.0
     start = 0
     while True:
         if start >= _MAX_PMF_TERMS:
             raise NumericalError(f"load pmf needs more than {_MAX_PMF_TERMS} terms (r={r})")
         stop = start + block
-        n = np.arange(start, stop, dtype=float)
+        if stop > buf.size:  # no view of buf outlives the line that takes it
+            buf.resize(max(stop, min(2 * buf.size, _MAX_PMF_TERMS)), refcheck=False)
         # log Gamma(n+shape) / (Gamma(shape) n!): its value at the block's
         # start plus the running sum of log term ratios within the block
-        log_pmf = _running_sum(np.log1p((shape - 1.0) / n[1:]))
+        log_pmf = _running_sum(np.log1p(np.divide(shape - 1.0, n[1:], out=tmp[1:]), out=tmp[1:]), log_sums)
         block_sum = float(log_pmf[-1])
-        log_pmf += n * log_q + (log_coef + log_p0)
+        log_pmf += np.add(np.multiply(n, log_q, out=tmp), log_coef + log_p0, out=tmp)
         log_coef += block_sum + math.log1p((shape - 1.0) / stop)
-        pmf = np.exp(log_pmf)
-        mass_upto = mass + _running_sum(pmf)[1:]
-        moment_upto = first_moment + _running_sum(n * pmf)[1:]
-        done = (1.0 - mass_upto <= _TAIL_MASS) & (mean - moment_upto <= _TAIL_MEAN * (1.0 + r))
-        if done.any():
-            blocks.append(pmf[: int(np.argmax(done)) + 1])
-            return np.concatenate(blocks)
+        mass_upto = _running_sum(np.exp(log_pmf, out=buf[start:stop]), sums)[1:]
+        moment_upto = _running_sum(np.multiply(n, buf[start:stop], out=tmp), log_sums)[1:]
+        mass_upto += mass
+        moment_upto += first_moment
         mass, first_moment = float(mass_upto[-1]), float(moment_upto[-1])
-        blocks.append(pmf)
+        done = np.subtract(1.0, mass_upto, out=mass_upto) <= _TAIL_MASS
+        done &= np.subtract(mean, moment_upto, out=moment_upto) <= _TAIL_MEAN * (1.0 + r)
+        if done.any():
+            buf.resize(start + int(np.argmax(done)) + 1, refcheck=False)
+            return buf
+        n += block
         start = stop
 
 

@@ -128,6 +128,8 @@ def _load_law(route: str):
 
 def _tagged_law(r: float):
     pmf = _nb_pmf(r, TAGGED_CELL_SHAPE)
+    if pmf.all():  # no term underflowed to 0, the usual case
+        return np.arange(1.0, pmf.size + 1.0), pmf
     n = np.flatnonzero(pmf)
     return n + 1.0, pmf[n]
 

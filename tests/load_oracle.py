@@ -5,6 +5,12 @@ any association check.  `tagged_user_count_reference` associates every
 user with every open class in full, with no pruning, and is the oracle
 the tests hold the pruned count (and the restricted user draw) to.
 
+`nb_pmf_reference` is the tagged-AP load pmf as a list of blocks joined
+at the end, the layout `association._nb_pmf` had before it wrote its
+blocks into one buffer, and `running_sum_reference` its row-wise running
+sum in a fresh array each call; the tests hold `_nb_pmf` and
+`_running_sum` to them bit for bit.
+
 `tagged_load_moment` gives the moments of the tagged-AP load law in
 closed form, through Stirling numbers of the second kind and the moments
 `pv_area_moment` of the Gamma(3.5, 3.5) cell-area law, for the tests to
@@ -13,13 +19,21 @@ hold the load pmf to.
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 import numpy as np
 
-from hetnet_offload.association import load_ratio
+from hetnet_offload.association import (
+    _MAX_PMF_TERMS,
+    _PMF_BLOCK,
+    _SUM_ROW,
+    _TAIL_MASS,
+    _TAIL_MEAN,
+    load_ratio,
+)
 from hetnet_offload.model import ApClass, ClassId, NetworkConfig
-from hetnet_offload.numerics import TYPICAL_CELL_SHAPE
+from hetnet_offload.numerics import TYPICAL_CELL_SHAPE, NumericalError
 
 
 def tagged_user_count_reference(
@@ -94,3 +108,72 @@ def tagged_load_moment(config: NetworkConfig, serving: ClassId, n: int) -> float
         return 1.0
     r = load_ratio(config, serving)
     return sum(r**k * stirling2(n, k) * pv_area_moment(k + 1) for k in range(1, n + 1))
+
+
+def running_sum_reference(steps: np.ndarray) -> np.ndarray:
+    """[0, cumsum(steps)], summed in rows of _SUM_ROW terms and then across rows.
+
+    A plain running sum adds tens of thousands of small terms to a much
+    larger total, and its rounding drifts: by ~2e-13 over a 65k-term block
+    of log ratios, which shifted the pmf's end by tens of terms at
+    r = 7.35e4.  Summing short rows first keeps the drift near 2e-14.  The
+    first row is numpy's plain running sum, bit for bit.
+    """
+    sums = np.zeros(-(-(steps.size + 1) // _SUM_ROW) * _SUM_ROW)
+    sums[1 : steps.size + 1] = steps
+    rows = sums.reshape(-1, _SUM_ROW)
+    np.cumsum(rows, axis=1, out=rows)
+    if len(rows) > 1:
+        rows[1:] += np.cumsum(rows[:-1, -1])[:, None]
+    return sums[: steps.size + 1]
+
+
+def nb_pmf_reference(r: float, shape: float) -> np.ndarray:
+    """Negative-binomial pmf with Gamma mixing shape `shape` and rate 3.5.
+
+    P(O = n) = Gamma(n+shape) / (Gamma(shape) n!) (1-q)^shape q^n with
+    q = r/(3.5+r).  The pmf is built in blocks of terms, in log space, from
+    the term ratio P(n+1)/P(n) = q (n+shape)/(n+1); each block carries on
+    from the log coefficient at the end of the one before.
+
+    The walk stops at the first n where the discarded tail mass P(O > n)
+    is at most 1e-10 and the discarded tail of the mean,
+    E[O; O > n] = shape r/3.5 - E[O; O <= n], at most 1e-9 * (1+r); both
+    are read off the running sums of the blocks, so no block is computed
+    past the one that holds that n.
+    """
+    if not r >= 0.0:
+        raise ValueError(f"load ratio must be non-negative (got {r})")
+    rate = TYPICAL_CELL_SHAPE  # 3.5, the Gamma rate of both area laws
+    q = r / (rate + r)
+    if q == 0.0:  # r = 0, or so small that q underflows
+        return np.ones(1)
+    log_q = math.log(q) if q < 0.5 else -math.log1p(rate / r)
+    log_p0 = -shape * math.log1p(r / rate)  # log P(O = 0)
+    mean = shape * r / rate
+    # about the terms the tail criteria need, so one block usually does
+    block = min(_PMF_BLOCK, 64 + math.ceil(12.0 * r))
+    blocks = []
+    mass = first_moment = log_coef = 0.0
+    start = 0
+    while True:
+        if start >= _MAX_PMF_TERMS:
+            raise NumericalError(f"load pmf needs more than {_MAX_PMF_TERMS} terms (r={r})")
+        stop = start + block
+        n = np.arange(start, stop, dtype=float)
+        # log Gamma(n+shape) / (Gamma(shape) n!): its value at the block's
+        # start plus the running sum of log term ratios within the block
+        log_pmf = running_sum_reference(np.log1p((shape - 1.0) / n[1:]))
+        block_sum = float(log_pmf[-1])
+        log_pmf += n * log_q + (log_coef + log_p0)
+        log_coef += block_sum + math.log1p((shape - 1.0) / stop)
+        pmf = np.exp(log_pmf)
+        mass_upto = mass + running_sum_reference(pmf)[1:]
+        moment_upto = first_moment + running_sum_reference(n * pmf)[1:]
+        done = (1.0 - mass_upto <= _TAIL_MASS) & (mean - moment_upto <= _TAIL_MEAN * (1.0 + r))
+        if done.any():
+            blocks.append(pmf[: int(np.argmax(done)) + 1])
+            return np.concatenate(blocks)
+        mass, first_moment = float(mass_upto[-1]), float(moment_upto[-1])
+        blocks.append(pmf)
+        start = stop

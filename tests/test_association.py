@@ -1,6 +1,7 @@
 """Association probabilities and the tagged-AP load pmf."""
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -27,7 +28,13 @@ from hetnet_offload.association import (
 )
 from hetnet_offload.coverage import rate_coverage_mean_load
 from hetnet_offload.numerics import AREA_BIAS_FACTOR
-from load_oracle import pv_area_moment, stirling2, tagged_load_moment
+from load_oracle import (
+    nb_pmf_reference,
+    pv_area_moment,
+    running_sum_reference,
+    stirling2,
+    tagged_load_moment,
+)
 import quad_oracle as oracle
 
 MACRO = ClassId(1, 1)
@@ -183,24 +190,101 @@ def test_nb_pmf_edges(monkeypatch):
     with pytest.raises(ValueError):
         _nb_pmf(-1.0, 4.5)
     # r = 1e5 needs about 1e6 terms, so the walk goes past its first
-    # 65,536-term block, where a lowered limit stops it
-    monkeypatch.setattr(association, "_MAX_PMF_TERMS", 50_000)
-    with pytest.raises(NumericalError, match="more than 50000 terms"):
-        _nb_pmf(1e5, 4.5)
+    # 65,536-term block, where a lowered limit stops it.  At r = 1e200 the
+    # pmf underflows to 0 and its sd to inf, so the limit alone stops it.
+    limit, block = 50_000, association._PMF_BLOCK
+    monkeypatch.setattr(association, "_MAX_PMF_TERMS", limit)
+    real = association._running_sum
+    for r in (1e5, 1e200):
+        sums = []
+        monkeypatch.setattr(association, "_running_sum", lambda *a: sums.append(1) or real(*a))
+        tracemalloc.start()
+        try:
+            with pytest.raises(NumericalError, match="more than 50000 terms"):
+                _nb_pmf(r, 4.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(sums) == 3  # one block's three running sums, as before the one buffer
+        # the buffer is at most the limit plus one block (its estimate for
+        # r = 1e5 is 1.1e6 terms, 8.8 MB), next to four block-sized scratch
+        # arrays and the two masks of the stopping test
+        assert peak <= 8 * (limit + block) + 4 * 8 * (block + association._SUM_ROW) + 2 * block + 4096
+
+
+NB_RATIOS = [0.0, 5e-324, 1e-6, 0.3, 1.0, 3.0, 7.0, 55.0, 170.0, 400.0, 2650.3]
+NB_RATIOS += [3.5e3, 5455.0, 5500.0, 2e4, 7.35e4, 2e5]  # 5455 is one block; 5500 on, more
+
+
+@pytest.mark.parametrize("shape", [3.5, 4.5])
+@pytest.mark.parametrize("r", NB_RATIOS)
+def test_nb_pmf_is_the_block_list_reference_bit_for_bit(r, shape):
+    """Writing the blocks into one buffer moves no bit and no cutoff."""
+    got, want = _nb_pmf(r, shape), nb_pmf_reference(r, shape)
+    assert got.dtype == want.dtype == np.float64
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+@pytest.mark.parametrize("r", [2e4, 7.35e4, 2e5])
+def test_nb_pmf_short_buffer_estimate_grows_to_the_same_bits(r, monkeypatch):
+    """With the estimate cut to the mean + 64 terms (one block at the
+    least), the buffer grows past it and the pmf keeps every bit."""
+    monkeypatch.setattr(association, "_TAIL_SDS", 0.0)
+    got = _nb_pmf(r, 4.5)
+    assert got.size > max(association._PMF_BLOCK, 4.5 * r / 3.5 + 64)  # the first buffer fell short
+    assert np.array_equal(got.view(np.uint64), nb_pmf_reference(r, 4.5).view(np.uint64))
+
+
+def _traced(call):
+    """(result, traced bytes still held after the call, traced peak)"""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        got = call()
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return got, held - base, peak - base
+
+
+def test_nb_pmf_peak_memory_at_dense_venue_load():
+    """At r = 7.35e4 (691k terms, 5.5 MB) the build peaks at most 1.75x
+    the pmf: the one buffer and four block-sized scratch arrays (the block
+    list and its concatenation peaked at 2.44x)."""
+    _nb_pmf(3.0, 4.5)  # numpy's first-call caches are not the pmf's
+    pmf, _, peak = _traced(lambda: _nb_pmf(7.35e4, 4.5))
+    assert pmf.size > 600_000
+    assert peak <= 1.75 * pmf.nbytes
+
+
+@pytest.mark.parametrize("r", [3.0, 5455.0, 7.35e4])
+def test_nb_pmf_owns_exactly_its_terms(r):
+    """The buffer is cut in place to the pmf's terms: no view of a larger
+    array and no over-sized allocation left behind (the uncut buffer holds
+    whole 65,536-term blocks, 240 kB more at r = 7.35e4)."""
+    pmf, held, _ = _traced(lambda: _nb_pmf(r, 4.5))
+    assert pmf.base is None and pmf.flags.owndata and pmf.flags.c_contiguous
+    assert pmf.nbytes <= held <= pmf.nbytes + 16_384
 
 
 def test_running_sum_is_exact_prefix_sums():
     """[0, cumsum]: the first row is numpy's running sum bit for bit, also
     when it is the only one; longer inputs, summed in rows and then across,
-    stay within 1e-14 of fsum."""
+    stay within 1e-14 of fsum.  In scratch that is dirty or has rows to
+    spare, the sums are those of a fresh array, bit for bit."""
     rng = np.random.default_rng(4)
     for size in (0, 1, 200, 255, 256, 257, 5000):
         steps = rng.random(size)
-        got = _running_sum(steps)
+        got = _running_sum(steps, np.zeros(-(-(size + 1) // 256) * 256))
         assert got.size == size + 1 and got[0] == 0.0
         assert np.array_equal(got[1:256], np.cumsum(steps[:255]))
         exact = [math.fsum(steps[:k]) for k in range(0, size + 1, 97)]
         assert np.allclose(got[::97], exact, rtol=1e-14, atol=0.0)
+        want = running_sum_reference(steps).view(np.uint64)
+        assert np.array_equal(got.view(np.uint64), want)
+        scratch = np.full(size + 2 * 256 - size % 256, np.nan)
+        assert np.array_equal(_running_sum(steps, scratch).view(np.uint64), want)
 
 
 def test_zero_user_density_degenerates():
