@@ -113,9 +113,9 @@ def _load_law(route: str):
     included.
 
     sinr: the thresholds are SINRs, and the law is one load of weight 1;
-    theorem1: n+1 with weight pmf[n] over the tagged-AP pmf's non-zero
-    terms; meanload: the single mean 1 + (9/7) r with weight 1.  Any other
-    route, None included, raises ValueError.
+    theorem1: n+1 with weight pmf[n] over the tagged-AP pmf's terms, which
+    stop before any underflows to 0; meanload: the single mean 1 + (9/7) r
+    with weight 1.  Any other route, None included, raises ValueError.
     """
     if route == "sinr":
         return lambda r: (np.ones(1), np.ones(1))
@@ -128,10 +128,7 @@ def _load_law(route: str):
 
 def _tagged_law(r: float):
     pmf = _nb_pmf(r, TAGGED_CELL_SHAPE)
-    if pmf.all():  # no term underflowed to 0, the usual case
-        return np.arange(1.0, pmf.size + 1.0), pmf
-    n = np.flatnonzero(pmf)
-    return n + 1.0, pmf[n]
+    return np.arange(1.0, pmf.size + 1.0), pmf
 
 
 # Rows per kernel call of a stacked evaluation, and about the load-law terms

@@ -205,7 +205,7 @@ def test_nb_pmf_edges(monkeypatch):
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert len(sums) == 3  # one block's three running sums, as before the one buffer
+        assert len(sums) == 3  # one block's three running sums
         # the buffer is at most the limit plus one block (its estimate for
         # r = 1e5 is 1.1e6 terms, 8.8 MB), next to four block-sized scratch
         # arrays and the two masks of the stopping test
@@ -219,10 +219,12 @@ NB_RATIOS += [3.5e3, 5455.0, 5500.0, 2e4, 7.35e4, 2e5]  # 5455 is one block; 550
 @pytest.mark.parametrize("shape", [3.5, 4.5])
 @pytest.mark.parametrize("r", NB_RATIOS)
 def test_nb_pmf_is_the_block_list_reference_bit_for_bit(r, shape):
-    """Writing the blocks into one buffer moves no bit and no cutoff."""
+    """Writing the blocks into one buffer moves no bit and no cutoff.  No
+    term is 0, so the theorem1 load law takes every term as it is."""
     got, want = _nb_pmf(r, shape), nb_pmf_reference(r, shape)
     assert got.dtype == want.dtype == np.float64
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    assert got.all()
 
 
 @pytest.mark.parametrize("r", [2e4, 7.35e4, 2e5])
@@ -250,8 +252,7 @@ def _traced(call):
 
 def test_nb_pmf_peak_memory_at_dense_venue_load():
     """At r = 7.35e4 (691k terms, 5.5 MB) the build peaks at most 1.75x
-    the pmf: the one buffer and four block-sized scratch arrays (the block
-    list and its concatenation peaked at 2.44x)."""
+    the pmf: the one buffer and four block-sized scratch arrays."""
     _nb_pmf(3.0, 4.5)  # numpy's first-call caches are not the pmf's
     pmf, _, peak = _traced(lambda: _nb_pmf(7.35e4, 4.5))
     assert pmf.size > 600_000
