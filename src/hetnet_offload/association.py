@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ApClass, ClassId, NetworkConfig, _user_density_failure
+from .model import ApClass, ClassId, NetworkConfig
 from .numerics import (
     TAGGED_CELL_SHAPE,
     TYPICAL_CELL_SHAPE,
@@ -71,14 +71,6 @@ def rat_offload_fraction(config: NetworkConfig, rat: int) -> float:
 # ---------------------------------------------------------------------------
 # Cell load
 # ---------------------------------------------------------------------------
-
-
-def load_ratio(config: NetworkConfig, serving: ClassId) -> float:
-    """Mean users per serving-class cell, r = lam_u * A_ij / lam_ij."""
-    cls = _serving_class(config, serving)
-    if failure := _user_density_failure(config.user_density):
-        raise ValueError(failure)
-    return config.user_density * float(_associations(cls, *_g_terms(config, serving))[0]) / cls.density
 
 
 @dataclass(frozen=True)
@@ -188,5 +180,6 @@ def tagged_load_distribution(config: NetworkConfig, serving: ClassId) -> LoadDis
     the mixing area is Gamma(4.5, 3.5) and the mean is (9/7) r rather
     than r.
     """
-    r = load_ratio(config, serving)
+    cls = _serving_class(config, serving)
+    r = config.user_density * float(_associations(cls, *_g_terms(config, serving))[0]) / cls.density
     return LoadDistribution(ratio=r, pmf=_nb_pmf(r, TAGGED_CELL_SHAPE))

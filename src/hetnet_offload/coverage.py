@@ -56,7 +56,7 @@ from .association import (  # noqa: F401
     association_probabilities,
     tagged_load_distribution,
 )
-from .model import ApClass, ClassId, NetworkConfig, _user_density_failure
+from .model import ApClass, ClassId, NetworkConfig
 from .numerics import AREA_BIAS_FACTOR, TAGGED_CELL_SHAPE, decay_integral, z_integral
 
 
@@ -228,8 +228,6 @@ class _Stack:
     def __init__(self, configs: Sequence[NetworkConfig], route: str):
         self.law = _load_law(route)
         self.rate = route != "sinr"
-        if self.rate and (failure := _user_density_failure(configs[0].user_density)):
-            raise ValueError(failure)
         self.configs = configs
         self.classes = [_Serving(configs, cls) for cls in configs[0].open_classes()]
         self.leading = self._laws(0)

@@ -105,7 +105,8 @@ class NetworkConfig:
     rate_threshold   per open class, rate threshold rho in bits/s
 
     Treat instances as immutable; derived configurations are built with
-    the with_* helpers.
+    the with_* helpers.  Every instance passes `validate`: building one
+    that does not, by any route, raises ConfigValidationError.
     """
 
     classes: tuple[ApClass, ...]
@@ -119,11 +120,7 @@ class NetworkConfig:
         object.__setattr__(self, "noise_power", dict(self.noise_power))
         object.__setattr__(self, "sinr_threshold", dict(self.sinr_threshold))
         object.__setattr__(self, "rate_threshold", dict(self.rate_threshold))
-        seen = set()
-        for cls in self.classes:
-            if cls.id in seen:
-                raise ValueError(f"duplicate class {cls.id.label()}")
-            seen.add(cls.id)
+        require_valid(self)
 
     # -- lookups ---------------------------------------------------------
 
@@ -165,39 +162,16 @@ class NetworkConfig:
     # -- derived configurations ------------------------------------------
 
     def with_bias(self, cid: ClassId, bias: float) -> "NetworkConfig":
-        """Copy with one class's linear bias replaced; it must pass `validate`'s bias rule."""
-        return self._with(cid, _bias_failure(cid, bias), bias=bias)
+        """Copy with one class's linear bias replaced."""
+        return self._with(cid, bias=bias)
 
     def with_density(self, cid: ClassId, density: float) -> "NetworkConfig":
-        """Copy with one class's density replaced; it must pass `validate`'s density rule."""
-        return self._with(cid, _density_failure(cid, density), density=density)
+        """Copy with one class's density replaced."""
+        return self._with(cid, density=density)
 
-    def _with(self, cid: ClassId, failure: str | None, **change) -> "NetworkConfig":
+    def _with(self, cid: ClassId, **change) -> "NetworkConfig":
         self.class_for(cid)  # KeyError when there is no such class
-        if failure:
-            raise ValueError(failure)
         return replace(self, classes=tuple(replace(c, **change) if c.id == cid else c for c in self.classes))
-
-
-def _bias_failure(cid: ClassId, bias: float) -> str | None:
-    """Why a linear bias is inadmissible for class `cid`, or None if it is not."""
-    if not 0.0 < bias < math.inf:
-        return f"{cid.label()}: bias must be finite and > 0 (got {bias})"
-    return None
-
-
-def _density_failure(cid: ClassId, density: float) -> str | None:
-    """Why an AP density is inadmissible for class `cid`, or None if it is not."""
-    if not 0.0 <= density < math.inf:
-        return f"{cid.label()}: density must be finite and >= 0 (got {density})"
-    return None
-
-
-def _user_density_failure(user_density: float) -> str | None:
-    """Why a user density is inadmissible, or None if it is not."""
-    if not 0.0 <= user_density < math.inf:
-        return f"user density must be finite and >= 0 (got {user_density})"
-    return None
 
 
 def validate(config: NetworkConfig) -> tuple[str, ...]:
@@ -211,8 +185,8 @@ def validate(config: NetworkConfig) -> tuple[str, ...]:
         return ("not a NetworkConfig",)
 
     # every comparison with NaN is False, so each `not lo < x < inf` also rejects NaN
-    if failure := _user_density_failure(config.user_density):
-        failures.append(failure)
+    if not 0.0 <= config.user_density < math.inf:
+        failures.append(f"user density must be finite and >= 0 (got {config.user_density})")
     for rat, sigma2 in config.noise_power.items():
         if not 0.0 <= sigma2 < math.inf:
             failures.append(f"RAT {rat}: noise power must be finite and >= 0 W (got {sigma2})")
@@ -221,17 +195,19 @@ def validate(config: NetworkConfig) -> tuple[str, ...]:
         tag = cls.id.label()
         if cls.id.rat < 1 or cls.id.tier < 1:
             failures.append(f"{tag}: rat and tier indices must be >= 1")
-        if failure := _density_failure(cls.id, cls.density):
-            failures.append(failure)
+        if not 0.0 <= cls.density < math.inf:
+            failures.append(f"{tag}: density must be finite and >= 0 (got {cls.density})")
         if not 0.0 < cls.power < math.inf:
             failures.append(f"{tag}: power must be finite and > 0 W (got {cls.power})")
         if not 2.0 < cls.exponent < math.inf:
             failures.append(f"{tag}: exponent must exceed 2 and be finite (got {cls.exponent})")
-        if failure := _bias_failure(cls.id, cls.bias):
-            failures.append(failure)
+        if not 0.0 < cls.bias < math.inf:
+            failures.append(f"{tag}: bias must be finite and > 0 (got {cls.bias})")
         serves = cls.id.is_open and cls.density > 0.0
         if not math.isfinite(cls.bandwidth) or (serves and cls.bandwidth <= 0.0):
             failures.append(f"{tag}: bandwidth must be finite and > 0 Hz (got {cls.bandwidth})")
+    # the classes are kept in ClassId order, so duplicates are neighbours
+    failures += [f"duplicate class {a.id.label()}" for a, b in zip(config.classes, config.classes[1:]) if a.id == b.id]
 
     if not config.open_classes():
         failures.append("V_open empty: at least one open class needs positive density")
@@ -247,7 +223,7 @@ def validate(config: NetworkConfig) -> tuple[str, ...]:
 
 
 class ConfigValidationError(ValueError):
-    """Raised when an operation requires a valid config and gets an invalid one."""
+    """Raised when a config that fails `validate` is built or required."""
 
     def __init__(self, failures: tuple[str, ...]):
         self.failures = failures

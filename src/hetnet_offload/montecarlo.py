@@ -67,7 +67,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .coverage import CcdfCurve, _check_grid
-from .model import ApClass, ClassId, NetworkConfig, require_valid
+# require_valid is not called here, but benchmarks/tracing.py wraps it by
+# this module's name
+from .model import ApClass, ClassId, NetworkConfig, require_valid  # noqa: F401
 
 
 _ACCESS_CODE = {"open": 1, "closed": 2}
@@ -83,6 +85,8 @@ class SimSettings:
     seed              root seed; every stream derives from (seed, trial, ...)
     deployment        "ppp" | "grid", for every class
     parallel_workers  process count (>= 1); results are worker-count invariant
+
+    Building settings outside these ranges raises ValueError.
     """
 
     window_km: float = 20.0
@@ -90,6 +94,24 @@ class SimSettings:
     seed: int = 0
     deployment: str = "ppp"
     parallel_workers: int = 1
+
+    def __post_init__(self):
+        for name in ("trials", "parallel_workers"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        if self.trials < 1:
+            raise ValueError("need at least one trial")
+        w = self.window_km
+        if isinstance(w, bool) or not isinstance(w, (int, float, np.integer, np.floating)):
+            raise ValueError(f"window_km must be a number, got {w!r}")
+        if not (math.isfinite(w) and w > 0.0):
+            raise ValueError(f"window_km must be finite and > 0, got {w}")
+        if self.parallel_workers < 1:
+            raise ValueError(f"need at least one worker, got {self.parallel_workers}")
+        _check_seed(self.seed)
+        if self.deployment not in ("ppp", "grid"):
+            raise ValueError(f"unknown deployment mode {self.deployment!r}")
 
 
 @dataclass
@@ -102,11 +124,6 @@ class EmpiricalSummary:
     trial_count: int
     far_serving_trials: int = 0
     mean_ap_count: dict[ClassId, float] = field(default_factory=dict)
-
-
-def _check_deployment(settings: SimSettings) -> None:
-    if settings.deployment not in ("ppp", "grid"):
-        raise ValueError(f"unknown deployment mode {settings.deployment!r}")
 
 
 def _class_key(cid: ClassId) -> tuple[int, int, int]:
@@ -276,7 +293,6 @@ def sample_deployment(cls: ApClass, settings: SimSettings, rng: np.random.Genera
         return np.empty((0, 2))
     if settings.deployment == "ppp":
         return _ppp_points(_ppp_count(cls, settings, rng), settings, rng)
-    _check_deployment(settings)
     spacing = 1.0 / math.sqrt(cls.density)
     off = _uniform(rng, 0.0, spacing, 2)
     xs = np.arange(off[0], w, spacing) - half
@@ -484,12 +500,9 @@ class _Plan:
         slot; the last stream is checked against numpy's own derivation."""
         seed = self.settings.seed
         states = _stream_states(seed, range(start, stop), self.keys)
-        if self.keys:
-            got = np.random.PCG64(_seed_words_type()(states[-1][-1])).state
-            if got != _seeded_pcg64(seed, (stop - 1, *self.keys[-1])).state:
-                raise RuntimeError(
-                    f"derived stream state of trial {stop - 1} differs from numpy's SeedSequence"
-                )
+        got = np.random.PCG64(_seed_words_type()(states[-1][-1])).state
+        if got != _seeded_pcg64(seed, (stop - 1, *self.keys[-1])).state:
+            raise RuntimeError(f"derived stream state of trial {stop - 1} differs from numpy's SeedSequence")
         return states
 
 
@@ -605,15 +618,6 @@ def run_batch(
     blocks, so the summary depends only on (config, settings, rate grid) —
     not on the worker count or scheduling.
     """
-    require_valid(config)
-    if settings.trials < 1:
-        raise ValueError("need at least one trial")
-    if not (math.isfinite(settings.window_km) and settings.window_km > 0.0):
-        raise ValueError(f"window_km must be finite and > 0, got {settings.window_km}")
-    if settings.parallel_workers < 1:
-        raise ValueError(f"need at least one worker, got {settings.parallel_workers}")
-    _check_seed(settings.seed)
-    _check_deployment(settings)
     rate_grid = np.logspace(3.0, 9.0, 61) if rate_grid is None else np.asarray(rate_grid, dtype=float)
     _check_grid(rate_grid, "rate")
     sinr_grid = 10.0 ** (np.arange(-20.0, 60.5, 1.0) / 10.0)  # -20..60 dB in 1 dB steps

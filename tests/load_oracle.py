@@ -30,7 +30,7 @@ from hetnet_offload.association import (
     _SUM_ROW,
     _TAIL_MASS,
     _TAIL_MEAN,
-    load_ratio,
+    tagged_load_distribution,
 )
 from hetnet_offload.model import ApClass, ClassId, NetworkConfig
 from hetnet_offload.numerics import TYPICAL_CELL_SHAPE, NumericalError
@@ -106,7 +106,7 @@ def tagged_load_moment(config: NetworkConfig, serving: ClassId, n: int) -> float
         raise ValueError("moment order must be non-negative")
     if n == 0:
         return 1.0
-    r = load_ratio(config, serving)
+    r = tagged_load_distribution(config, serving).ratio
     return sum(r**k * stirling2(n, k) * pv_area_moment(k + 1) for k in range(1, n + 1))
 
 

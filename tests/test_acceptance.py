@@ -49,7 +49,6 @@ from hetnet_offload import (
     sinr_coverage,
     tagged_load_distribution,
 )
-from hetnet_offload.association import load_ratio
 from hetnet_offload.cli import load_config
 from hetnet_offload.coverage import rate_coverage_closed_form, rate_coverage_mean_load
 from hetnet_offload.montecarlo import _run_block
@@ -256,7 +255,7 @@ def test_c05_load_law(dual_rat_runs, capsys):
     for cid in summary.load_histogram:
         dist = tagged_load_distribution(config, cid)
         dists[cid] = dist
-        r = load_ratio(config, cid)
+        r = dist.ratio
         mean = np.arange(dist.pmf.size) @ dist.pmf
         worst_mass_gap = max(worst_mass_gap, 1.0 - dist.pmf.sum())
         worst_mean_rel = max(worst_mean_rel, abs(mean - AREA_BIAS_FACTOR * r) / (AREA_BIAS_FACTOR * r))

@@ -12,21 +12,14 @@ import scipy.stats
 from conftest import dual_rat_config, four_class_config, single_class_config, two_class_config
 from hetnet_offload import (
     ClassId,
+    ConfigValidationError,
     NumericalError,
     association_probabilities,
-    bias_sweep,
     rat_offload_fraction,
-    rate_ccdf,
-    rate_coverage,
     tagged_load_distribution,
 )
 from hetnet_offload import association
-from hetnet_offload.association import (
-    _nb_pmf,
-    _running_sum,
-    load_ratio,
-)
-from hetnet_offload.coverage import rate_coverage_mean_load
+from hetnet_offload.association import _nb_pmf, _running_sum
 from hetnet_offload.numerics import AREA_BIAS_FACTOR
 from load_oracle import (
     nb_pmf_reference,
@@ -83,7 +76,7 @@ def test_rat_offload_fraction_accumulates_rat_classes():
 def test_serving_class_must_be_open_and_present():
     config = dual_rat_config()
     with pytest.raises(ValueError, match="open"):
-        load_ratio(config, ClassId(2, 3, "closed"))
+        tagged_load_distribution(config, ClassId(2, 3, "closed"))
     from hetnet_offload import make_class, NetworkConfig
 
     ghost = NetworkConfig(
@@ -94,34 +87,26 @@ def test_serving_class_must_be_open_and_present():
         user_density=0.0,
     )
     with pytest.raises(ValueError, match="positive density"):
-        load_ratio(ghost, SMALL)
+        tagged_load_distribution(ghost, SMALL)
 
 
 def test_load_ratio_definition():
     """r = lam_u A / lam; the single-class case collapses to lam_u/lam."""
     config = single_class_config(density=2.0, user_density=30.0)
-    assert load_ratio(config, MACRO) == pytest.approx(15.0, rel=1e-12)
+    assert tagged_load_distribution(config, MACRO).ratio == pytest.approx(15.0, rel=1e-12)
     dual = dual_rat_config()
     probs = association_probabilities(dual)
     want = 50.0 * probs[SMALL] / 10.0
-    assert load_ratio(dual, SMALL) == pytest.approx(want, rel=1e-12)
+    assert tagged_load_distribution(dual, SMALL).ratio == pytest.approx(want, rel=1e-12)
 
 
 @pytest.mark.parametrize("user_density", [math.nan, math.inf, -1.0])
-def test_load_routes_reject_bad_user_density(user_density):
-    """A hand-built config skips validate, so the load routes apply its
-    user-density rule themselves: finite and >= 0."""
-    config = replace(dual_rat_config(), user_density=user_density)
-    for route in (
-        lambda: rate_coverage(config),
-        lambda: rate_coverage_mean_load(config),
-        lambda: rate_ccdf(config, [1e5, 1e6]),
-        lambda: bias_sweep(config, SMALL, [0.0, 3.0], metric="rate_coverage"),
-        lambda: bias_sweep(config, SMALL, [0.0, 3.0], metric="rate_coverage", method="meanload"),
-        lambda: tagged_load_distribution(config, MACRO),
-    ):
-        with pytest.raises(ValueError, match="user density must be finite and >= 0"):
-            route()
+def test_replace_rejects_bad_user_density(user_density):
+    """A config is checked when it is built, `dataclasses.replace` included,
+    so no load route ever sees a user density that is not finite and >= 0."""
+    with pytest.raises(ConfigValidationError, match="user density must be finite and >= 0") as err:
+        replace(dual_rat_config(), user_density=user_density)
+    assert err.value.failures == (f"user density must be finite and >= 0 (got {user_density})",)
 
 
 def test_tagged_load_mean_and_mass():
@@ -317,5 +302,5 @@ def test_first_tagged_moment_is_the_area_bias_times_ratio():
     assert pv_area_moment(2) == AREA_BIAS_FACTOR == 9.0 / 7.0
     for config in (dual_rat_config(), four_class_config(7.0), two_class_config()):
         for cls in config.open_classes():
-            want = AREA_BIAS_FACTOR * load_ratio(config, cls.id)
+            want = AREA_BIAS_FACTOR * tagged_load_distribution(config, cls.id).ratio
             assert tagged_load_moment(config, cls.id, 1) == want

@@ -185,7 +185,8 @@ def test_load_config_schema_errors(tmp_path):
 
     bad = base_config_dict()
     bad["classes"][0]["access"] = "hybrid"
-    with pytest.raises(ConfigSchemaError, match="open|closed"):
+    message = r"^classes\[0\]: access must be one of \('open', 'closed'\), got 'hybrid'$"
+    with pytest.raises(ConfigSchemaError, match=message):
         load_config(write_config(tmp_path, bad))
 
     bad = base_config_dict()
@@ -790,11 +791,25 @@ def test_readme_library_imports_are_public():
 
 def test_benchmark_tracing_targets_resolve(monkeypatch):
     """Every function the benchmark's tracer wraps still exists where it
-    looks it up; a missing one makes a traced run fail."""
+    looks it up, some of them imported only for it (such as
+    `cli.require_valid`); a missing one makes a traced run fail.  The
+    tracer installs on the real package and puts every function back."""
     spec = importlib.util.spec_from_file_location("bench_tracing", ROOT / "benchmarks" / "tracing.py")
     tracing = importlib.util.module_from_spec(spec)
     monkeypatch.setitem(sys.modules, spec.name, tracing)  # its dataclasses look their module up
     spec.loader.exec_module(tracing)
     assert tracing.TARGETS
-    for target in tracing.TARGETS:
-        assert callable(getattr(importlib.import_module(target.module), target.attr)), target
+
+    def attr(target):
+        return getattr(importlib.import_module(target.module), target.attr)
+
+    originals = {(t.module, t.attr): attr(t) for t in tracing.TARGETS}
+    assert len(originals) == len(tracing.TARGETS) and all(map(callable, originals.values()))
+    tracer = tracing.Tracer().install()
+    try:
+        for t in tracing.TARGETS:
+            assert attr(t).__wrapped__ is originals[t.module, t.attr], t
+    finally:
+        tracer.uninstall()
+    for t in tracing.TARGETS:
+        assert attr(t) is originals[t.module, t.attr], t

@@ -23,7 +23,6 @@ from hetnet_offload import (
     sinr_ccdf,
     sinr_coverage,
 )
-from hetnet_offload.association import load_ratio
 from hetnet_offload.model import validate
 from hetnet_offload.coverage import (
     ClosedFormInapplicableError,
@@ -321,13 +320,14 @@ def test_stack_load_laws_equal_the_pointwise_load_routes(config):
     assert len(tagged.leading) == len(mean.leading) == len(configs)
     for b, cfg in enumerate(configs):
         for i, cls in enumerate(cfg.open_classes()):
-            pmf = tagged_load_distribution(cfg, cls.id).pmf
+            dist = tagged_load_distribution(cfg, cls.id)
+            pmf = dist.pmf
             n = np.flatnonzero(pmf)
             loads, weights = tagged.leading[b][i]
             np.testing.assert_array_equal(loads, n + 1.0)
             np.testing.assert_array_equal(weights, pmf[n])
             loads, weights = mean.leading[b][i]
-            np.testing.assert_array_equal(loads, [1.0 + 9.0 / 7.0 * load_ratio(cfg, cls.id)])
+            np.testing.assert_array_equal(loads, [1.0 + 9.0 / 7.0 * dist.ratio])
             np.testing.assert_array_equal(weights, [1.0])
 
 

@@ -78,8 +78,9 @@ def test_config_sorts_and_indexes_classes():
 
 def test_config_rejects_duplicate_class_ids():
     cls = make_class(1, 1, density=1.0, power_dbm=40.0, exponent=3.5)
-    with pytest.raises(ValueError, match="duplicate"):
+    with pytest.raises(ConfigValidationError, match="duplicate") as err:
         NetworkConfig(classes=(cls, cls), user_density=0.0)
+    assert err.value.failures == ("duplicate class (1,1)",)
 
 
 def test_noise_defaults_to_zero():
@@ -125,13 +126,16 @@ def test_with_density_returns_modified_copy():
 @pytest.mark.parametrize("density", [-1.0, math.nan, math.inf])
 def test_with_density_rejects_a_density_validate_rejects(density):
     """A negative or NaN density would silently drop the class, and inf
-    would give a NaN coverage; validate and with_density share one rule."""
+    would give a NaN coverage; with_density and replace both build through
+    validate's one rule."""
     config = dual_rat_config()
-    with pytest.raises(ValueError, match=r"2,3.*density must be finite and >= 0 \(got"):
+    with pytest.raises(ConfigValidationError, match=r"2,3.*density must be finite and >= 0 \(got") as err:
         config.with_density(ClassId(2, 3), density)
-    bad = replace(config, classes=tuple(replace(c, density=density) if c.id == ClassId(2, 3) else c
-                                        for c in config.classes))
-    assert "(2,3): density must be finite and >= 0" in "; ".join(validate(bad))
+    assert err.value.failures == (f"(2,3): density must be finite and >= 0 (got {density})",)
+    with pytest.raises(ConfigValidationError) as err:
+        replace(config, classes=tuple(replace(c, density=density) if c.id == ClassId(2, 3) else c
+                                      for c in config.classes))
+    assert "(2,3): density must be finite and >= 0" in "; ".join(err.value.failures)
 
 
 def test_with_density_accepts_zero():
@@ -142,53 +146,73 @@ def test_with_density_accepts_zero():
 
 
 def test_validate_flags_bad_exponent():
-    bad = single_class_config(alpha=1.5)
-    failures = validate(bad)
-    assert any("exponent must exceed 2" in msg for msg in failures)
+    with pytest.raises(ConfigValidationError) as err:
+        single_class_config(alpha=1.5)
+    assert any("exponent must exceed 2" in msg for msg in err.value.failures)
 
 
 def test_validate_flags_all_closed():
     cls = make_class(1, 1, density=1.0, power_dbm=40.0, exponent=3.5, access=CLOSED)
-    config = NetworkConfig(classes=(cls,), user_density=0.0)
-    failures = validate(config)
-    assert any("V_open" in msg for msg in failures)
+    with pytest.raises(ConfigValidationError) as err:
+        NetworkConfig(classes=(cls,), user_density=0.0)
+    assert any("V_open" in msg for msg in err.value.failures)
 
 
 def test_validate_flags_negative_density():
     cls = ApClass(id=ClassId(1, 1), density=-1.0, power=1.0, exponent=3.5)
-    assert validate(NetworkConfig(classes=(cls,), user_density=0.0))
+    with pytest.raises(ConfigValidationError) as err:
+        NetworkConfig(classes=(cls,), user_density=0.0)
+    assert "(1,1): density must be finite and >= 0 (got -1.0)" in err.value.failures
 
 
-@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-@pytest.mark.parametrize("field", ["density", "power", "bias", "exponent", "bandwidth"])
+# a negative power once gave a SINR CCDF of 1.12 and association
+# probabilities summing to 2, and a negative density dropped its class
+@pytest.mark.parametrize(
+    "field, bad",
+    [(field, bad) for field in ("density", "power", "bias", "exponent", "bandwidth")
+     for bad in (math.nan, math.inf, -math.inf)] + [("power", -1.0), ("density", -5.0)],
+)
 def test_validate_rejects_non_finite_class_fields(field, bad):
     config = single_class_config()
     cls = replace(config.classes[0], **{field: bad})
-    assert validate(replace(config, classes=(cls,)))
+    with pytest.raises(ConfigValidationError) as err:
+        replace(config, classes=(cls,))
+    assert any(msg.startswith(f"(1,1): {field} must") and msg.endswith(f"(got {bad})")
+               for msg in err.value.failures)
 
 
-@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+# a NaN or negative noise on the serving RAT was once read as zero
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1.0])
 def test_validate_rejects_non_finite_network_fields(bad):
     config = single_class_config()
-    assert validate(replace(config, user_density=bad))
-    assert validate(replace(config, noise_power={1: bad}))
+    with pytest.raises(ConfigValidationError) as err:
+        replace(config, user_density=bad)
+    assert err.value.failures == (f"user density must be finite and >= 0 (got {bad})",)
+    with pytest.raises(ConfigValidationError) as err:
+        replace(config, noise_power={1: bad})
+    assert err.value.failures == (f"RAT 1: noise power must be finite and >= 0 W (got {bad})",)
 
 
 def test_validate_rejects_nan_thresholds():
     config = single_class_config()
     cid = config.classes[0].id
-    assert validate(replace(config, sinr_threshold={cid: math.nan}))
-    assert validate(replace(config, rate_threshold={cid: math.nan}))
+    with pytest.raises(ConfigValidationError) as err:
+        replace(config, sinr_threshold={cid: math.nan})
+    assert err.value.failures == ("(1,1): SINR threshold must be >= 0 (got nan)",)
+    with pytest.raises(ConfigValidationError) as err:
+        replace(config, rate_threshold={cid: math.nan})
+    assert err.value.failures == ("(1,1): rate threshold must be >= 0 (got nan)",)
     # an infinite threshold is a valid (never met) requirement
     assert validate(replace(config, sinr_threshold={cid: math.inf})) == ()
 
 
 def test_require_valid_raises_with_failures():
-    bad = single_class_config(alpha=2.0)
     with pytest.raises(ConfigValidationError) as err:
-        require_valid(bad)
-    assert err.value.failures == validate(bad)
+        single_class_config(alpha=2.0)
     assert len(err.value.failures) == 1 and "exponent must exceed 2" in str(err.value)
+    with pytest.raises(ConfigValidationError) as err:
+        require_valid("not a config")
+    assert err.value.failures == validate("not a config") == ("not a NetworkConfig",)
     good = single_class_config()
     assert require_valid(good) is good
 

@@ -346,8 +346,12 @@ def test_trial_outcome_is_internally_consistent():
 
 
 def test_trial_without_aps_has_no_server():
-    config = single_class_config(density=0.0)
-    out = run_trial(config, SimSettings(trials=1, seed=1), 3)
+    """A class so sparse that the trial draws no AP of it: no server, the
+    user alone on no AP, no rate."""
+    config = single_class_config(density=1e-6)
+    settings = SimSettings(trials=1, seed=1)
+    assert _run_block(config, settings, 3, 4)[5].tolist() == [0]
+    out = run_trial(config, settings, 3)
     assert out.serving is None and out.load == 1 and out.rate_bps == 0.0
 
 
@@ -447,11 +451,17 @@ def test_run_batch_rejects_empty_runs():
         ({"seed": -1}, "seed"),
         ({"seed": 2.5}, "seed"),
         ({"seed": "7"}, "seed"),
+        ({"trials": 2.5}, "trials must be an integer, got 2.5"),
+        ({"trials": True}, "trials must be an integer, got True"),
+        ({"parallel_workers": 1.5}, "parallel_workers must be an integer, got 1.5"),
+        ({"parallel_workers": True}, "parallel_workers must be an integer, got True"),
+        ({"window_km": "5"}, "window_km must be a number, got '5'"),
     ],
 )
 def test_run_batch_rejects_invalid_settings(changes, message):
+    """SimSettings itself refuses these, so run_batch never sees them."""
     with pytest.raises(ValueError, match=message):
-        run_batch(dual_rat_config(), SimSettings(trials=1, **changes))
+        run_batch(dual_rat_config(), SimSettings(**{"trials": 1, **changes}))
 
 
 @pytest.mark.parametrize("grid", [[1e7, 1e5, math.nan, -1.0], [1e5, 1e5], [-1.0, 1e5], [1e5, math.nan]])
@@ -522,14 +532,14 @@ def test_corrupted_stream_state_fails_the_spot_check(monkeypatch):
         run_batch(dual_rat_config(), SimSettings(window_km=8.0, trials=20, seed=3))
 
 
-def test_block_without_streams_has_no_server():
-    """A config with no present class and no users runs every trial of the
-    block, each with no server, as a block of one does."""
-    serving, dist, sinr, load, rate, counts = _run_block(single_class_config(density=0.0), SimSettings(trials=1), 3, 6)
+def test_block_without_aps_has_no_server():
+    """A block whose trials draw no AP runs every trial, each with no
+    server, as a block of one does."""
+    serving, dist, sinr, load, rate, counts = _run_block(single_class_config(density=1e-6), SimSettings(trials=1), 3, 6)
+    assert counts.tolist() == [0]
     assert serving.tolist() == [-1, -1, -1]
     assert np.isnan(dist).all() and sinr.tolist() == [0.0] * 3
     assert load.tolist() == [1, 1, 1] and rate.tolist() == [0.0] * 3
-    assert counts.shape == (0,)
 
 
 @pytest.mark.parametrize("case", range(40))
