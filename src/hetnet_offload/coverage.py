@@ -36,7 +36,9 @@ rows (one per _STACK_ROWS rows).  The work is split in two: a `_Stack`
 holds what does not depend on the threshold (association, the G rows and
 D offsets of each config, load laws), and its `evaluate` builds and
 integrates the rows at a threshold grid, so that a percentile solve
-prepares its config once and evaluates every step.
+prepares its config once and evaluates every step.  A row at an infinite
+threshold, as a rate grid's highest loads need, is the exact 0.0 it
+integrates to, and goes to neither Z nor the kernel.
 """
 
 from __future__ import annotations
@@ -166,33 +168,32 @@ class _Serving:
 
     def rows(self, first: int, taus: list[np.ndarray]) -> list[np.ndarray]:
         """S_ij at the thresholds taus[k] of config first + k, in kernel calls
-        of at most _STACK_ROWS rows."""
-        out = {b: np.empty(t.size) for b, t in enumerate(taus, first)}
+        of at most _STACK_ROWS rows; 0.0 at an infinite threshold, without one."""
+        out = {b: np.zeros(t.size) for b, t in enumerate(taus, first)}
         call, rows = [], 0
         for b, t in enumerate(taus, first):
-            for start in range(0, t.size, _STACK_ROWS):
-                piece = t[start : start + _STACK_ROWS]
-                if rows + piece.size > _STACK_ROWS:
+            finite = np.flatnonzero(t < math.inf)
+            for start in range(0, finite.size, _STACK_ROWS):
+                at = finite[start : start + _STACK_ROWS]
+                if rows + at.size > _STACK_ROWS:
                     self._kernel_call(call, out)
                     call, rows = [], 0
-                call.append((b, start, piece))
-                rows += piece.size
+                call.append((b, rows, at, t[at]))
+                rows += at.size
         if call:
             self._kernel_call(call, out)
         return list(out.values())
 
     def _kernel_call(self, call: list, out: dict) -> None:
-        """Write S_ij at each piece (b, start, taus) of one kernel call to out[b][start:].
+        """Write S_ij at each piece (b, lo, at, taus) of one kernel call, its
+        rows from lo on, to out[b][at].
 
         S_ij(tau) = pi lam_ij / A_ij * integral_0^inf exp(-sum_k c_k u^e_k) du
         in u = y^2, with pi G and pi D terms and, for a noisy RAT, the noise
         term tau sigma^2 / P u^(alpha/2): one row of coefficients per tau.
         """
-        taus = call[0][2] if len(call) == 1 else np.concatenate([t for _, _, t in call])
-        spans, lo = [], 0
-        for b, _, t in call:
-            spans.append((b, lo, lo + t.size))
-            lo += t.size
+        taus = call[0][3] if len(call) == 1 else np.concatenate([t for *_, t in call])
+        spans = [(b, lo, lo + t.size) for b, lo, _, t in call]
         # a D coefficient past the float range is inf, and its row integrates to 0
         with np.errstate(over="ignore"):
             columns = [scale * z_integral(taus, e, _offsets(offsets, spans, taus.size)) for e, scale, offsets in self.d]
@@ -207,9 +208,8 @@ class _Serving:
         for col, column in enumerate(columns, start=ng):
             coefs[:, col] = column
         kernel = decay_integral(coefs, self.expos)
-        for (b, lo, hi), (_, start, _) in zip(spans, call):
-            factor = math.pi * self.cls.density / self.probs[b]
-            np.multiply(factor, kernel[lo:hi], out=out[b][start : start + hi - lo])
+        for b, lo, at, t in call:
+            out[b][at] = math.pi * self.cls.density / self.probs[b] * kernel[lo : lo + t.size]
 
 
 class _Stack:

@@ -18,6 +18,7 @@ Decibel values appear only at the edges (config files, CLI, solver traces).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 from typing import Mapping
 
@@ -179,10 +180,24 @@ def validate(config: NetworkConfig) -> tuple[str, ...]:
     message, none when the config passes.
 
     Pure function: reports all failures, mutates nothing, and is idempotent.
+    A field that is not a real number fails by name, and alone.
     """
-    failures: list[str] = []
     if not isinstance(config, NetworkConfig):
         return ("not a NetworkConfig",)
+    try:
+        return _range_failures(config)
+    except TypeError:  # a range check met a value that is not a number: name each such value
+        named = [("user density", config.user_density), *((f"RAT {r}: noise power", x) for r, x in config.noise_power.items())]
+        named += [(f"{c.id.label()}: {f}", x) for c in config.classes for f, x in vars(c).items() if f != "id"]
+        named += [(f"{cid.label()}: SINR threshold", x) for cid, x in config.sinr_threshold.items()]
+        named += [(f"{cid.label()}: rate threshold", x) for cid, x in config.rate_threshold.items()]
+        if failures := tuple(f"{name} must be a number (got {x!r})" for name, x in named if not isinstance(x, numbers.Real)):
+            return failures
+        raise
+
+
+def _range_failures(config: NetworkConfig) -> tuple[str, ...]:
+    failures: list[str] = []
 
     # every comparison with NaN is False, so each `not lo < x < inf` also rejects NaN
     if not 0.0 <= config.user_density < math.inf:

@@ -1,7 +1,7 @@
 """Numerical kernels shared by the analytic modules.
 
 Everything here is deterministic: same inputs, same outputs, no global
-state besides the memo of incomplete-beta series coefficients.
+state besides the memo of incomplete-beta tables, one per exponent.
 
 Every association and coverage quantity of the package is one integral,
 
@@ -34,9 +34,10 @@ on dual-RAT at 500 users/km^2 took 21.1 ms on all nodes and takes 5.2 ms
 (CPU medians, 2-vCPU Xeon).
 
 The interference kernel `z_integral` is an incomplete beta function
-B_x(s, 1-s), summed from its hypergeometric series (DLMF 8.17.7) on
-whichever side of 1/2 its argument lies, with the complete value
-B(s, 1-s) = pi / sin(pi s) (DLMF 5.12.1 with 5.5.3).
+B_x(s, 1-s), from its hypergeometric series (DLMF 8.17.7) on whichever
+side of 1/2 its argument lies, with B(s, 1-s) = pi / sin(pi s) (DLMF
+5.12.1 with 5.5.3).  The series is tabulated once per exponent, so that
+an element takes one gather and a Horner evaluation, whatever the others.
 """
 
 from __future__ import annotations
@@ -147,59 +148,36 @@ def _live_nodes(expos: np.ndarray) -> int:
     return bisect.bisect_left(_DE_LOG_X_LIST, _LOG_DEAD / min(expos.tolist()))
 
 
-# Terms of the incomplete-beta series.  Its coefficients fall and its
-# argument w is at most 1/2, so after n terms the rest is below 2 w^n of
-# the sum; n = 54 takes that to 2^-53 at w = 1/2.
+# The incomplete-beta series sum_k c_k(e) w^k (DLMF 8.17.7, w <= 1/2) to _BETA_TERMS
+# terms (they fall: the rest is below 2 w^54 <= 2^-53 of it), as degree-_BETA_DEGREE
+# Taylor polynomials about the centres of _BETA_CELLS equal intervals of w (remainder ~1e-18).
 _BETA_TERMS = 54
-_LOG_BETA_TOL = math.log(2.0**-54)
-# Up to this many (terms x elements), every element of a block takes the
-# terms its largest argument needs; past it, every element takes the first
-# _BETA_HEAD and only the arguments that need more take the rest.
-_BETA_FULL = 2**14
-_BETA_HEAD = 8
-_BETA_CHUNK = 2048  # elements per block: a full power matrix is 0.9 MB
+_BETA_CELLS = 64
+_BETA_DEGREE = 7
+_BETA_CHUNK = 4096  # elements per block: 0.36 MB of gathered columns, reused
 
 
 @lru_cache(maxsize=None)
-def _beta_coefs(s: float) -> np.ndarray:
-    """Series coefficients c_k(e) = (e)_k / (k! (e+k)), rows e = s and e = 1-s.
-
-    B_w(e, 1-e) = w^e sum_k c_k(e) w^k (DLMF 8.17.7 with b = 1-e).
+def _beta_table(s: float) -> np.ndarray:
+    """Columns (p's coefficients of degree 0.._BETA_DEGREE, centre, e, offset)
+    of 2 _BETA_CELLS cells, on each B_x(s, 1-s) = offset + w^e p(w - centre).
+    Cells below _BETA_CELLS hold x = w, with e = s and offset 0; the rest hold
+    x > 1/2 by y = w, as B(s, 1-s) - B_y(1-s, s): e = 1-s, offset B(s, 1-s),
+    p negated.  p is the Taylor polynomial about the centre m of the series in
+    B_w(e, 1-e) = w^e sum_k c_k(e) w^k, c_k(e) = (e)_k / (k! (e+k)) (DLMF
+    8.17.7 with b = 1-e): its j-th coefficient is sum_k c_k(e) C(k, j) m^(k-j).
     """
     k = np.arange(_BETA_TERMS, dtype=float)
-    rows = []
-    for e in (s, 1.0 - s):
-        pochhammer = np.cumprod(np.concatenate(([1.0], (e + k[:-1]) / (k[:-1] + 1.0))))
-        rows.append(pochhammer / (e + k))
-    return np.array(rows)
-
-
-def _powers(w: np.ndarray, n: int) -> np.ndarray:
-    """(n, w.size) array of w^k for k < n, by doubling blocks of rows."""
-    p = np.empty((n, w.size))
-    p[0] = 1.0
-    p[1:2] = w
-    m = 2  # rows below m are done
-    while m < n:
-        stop = min(2 * m - 1, n)
-        np.multiply(p[1 : stop - m + 1], p[m - 1], out=p[m:stop])  # w^(j+1) w^(m-1)
-        m = stop
-    return p
-
-
-def _series_sums(coefs: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """sum_k coefs[j, k] w^k for both rows j, at every w in [0, 1/2]."""
-    w_max = float(w.max())  # its terms: the least n with w^n <= 2^-54
-    top = min(_BETA_TERMS, math.ceil(_LOG_BETA_TOL / math.log(w_max))) if w_max > 0.0 else 1
-    head = top if top * w.size <= _BETA_FULL else min(top, _BETA_HEAD)
-    # `@`, unlike decay_integral's einsum: a two-row product of at most
-    # 2048 columns woke no OpenBLAS worker thread (per-thread CPU counts),
-    # which matters where numpy was imported before the package
-    sums = coefs[:, :head] @ _powers(w, head)
-    if head < top:
-        wide = np.flatnonzero(w > math.exp(_LOG_BETA_TOL / head))
-        sums[:, wide] += coefs[:, head:top] @ _powers(w[wide], top)[head:]
-    return sums
+    j = np.arange(_BETA_DEGREE + 1)[:, None]
+    centres = (np.arange(_BETA_CELLS) + 0.5) / (2 * _BETA_CELLS)
+    binomials = np.array([[math.comb(n, i) for n in range(_BETA_TERMS)] for i in range(_BETA_DEGREE + 1)], dtype=float)
+    taylor = binomials * centres[:, None, None] ** np.maximum(k - j, 0.0)  # (cells, degree + 1, terms)
+    halves = []
+    for e, sign, offset in ((s, 1.0, 0.0), (1.0 - s, -1.0, _complete_beta(s))):
+        coefs = sign * np.cumprod(np.concatenate(([1.0], (e + k[:-1]) / (k[:-1] + 1.0)))) / (e + k)
+        p = np.einsum("ijk,k->ji", taylor, coefs)  # einsum: see decay_integral
+        halves.append(np.vstack([p, centres, np.full(_BETA_CELLS, e), np.full(_BETA_CELLS, offset)]))
+    return np.hstack(halves)
 
 
 def _complete_beta(s: float) -> float:
@@ -212,20 +190,27 @@ def _incomplete_beta(s: float, a: np.ndarray, c) -> np.ndarray:
     a float in (0, inf) or an array of a's size (0 and inf allowed, but not
     where a equals them).
 
-    Below x = 1/2 the series runs in x; above it, B_x(s, 1-s) = B(s, 1-s) -
-    B_y(1-s, s) with y = c/(a+c) taken directly, not as 1 - x, so that the
-    series argument never exceeds 1/2 and keeps its digits.
+    Below x = 1/2 the series runs in x; above it, in y = c/(a+c) taken
+    directly, not as 1 - x, so that the series argument never exceeds 1/2
+    and keeps its digits.  An element's value depends on its arguments alone.
     """
-    low = a <= c  # x <= 1/2
-    w = np.minimum(a, c) / (a + c)  # x or y: 0 at a = 0 and at a = inf
-    coefs = _beta_coefs(s)
-    part = np.empty(w.size)
+    w = np.minimum(a, c)
+    w /= a + c  # x or y: 0 at a = 0 and at a = inf
+    cell = w * (2 * _BETA_CELLS)
+    cell = np.minimum(cell, _BETA_CELLS - 1, out=cell).astype(np.intp)
+    cell += (a > c) * np.uint8(_BETA_CELLS)  # x > 1/2: the cells of y
+    table, part = _beta_table(s), np.empty(w.size)
     for i in range(0, w.size, _BETA_CHUNK):
-        block = slice(i, i + _BETA_CHUNK)
-        sums = _series_sums(coefs, w[block])
-        part[block] = np.where(low[block], sums[0], sums[1])
-    part *= w ** np.where(low, s, 1.0 - s)
-    return np.subtract(_complete_beta(s), part, out=part, where=~low)
+        wi, out, columns = w[i : i + _BETA_CHUNK], part[i : i + _BETA_CHUNK], table.take(cell[i : i + _BETA_CHUNK], axis=1)
+        coefs, (centre, e, offset) = columns[:-3], columns[-3:]
+        t = wi - centre
+        out[:] = coefs[-1]
+        for coef in coefs[-2::-1]:  # Horner
+            out *= t
+            out += coef
+        out *= wi**e
+        out += offset
+    return part
 
 
 def z_integral(a, b: float, c):
@@ -254,7 +239,7 @@ def z_integral(a, b: float, c):
     elif c_arr.ndim == 0 and math.isinf(c):
         z = np.where(np.isinf(a_arr), math.inf, 0.0)
     elif c_arr.ndim == 0 and c == 0.0:
-        z = (1.0 - s) * _complete_beta(s) * a_arr ** (1.0 - s)
+        z = _complete_beta(s) * a_arr ** (1.0 - s) * (1.0 - s)  # the order of the general case's products
     else:
         # integral_L^inf du/(1+u^p) with L=(c/a)^(1/p) is (1/p) B_x(1-1/p, 1/p)
         # with x = a/(a+c) and p = b/2 = 1/(1-s)

@@ -143,6 +143,29 @@ def test_rate_coverage_unreachable_threshold_is_zero():
     assert rate_coverage(dual_rat_config(), rho_common=1e13) == 0.0
 
 
+@pytest.mark.parametrize("config", [two_class_config(), dual_rat_config(), two_class_config(user_density=2000.0)])
+def test_infinite_threshold_rows_skip_the_kernels_bit_for_bit(config, kernel_rows):
+    """On a rate grid whose high loads need t = inf, those rows go to no Z or
+    kernel call, and every curve is bit for bit that of a run that
+    integrates all of the rows, where the infinite ones give exactly 0.0."""
+    grid = np.logspace(4.0, 8.0, 20)
+    stack = coverage._Stack([config], "theorem1")
+    _, per_class, _ = stack.evaluate(grid)
+    sent = {what: sum(rows) for what, rows in kernel_rows.items()}
+    decay_rows = z_rows = 0
+    for sv, (loads, weights) in zip(stack.classes, stack.leading[0]):
+        taus = shannon_threshold(np.outer(grid / sv.cls.bandwidth, loads)).ravel()
+        decay_rows += np.isfinite(taus).sum()
+        z_rows += np.isfinite(taus).sum() * len(sv.d)
+        every = {0: np.empty(taus.size)}
+        sv._kernel_call([(0, 0, np.arange(taus.size), taus)], every)
+        assert np.all(every[0][np.isinf(taus)] == 0.0)
+        want = np.einsum("rn,n->r", every[0].reshape(grid.size, -1), weights)
+        np.testing.assert_array_equal(per_class[sv.cls.id][0], want)
+    assert (sent["decay"], sent["z"]) == (decay_rows, z_rows)
+    assert decay_rows < grid.size * sum(loads.size for loads, _ in stack.leading[0])  # some rows were skipped
+
+
 def test_rate_ccdf_monotone_and_weighted():
     config = dual_rat_config()
     rhos = np.logspace(4.0, 8.0, 15)
@@ -191,11 +214,11 @@ def _assert_stack_equals_singles(configs, thresholds, route):
     assert values.shape[0] == len(configs)
     for b, config in enumerate(configs):
         one_values, one_per_class, one_weights = coverage._Stack([config], route).evaluate(thresholds)
-        np.testing.assert_allclose(values[b], one_values[0], rtol=1e-12, atol=1e-300)
+        np.testing.assert_array_equal(values[b], one_values[0])
         assert list(per_class) == list(one_per_class) == [c.id for c in config.open_classes()]
         for cid in per_class:
-            np.testing.assert_allclose(per_class[cid][b], one_per_class[cid][0], rtol=1e-12, atol=1e-300)
-            assert weights[cid][b] == pytest.approx(one_weights[cid][0], rel=1e-12)
+            np.testing.assert_array_equal(per_class[cid][b], one_per_class[cid][0])
+            assert weights[cid][b] == one_weights[cid][0]
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -209,7 +232,7 @@ def _assert_stack_equals_singles(configs, thresholds, route):
 def test_stacked_mix_equals_one_config_at_a_time(config, stack_biases, route, own, cap):
     """Random configs with mixed exponents, closed classes and noise: every
     config of a bias stack gets the coverage, conditional curves and
-    association of its own one-config call, to 1e-12 relative, also when
+    association of its own one-config call, bit for bit, also when
     the row cap splits configs across kernel calls and stacks into runs."""
     open_ids = [c.id for c in config.open_classes()]
     configs = []

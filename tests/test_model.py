@@ -193,6 +193,28 @@ def test_validate_rejects_non_finite_network_fields(bad):
     assert err.value.failures == (f"RAT 1: noise power must be finite and >= 0 W (got {bad})",)
 
 
+# each once raised a bare TypeError from a comparison in `validate`
+@pytest.mark.parametrize("bad", [None, "5"])
+@pytest.mark.parametrize(
+    "field, name",
+    [(f, f"(1,1): {f}") for f in ("density", "power", "exponent", "bias", "bandwidth")]
+    + [("user_density", "user density"), ("noise_power", "RAT 1: noise power"),
+       ("sinr_threshold", "(1,1): SINR threshold"), ("rate_threshold", "(1,1): rate threshold")],
+)
+def test_validate_names_a_field_that_is_not_a_number(field, name, bad):
+    config = single_class_config()
+    cls = config.classes[0]
+    if hasattr(cls, field):
+        change = {"classes": (replace(cls, **{field: bad}),)}
+    elif field == "user_density":
+        change = {field: bad}
+    else:  # a mapping, by RAT or by class
+        change = {field: {1 if field == "noise_power" else cls.id: bad}}
+    with pytest.raises(ConfigValidationError) as err:
+        replace(config, **change)
+    assert err.value.failures == (f"{name} must be a number (got {bad!r})",)
+
+
 def test_validate_rejects_nan_thresholds():
     config = single_class_config()
     cid = config.classes[0].id

@@ -4,8 +4,9 @@ closed forms.
 The z_integral reference values were produced by an independent
 composite-Simpson integrator with an alternating-series tail bound,
 evaluated far past convergence; they are frozen here to pin the
-incomplete-beta closed form to the defining integral.  scipy's `betainc`
-is the oracle for the package's own incomplete-beta series, and a
+incomplete-beta closed form to the defining integral.  The package's
+incomplete-beta table is held to the series it tabulates, summed term by
+term (`beta_oracle.py`); scipy's `betainc` is the oracle for both, and a
 40-digit mpmath value where `betainc`'s argument is rounded away.
 """
 
@@ -16,7 +17,15 @@ import pytest
 import scipy.special
 
 from hetnet_offload import NumericalError
-from hetnet_offload.numerics import decay_integral, z_integral
+from hetnet_offload.numerics import (
+    _BETA_CELLS,
+    _beta_table,
+    _complete_beta,
+    _incomplete_beta,
+    decay_integral,
+    z_integral,
+)
+from beta_oracle import beta_coefs, series_incomplete_beta, series_sums
 from load_oracle import pv_area_moment, stirling2
 from quad_oracle import TIGHT_SETTINGS, QuadratureSettings, decaying_integral, semi_infinite_integral
 
@@ -76,31 +85,67 @@ def betainc_z(a: np.ndarray, b: float, c: float) -> np.ndarray:
     return (2.0 / b) * a ** (2.0 / b) * scipy.special.beta(s, 1.0 - s) * frac
 
 
-@pytest.mark.parametrize("b", [2.5, 3.5, 3.8, 4.0, 6.0])
+@pytest.mark.parametrize("b", [2.05, 2.5, 3.5, 3.8, 4.0, 6.0, 12.0, 50.0])
 def test_z_integral_array_offset_equals_scalar_calls(b):
     """An array c, one offset per element of a, gives the scalar call's Z at
-    each element to 1e-14 (a stacked call sums its series in other blocks),
-    with the scalar calls' zeros and infinities where a or c is 0 or inf."""
+    each element bit for bit, also permuted and sliced (each element's
+    value depends on its own arguments alone), with the scalar calls'
+    zeros and infinities where a or c is 0 or inf."""
     rng = np.random.default_rng(11)
     a = np.concatenate([10.0 ** rng.uniform(-4.0, 6.0, 3000), [0.0, 0.0, 2.0, math.inf, math.inf, 5.0]])
     c = np.concatenate([10.0 ** rng.uniform(-3.0, 3.0, 3000), [0.0, 1.0, 0.0, math.inf, 0.0, math.inf]])
     got = z_integral(a, b, c)
     want = np.array([z_integral(x, b, y) for x, y in zip(a, c)])
     assert got.shape == a.shape
-    np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
+    np.testing.assert_array_equal(got, want)
+    order = rng.permutation(a.size)
+    np.testing.assert_array_equal(z_integral(a[order], b, c[order]), want[order])
+    np.testing.assert_array_equal(z_integral(a[1::3], b, c[1::3]), want[1::3])  # strided views
+    for offset in (0.0, 0.3):  # one float offset for all
+        np.testing.assert_array_equal(z_integral(a[:500], b, offset), [z_integral(x, b, offset) for x in a[:500]])
     # c broadcasts with a: one offset per row of a (rows x thresholds) array
     grid = a[:60].reshape(6, 10)
     want = [[z_integral(x, b, y) for x in row] for row, y in zip(grid, c[:6])]
-    np.testing.assert_allclose(z_integral(grid, b, c[:6, None]), want, rtol=1e-14, atol=0.0)
+    np.testing.assert_array_equal(z_integral(grid, b, c[:6, None]), want)
     with pytest.raises(ValueError, match="non-negative"):
         z_integral(a[:3], b, np.array([1.0, -1.0, 1.0]))
     with pytest.raises(ValueError, match="non-negative"):
         z_integral(a[:3], b, np.array([1.0, math.nan, 1.0]))
 
 
+@pytest.mark.parametrize("b", [2.05, 2.5, 3.0, 3.5, 4.5, 6.0, 12.0, 50.0])
+def test_beta_table_matches_the_series(b):
+    """Each tabulated polynomial gives the 54-term series it stands for
+    (kept in `beta_oracle.py`) within 2e-15 relative at its interval's
+    edges and centre, for x below 1/2 (series in x, exponent s) and above
+    it (series in y = 1 - x, exponent 1-s, offset B(s, 1-s), negated)."""
+    s = 1.0 - 2.0 / b
+    table = _beta_table(s)
+    coefs, (centre, e, offset) = table[:-3], table[-3:]
+    upper = np.arange(table.shape[1]) >= _BETA_CELLS
+    np.testing.assert_array_equal(e, np.where(upper, 1.0 - s, s))
+    np.testing.assert_array_equal(offset, np.where(upper, _complete_beta(s), 0.0))
+    for at in (-0.5, 0.0, 0.5):  # lower edge, centre, upper edge of each interval
+        w = centre + at / (2 * _BETA_CELLS)
+        got = sum(coef * (w - centre) ** j for j, coef in enumerate(coefs))
+        sums = series_sums(beta_coefs(s), w)
+        np.testing.assert_allclose(got, np.where(upper, -sums[1], sums[0]), rtol=2e-15, atol=0.0)
+
+
+@pytest.mark.parametrize("b", [2.5, 3.0, 3.5, 4.5, 6.0])
+def test_incomplete_beta_matches_the_series_at_any_threshold(b):
+    """B_x(s, 1-s) from the table is the series' value within 2e-15
+    relative for a/c from 1e-12 to 1e12.  (At larger exponents, above x =
+    1/2, B(s, 1-s) - B_y(1-s, s) cancels, and both lose digits alike.)"""
+    s = 1.0 - 2.0 / b
+    for c in (1e-6, 1.0, 1e3):
+        a = c * np.logspace(-12.0, 12.0, 2001)
+        np.testing.assert_allclose(_incomplete_beta(s, a, c), series_incomplete_beta(s, a, c), rtol=2e-15, atol=0.0)
+
+
 @pytest.mark.parametrize("c", [0.0, 1e-6, 1e-3, 1.0, 1e3, 1e6, math.inf])
 def test_z_integral_matches_betainc(c):
-    """The series kernel equals scipy's incomplete beta within 1e-12 relative,
+    """The tabulated kernel equals scipy's incomplete beta within 1e-12 relative,
     for exponents 2.05..50 and a/c from 1e-6 to 1e6, as arrays and as scalars."""
     a = (c if 0.0 < c < math.inf else 1.0) * np.logspace(-6.0, 6.0, 49)
     for b in [*np.linspace(2.05, 50.0, 34), 4.0]:
@@ -115,9 +160,7 @@ def test_z_integral_matches_betainc(c):
 
 
 def test_z_integral_large_arrays_match_betainc():
-    """Arrays too large for one power matrix (every element takes 8 terms,
-    only those that need more take the rest, in blocks of 2048) agree with
-    scipy as closely as small ones do."""
+    """Arrays of 21,001 elements agree with scipy as closely as small ones do."""
     rng = np.random.default_rng(11)
     a = np.concatenate([np.logspace(-6.0, 6.0, 12_001), 10.0 ** rng.uniform(-6.0, 6.0, 9_000)])
     for b in (2.05, 3.5, 5.0, 50.0):
@@ -127,7 +170,7 @@ def test_z_integral_large_arrays_match_betainc():
 
 
 def test_z_integral_beyond_betainc_range():
-    """At a/c far outside 1e-6..1e6 the series keeps its digits (40-digit mpmath)."""
+    """At a/c far outside 1e-6..1e6 the table keeps its digits (40-digit mpmath)."""
     mpmath = pytest.importorskip("mpmath")
     mpmath.mp.dps = 40
     for b in (2.05, 3.5, 10.0, 50.0):
