@@ -31,14 +31,15 @@ Every route evaluates a `_Stack`: configs that differ only in open-class
 biases, so that a bias search or sweep is one pass; a single config is a
 stack of one.  A bias changes coefficients, never an exponent, so per
 serving class the stack needs one kernel call for its association
-probabilities, which also give its load laws, and one for its coverage
-rows (one per _STACK_ROWS rows).  The work is split in two: a `_Stack`
+probabilities, which also give its load laws, and one for each block of
+its coverage rows.  The work is split in two: a `_Stack`
 holds what does not depend on the threshold (association, the G rows and
 D offsets of each config, load laws), and its `evaluate` builds and
 integrates the rows at a threshold grid, so that a percentile solve
 prepares its config once and evaluates every step.  A row at an infinite
 threshold, as a rate grid's highest loads need, is the exact 0.0 it
-integrates to, and goes to neither Z nor the kernel.
+integrates to, and goes to neither Z nor the kernel: only the finite rows
+get a threshold, built block by block in reused scratch.
 """
 
 from __future__ import annotations
@@ -69,13 +70,15 @@ class ClosedFormInapplicableError(ValueError):
 def shannon_threshold(x):
     """SINR needed for spectral efficiency x: t(x) = 2^x - 1.
 
-    Accepts a scalar or an array; past 1000 bits/s/Hz the threshold is inf.
+    Accepts a scalar or an array; past 1000 bits/s/Hz the threshold is inf,
+    and 2^x is computed only up to there (an overflowing exp2 is slow).
     """
     x_arr = np.asarray(x, dtype=float)
     if not np.all(x_arr >= 0.0):
         raise ValueError(f"spectral efficiency must be non-negative (got {x})")
-    with np.errstate(over="ignore"):  # 2^x overflows float64 past ~1024
-        t = np.where(x_arr > 1000.0, math.inf, np.exp2(x_arr) - 1.0)
+    t = np.full(x_arr.shape, math.inf)
+    finite = x_arr <= _FINITE_RATE
+    np.subtract(np.exp2(x_arr, out=t, where=finite), 1.0, out=t, where=finite)
     return float(t) if t.ndim == 0 else t
 
 
@@ -133,11 +136,19 @@ def _tagged_law(r: float):
     return np.arange(1.0, pmf.size + 1.0), pmf
 
 
-# Rows per kernel call of a stacked evaluation, and about the load-law terms
-# one run of a stack holds: a bias search on two classes at 2000 users/km^2
-# has up to 19k pmf terms a config, and all 41 of its configs in one piece
-# took the search's peak RSS from 33 to 81 MB.
+# Load-law terms one run of a stack holds: a bias search on two classes at
+# 2000 users/km^2 has up to 19k pmf terms a config, and all 41 of its configs
+# in one piece took the search's peak RSS from 33 to 81 MB.
 _STACK_ROWS = 2**14
+# Coefficients per kernel call, 96 KiB: 4,096 rows at three columns, fewer at
+# more.  Each array of a call then stays below glibc's 128 KiB mmap threshold,
+# so that calls reuse heap pages instead of faulting in fresh ones (550-670
+# minor faults per 20-point two_class_sir rate CCDF in 16,384-row calls, under
+# 10 now).  4,096 rows ran as fast as 8,192 and 16,384; 2,048 ran 6-30% slower.
+_BLOCK_COEFS = 3 * 4096
+# t(x) = 2^x - 1 is inf past x = 1000 (`shannon_threshold`); a SINR is inf only at inf
+_FINITE_RATE = 1000.0
+_FINITE_SINR = np.finfo(float).max
 
 
 class _Serving:
@@ -166,50 +177,98 @@ class _Serving:
         expos = [g_expos, [cls.exponent / e for e, _, _ in self.d]]
         self.expos = np.concatenate(expos + ([[cls.exponent / 2.0]] if self.noise > 0.0 else []))
 
-    def rows(self, first: int, taus: list[np.ndarray]) -> list[np.ndarray]:
-        """S_ij at the thresholds taus[k] of config first + k, in kernel calls
-        of at most _STACK_ROWS rows; 0.0 at an infinite threshold, without one."""
-        out = {b: np.zeros(t.size) for b, t in enumerate(taus, first)}
-        call, rows = [], 0
-        for b, t in enumerate(taus, first):
-            finite = np.flatnonzero(t < math.inf)
-            for start in range(0, finite.size, _STACK_ROWS):
-                at = finite[start : start + _STACK_ROWS]
-                if rows + at.size > _STACK_ROWS:
-                    self._kernel_call(call, out)
-                    call, rows = [], 0
-                call.append((b, rows, at, t[at]))
-                rows += at.size
-        if call:
-            self._kernel_call(call, out)
-        return list(out.values())
+    def rows(self, first: int, x: np.ndarray, loads: list[np.ndarray], rate: bool) -> list[np.ndarray]:
+        """S_ij of config first + b at each threshold x[k] (increasing) and load
+        loads[b][n], as out[b][k * loads[b].size + n]: at SINR t(x[k] / W *
+        load) for a rate, x[k] itself for a SINR.  0.0 at an infinite
+        threshold, without a kernel row; the rest go to the kernel in calls
+        of at most _BLOCK_COEFS coefficients, streamed through one set of
+        scratch arrays.  As x increases, the finite loads of each x[k] are
+        a prefix, and so no others get a threshold.
+        """
+        q, limit = (x / self.cls.bandwidth, _FINITE_RATE) if rate else (x, _FINITE_SINR)
+        out, spans, total = [], [], 0
+        for b, ld in enumerate(loads, first):
+            out.append(np.zeros(q.size * ld.size))
+            full, counts = _finite_loads(q, ld, limit)
+            spans.append((b, ld, out[-1], 0, full * ld.size))
+            spans += [(b, ld, out[-1], k * ld.size, k * ld.size + n) for k, n in enumerate(counts, full)]
+            total += full * ld.size + sum(counts)
+        size = min(max(_BLOCK_COEFS // self.expos.size, 1), total)
+        taus = np.empty(size)
+        coefs = np.empty((size, self.expos.size), order="F")  # columns contiguous, as the kernel wants them
+        pieces, used = [], 0
+        for b, ld, dest, start, stop in spans:
+            while start < stop:
+                m = min(stop - start, size - used)
+                _products(taus[used : used + m], q, ld, start)
+                pieces.append((b, used, dest[start : start + m]))
+                used, start = used + m, start + m
+                if used == size:
+                    self._kernel_call(taus, coefs, pieces, rate)
+                    pieces, used = [], 0
+        if pieces:
+            self._kernel_call(taus[:used], coefs[:used], pieces, rate)
+        return out
 
-    def _kernel_call(self, call: list, out: dict) -> None:
-        """Write S_ij at each piece (b, lo, at, taus) of one kernel call, its
-        rows from lo on, to out[b][at].
+    def _kernel_call(self, taus: np.ndarray, coefs: np.ndarray, pieces: list, rate: bool) -> None:
+        """Write S_ij at the rows of each piece (b, lo, dest) of one kernel call
+        to dest, from taus[lo : lo + dest.size] and config b's terms.  taus
+        holds x / W * load for a rate, made SINRs here in place; coefs is
+        the call's coefficient scratch.
 
         S_ij(tau) = pi lam_ij / A_ij * integral_0^inf exp(-sum_k c_k u^e_k) du
         in u = y^2, with pi G and pi D terms and, for a noisy RAT, the noise
         term tau sigma^2 / P u^(alpha/2): one row of coefficients per tau.
         """
-        taus = call[0][3] if len(call) == 1 else np.concatenate([t for *_, t in call])
-        spans = [(b, lo, lo + t.size) for b, lo, _, t in call]
-        # a D coefficient past the float range is inf, and its row integrates to 0
-        with np.errstate(over="ignore"):
-            columns = [scale * z_integral(taus, e, _offsets(offsets, spans, taus.size)) for e, scale, offsets in self.d]
-        if self.noise > 0.0:
-            columns.append(self.noise * taus)
-        # allocated after Z's temporaries are freed, so that it can take their
-        # place; columns contiguous, as the kernel's row sums and maxima want them
-        coefs = np.empty((taus.size, self.expos.size), order="F")
+        if rate:
+            np.subtract(np.exp2(taus, out=taus), 1.0, out=taus)
+        spans = [(b, lo, lo + dest.size) for b, lo, dest in pieces]
         ng = self.g.shape[1]
         for b, lo, hi in spans:
             coefs[lo:hi, :ng] = self.g[b]
-        for col, column in enumerate(columns, start=ng):
-            coefs[:, col] = column
+        # a D coefficient past the float range is inf, and its row integrates to 0
+        with np.errstate(over="ignore"):
+            for col, (e, scale, offsets) in enumerate(self.d, ng):
+                np.multiply(z_integral(taus, e, _offsets(offsets, spans, taus.size)), scale, out=coefs[:, col])
+        if self.noise > 0.0:
+            np.multiply(taus, self.noise, out=coefs[:, -1])
         kernel = decay_integral(coefs, self.expos)
-        for b, lo, at, t in call:
-            out[b][at] = math.pi * self.cls.density / self.probs[b] * kernel[lo : lo + t.size]
+        for b, lo, dest in pieces:
+            np.multiply(kernel[lo : lo + dest.size], math.pi * self.cls.density / self.probs[b], out=dest)
+
+
+def _finite_loads(q: np.ndarray, loads: np.ndarray, limit: float):
+    """Which loads (increasing) keep q[k] * load at most `limit`, for q
+    increasing: (full, counts), every load for k < full, and the leading
+    counts[j] loads for k = full + j, one entry per further k with any."""
+    full = int((q * loads[-1]).searchsorted(limit, side="right"))
+    some = full if loads.size == 1 else int((q * loads[0]).searchsorted(limit, side="right"))
+    if some == full:
+        return full, []
+    qp = q[full:some]  # each has between 1 and loads.size - 1 finite loads
+    n = np.clip(loads.searchsorted(limit / qp, side="right"), 1, loads.size - 1)
+    # the quotient is rounded: step to where the product itself passes the limit
+    n -= qp * loads[n - 1] > limit
+    n += qp * loads[n] <= limit
+    return full, n.tolist()
+
+
+def _products(dest: np.ndarray, q: np.ndarray, loads: np.ndarray, start: int) -> None:
+    """dest[i] = q[k] * loads[n] at flat position start + i = k * loads.size + n
+    of their outer product, a row's end, whole rows and a row's start."""
+    size = loads.size
+    k, n = divmod(start, size)
+    if n:
+        m = min(size - n, dest.size)
+        np.multiply(loads[n : n + m], q[k], out=dest[:m])
+        dest, k = dest[m:], k + 1
+    whole = dest.size // size
+    if whole:
+        np.multiply.outer(q[k : k + whole], loads, out=dest[: whole * size].reshape(whole, size))
+        dest, k = dest[whole * size :], k + whole
+    if dest.size:
+        np.multiply(loads[: dest.size], q[k], out=dest)
 
 
 class _Stack:
@@ -269,11 +328,7 @@ class _Stack:
         while first < len(self.configs):
             laws = self.leading if first == 0 else self._laws(first)
             for sv, x, out, law in zip(self.classes, grids, curves, zip(*laws)):
-                if self.rate:
-                    taus = [shannon_threshold(np.outer(x / sv.cls.bandwidth, loads)).ravel() for loads, _ in law]
-                else:
-                    taus = [x] * len(law)
-                rows = sv.rows(first, taus)
+                rows = sv.rows(first, x, [loads for loads, _ in law], self.rate)
                 # einsum: see decay_integral
                 out += [np.einsum("rn,n->r", r.reshape(x.size, -1), w) for r, (_, w) in zip(rows, law)]
             first += len(laws)

@@ -37,7 +37,10 @@ The interference kernel `z_integral` is an incomplete beta function
 B_x(s, 1-s), from its hypergeometric series (DLMF 8.17.7) on whichever
 side of 1/2 its argument lies, with B(s, 1-s) = pi / sin(pi s) (DLMF
 5.12.1 with 5.5.3).  The series is tabulated once per exponent, so that
-an element takes one gather and a Horner evaluation, whatever the others.
+an element takes its interval's eight coefficients and a Horner
+evaluation, whatever the others.  Blocks of 4,096 elements share a few
+32 KiB scratch arrays, below glibc's 128 KiB mmap threshold, so that a
+call reuses heap pages rather than mapping and faulting in fresh ones.
 """
 
 from __future__ import annotations
@@ -154,18 +157,22 @@ def _live_nodes(expos: np.ndarray) -> int:
 _BETA_TERMS = 54
 _BETA_CELLS = 64
 _BETA_DEGREE = 7
-_BETA_CHUNK = 4096  # elements per block: 0.36 MB of gathered columns, reused
+_BETA_CHUNK = 4096  # elements per block: 32 KiB per scratch array
 
 
 @lru_cache(maxsize=None)
-def _beta_table(s: float) -> np.ndarray:
-    """Columns (p's coefficients of degree 0.._BETA_DEGREE, centre, e, offset)
-    of 2 _BETA_CELLS cells, on each B_x(s, 1-s) = offset + w^e p(w - centre).
-    Cells below _BETA_CELLS hold x = w, with e = s and offset 0; the rest hold
-    x > 1/2 by y = w, as B(s, 1-s) - B_y(1-s, s): e = 1-s, offset B(s, 1-s),
-    p negated.  p is the Taylor polynomial about the centre m of the series in
-    B_w(e, 1-e) = w^e sum_k c_k(e) w^k, c_k(e) = (e)_k / (k! (e+k)) (DLMF
-    8.17.7 with b = 1-e): its j-th coefficient is sum_k c_k(e) C(k, j) m^(k-j).
+def _beta_table(s: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(table, centre, e, offset) of B_x(s, 1-s) = offset + w^e p(w - centre).
+
+    Column 2k + h stands for cell k < _BETA_CELLS of w, centred at (k + 1/2)
+    / (2 _BETA_CELLS), in half h: the table's rows are p's coefficients of
+    degree 0.._BETA_DEGREE, and centre, e and offset hold each column's
+    values.  The lower half (h = 0) holds x = w, with e = s and offset 0; the
+    upper holds x > 1/2 by y = w, as B(s, 1-s) - B_y(1-s, s): e = 1-s,
+    offset B(s, 1-s), p negated.  p is the Taylor polynomial about the
+    centre m of the series in B_w(e, 1-e) = w^e sum_k c_k(e) w^k, c_k(e) =
+    (e)_k / (k! (e+k)) (DLMF 8.17.7 with b = 1-e): its j-th coefficient is
+    sum_k c_k(e) C(k, j) m^(k-j).
     """
     k = np.arange(_BETA_TERMS, dtype=float)
     j = np.arange(_BETA_DEGREE + 1)[:, None]
@@ -173,11 +180,11 @@ def _beta_table(s: float) -> np.ndarray:
     binomials = np.array([[math.comb(n, i) for n in range(_BETA_TERMS)] for i in range(_BETA_DEGREE + 1)], dtype=float)
     taylor = binomials * centres[:, None, None] ** np.maximum(k - j, 0.0)  # (cells, degree + 1, terms)
     halves = []
-    for e, sign, offset in ((s, 1.0, 0.0), (1.0 - s, -1.0, _complete_beta(s))):
+    for e, sign in ((s, 1.0), (1.0 - s, -1.0)):
         coefs = sign * np.cumprod(np.concatenate(([1.0], (e + k[:-1]) / (k[:-1] + 1.0)))) / (e + k)
-        p = np.einsum("ijk,k->ji", taylor, coefs)  # einsum: see decay_integral
-        halves.append(np.vstack([p, centres, np.full(_BETA_CELLS, e), np.full(_BETA_CELLS, offset)]))
-    return np.hstack(halves)
+        halves.append(np.einsum("ijk,k->ji", taylor, coefs))  # einsum: see decay_integral
+    table = np.stack(halves, axis=-1).reshape(_BETA_DEGREE + 1, 2 * _BETA_CELLS)
+    return table, np.repeat(centres, 2), np.tile([s, 1.0 - s], _BETA_CELLS), np.tile([0.0, _complete_beta(s)], _BETA_CELLS)
 
 
 def _complete_beta(s: float) -> float:
@@ -193,23 +200,37 @@ def _incomplete_beta(s: float, a: np.ndarray, c) -> np.ndarray:
     Below x = 1/2 the series runs in x; above it, in y = c/(a+c) taken
     directly, not as 1 - x, so that the series argument never exceeds 1/2
     and keeps its digits.  An element's value depends on its arguments alone.
+
+    Blocks of _BETA_CHUNK elements go through reused scratch arrays, with
+    each element's centre, exponent and offset looked up by its column (its
+    cell and half) and p's coefficients gathered one degree at a time, so
+    that no temporary grows with the array.
     """
-    w = np.minimum(a, c)
-    w /= a + c  # x or y: 0 at a = 0 and at a = inf
-    cell = w * (2 * _BETA_CELLS)
-    cell = np.minimum(cell, _BETA_CELLS - 1, out=cell).astype(np.intp)
-    cell += (a > c) * np.uint8(_BETA_CELLS)  # x > 1/2: the cells of y
-    table, part = _beta_table(s), np.empty(w.size)
-    for i in range(0, w.size, _BETA_CHUNK):
-        wi, out, columns = w[i : i + _BETA_CHUNK], part[i : i + _BETA_CHUNK], table.take(cell[i : i + _BETA_CHUNK], axis=1)
-        coefs, (centre, e, offset) = columns[:-3], columns[-3:]
-        t = wi - centre
-        out[:] = coefs[-1]
-        for coef in coefs[-2::-1]:  # Horner
-            out *= t
-            out += coef
-        out *= wi**e
-        out += offset
+    table, centres, exponents, offsets = _beta_table(s)
+    part = np.empty(a.size)
+    size = min(a.size, _BETA_CHUNK)
+    w, t, g = np.empty(size), np.empty(size), np.empty(size)
+    column, upper = np.empty(size, dtype=np.intp), np.empty(size, dtype=bool)
+    scalar = isinstance(c, float)
+    # the indices are in range: mode="wrap" spares the copy of `out` that take's default makes
+    for i in range(0, a.size, _BETA_CHUNK):
+        ai, out = a[i : i + _BETA_CHUNK], part[i : i + _BETA_CHUNK]
+        ci = c if scalar else c[i : i + _BETA_CHUNK]
+        wi, ti, gi, col, up = (w, t, g, column, upper) if ai.size == size else (v[: ai.size] for v in (w, t, g, column, upper))
+        np.minimum(ai, ci, out=wi)
+        wi /= np.add(ai, ci, out=ti)  # x or y: 0 at a = 0 and at a = inf
+        np.minimum(np.multiply(wi, 2.0 * _BETA_CELLS, out=ti), _BETA_CELLS - 1.0, out=ti)
+        np.copyto(col, ti, casting="unsafe")  # the cell, truncated as astype does
+        col += col
+        col += np.greater(ai, ci, out=up)  # the column of the cell's half: 1 where x > 1/2
+        np.subtract(wi, centres.take(col, out=ti, mode="wrap"), out=ti)
+        np.power(wi, exponents.take(col, out=gi, mode="wrap"), out=wi)  # w^e
+        table[-1].take(col, out=out, mode="wrap")
+        for coefs in table[-2::-1]:  # Horner
+            out *= ti
+            out += coefs.take(col, out=gi, mode="wrap")
+        out *= wi
+        out += offsets.take(col, out=gi, mode="wrap")
     return part
 
 

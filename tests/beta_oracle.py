@@ -1,4 +1,4 @@
-"""Slow reference for the package's incomplete-beta table.
+"""Slow references for the package's incomplete-beta table.
 
 `numerics._incomplete_beta` evaluates B_x(s, 1-s) from `_beta_table`:
 per interval of the series argument, a Taylor polynomial of the
@@ -6,6 +6,12 @@ hypergeometric series (DLMF 8.17.7).  This module keeps that series
 itself, summed term by term: up to 54 terms, as many as the largest
 argument of a block of 2048 elements needs, from a power matrix built by
 doubling.  The tests hold the table to it within 2e-15 relative.
+
+It also keeps the table's plain evaluation, `gather_incomplete_beta`:
+every element's whole column (coefficients, centre, exponent, offset)
+gathered at once, then Horner on the gathered rows.  The package streams
+the same arithmetic through small scratch arrays; the tests hold it to
+this one bit for bit.
 """
 
 from __future__ import annotations
@@ -15,7 +21,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from hetnet_offload.numerics import _complete_beta
+from hetnet_offload.numerics import _BETA_CELLS, _beta_table, _complete_beta
 
 # Its coefficients fall and its argument w is at most 1/2, so after n terms
 # the rest is below 2 w^n of the sum; n = 54 takes that to 2^-53 at w = 1/2.
@@ -82,3 +88,23 @@ def series_incomplete_beta(s: float, a: np.ndarray, c) -> np.ndarray:
         part[block] = np.where(low[block], sums[0], sums[1])
     part *= w ** np.where(low, s, 1.0 - s)
     return np.subtract(_complete_beta(s), part, out=part, where=~low)
+
+
+def gather_incomplete_beta(s: float, a: np.ndarray, c) -> np.ndarray:
+    """B_x(s, 1-s) at x = a/(a+c) from `numerics._beta_table`, each element's
+    column gathered whole; the arguments of `numerics._incomplete_beta`."""
+    table, centre, e, offset = _beta_table(s)
+    w = np.minimum(a, c)
+    w /= a + c  # x or y: 0 at a = 0 and at a = inf
+    cell = w * (2 * _BETA_CELLS)
+    cell = np.minimum(cell, _BETA_CELLS - 1, out=cell).astype(np.intp)
+    columns = np.vstack([table, centre, e, offset]).take(2 * cell + (a > c), axis=1)
+    coefs, (centre, e, offset) = columns[:-3], columns[-3:]
+    t = w - centre
+    out = coefs[-1].copy()
+    for coef in coefs[-2::-1]:  # Horner
+        out *= t
+        out += coef
+    out *= w**e
+    out += offset
+    return out

@@ -1,12 +1,13 @@
 """End-to-end acceptance gate: analytics vs the Monte Carlo oracle.
 
-Eleven numbered checks (C1..C11) cover the headline claims of the
+Twelve numbered checks (C1..C12) cover the headline claims of the
 package: rate-CCDF agreement with simulation on the reference dual-RAT
 and four-class scenarios, the closed-form optimal-bias results, the load
 pmf, association consistency, mean-cell-area calibration, the
 single-class sanity value, monotonicity properties, the percentile
-solver, and, in simulation, the paper's result that the SIR-optimal and
-rate-optimal offloads differ.
+solver, in simulation the paper's result that the SIR-optimal and
+rate-optimal offloads differ, and SINR-CCDF agreement with simulation
+within its sampling band.
 
 Every test prints a one-line PASS/FAIL verdict with the measured numbers
 so a full run doubles as a report.  The heavy 1e5-trial batches are
@@ -62,6 +63,7 @@ TRIALS = 100_000
 SEED = 1
 RATE_GRID = np.logspace(4.0, 8.0, 20)  # 10 kbps .. 100 Mbps, common rho grid
 Z99 = 2.5758293035489004  # two-sided 99% normal quantile
+DKW_DELTA = 0.01  # C12: chance that an exact law leaves its DKW band
 
 
 def _verdict(capsys, ok: bool, name: str, detail: str) -> str:
@@ -504,5 +506,29 @@ def test_c11_sir_and_rate_optimal_offloads_differ_in_simulation(capsys):
         f"sim {sims['rate-opt'][1]:.4f} vs {sims['SIR-opt'][1]:.4f} (analytic "
         f"{analytic['rate-opt'][1]:.3f} vs {analytic['SIR-opt'][1]:.3f}), gap "
         f"{rate_gap:.4f} = {rate_gap / rate_se:.1f} SE (>4)",
+    )
+    assert ok, line
+
+
+@pytest.mark.slow
+def test_c12_sinr_ccdf_within_the_dkw_band(dual_rat_runs, four_class_runs, capsys):
+    """C12: the SINR CCDF of each 1e5-trial C1/C2 batch (dual-RAT and
+    four-class, small-cell bias 0 and 10 dB) lies within the DKW band of
+    the analytic one, which is exact for SINR (no load approximation):
+    sup |F_n - F| <= eps = sqrt(ln(2/delta) / (2n)) (Massart's constant),
+    delta = 0.01 fixed before the first run, at every simulated threshold
+    (-20..60 dB).  The batches are the C1/C2 fixtures: no extra trials."""
+    gaps, eps = {}, {}
+    for name, runs in (("dual-RAT", dual_rat_runs), ("four-class", four_class_runs)):
+        for bias_db, run in runs.items():
+            sim = run["sim"].sinr_ccdf
+            analytic = np.asarray(sinr_ccdf(run["config"], sim.grid).values)
+            gaps[name, bias_db] = float(np.max(np.abs(analytic - np.asarray(sim.values))))
+            eps[name, bias_db] = math.sqrt(math.log(2.0 / DKW_DELTA) / (2.0 * run["sim"].trial_count))
+    ok = all(gaps[k] <= eps[k] for k in gaps)
+    line = _verdict(
+        capsys, ok, "C12",
+        "SINR CCDF sup gaps " + ", ".join(f"{name} {b:g} dB {gap:.4f}" for (name, b), gap in gaps.items())
+        + f" (<= DKW eps {max(eps.values()):.5f}, delta {DKW_DELTA})",
     )
     assert ok, line

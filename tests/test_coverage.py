@@ -49,6 +49,24 @@ def test_shannon_threshold_values():
         shannon_threshold(-0.1)
 
 
+def test_shannon_threshold_is_exp2_where_finite_bit_for_bit():
+    """2^x - 1 up to x = 1000 and inf past it, bit for bit that of exp2 on
+    every element, with no overflow computed (warnings are errors here):
+    at the edges, past exp2's own overflow at 1024, and on a random array."""
+    x = np.concatenate([[0.0, 1000.0, np.nextafter(1000.0, 2000.0), 1023.99, 1024.0, 1e300],
+                        np.random.default_rng(5).uniform(0.0, 1100.0, 5000)])
+    with np.errstate(over="ignore"):
+        want = np.where(x > 1000.0, math.inf, np.exp2(x) - 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = shannon_threshold(x)
+        scalars = [shannon_threshold(float(v)) for v in x[:6]]
+    np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+    assert all(type(v) is float for v in scalars)
+    np.testing.assert_array_equal(np.array(scalars).view(np.uint64), want[:6].view(np.uint64))
+    assert got[2:6].tolist() == [math.inf] * 4 and got[0] == 0.0
+
+
 def test_mixed_access_quartic_offsets():
     """Quartic-exponent tier: arctan closed form of the interference terms,
     offset 1 for the open class (beyond the serving distance) and offset 0
@@ -157,10 +175,10 @@ def test_infinite_threshold_rows_skip_the_kernels_bit_for_bit(config, kernel_row
         taus = shannon_threshold(np.outer(grid / sv.cls.bandwidth, loads)).ravel()
         decay_rows += np.isfinite(taus).sum()
         z_rows += np.isfinite(taus).sum() * len(sv.d)
-        every = {0: np.empty(taus.size)}
-        sv._kernel_call([(0, 0, np.arange(taus.size), taus)], every)
-        assert np.all(every[0][np.isinf(taus)] == 0.0)
-        want = np.einsum("rn,n->r", every[0].reshape(grid.size, -1), weights)
+        every = np.empty(taus.size)
+        sv._kernel_call(taus, np.empty((taus.size, sv.expos.size), order="F"), [(0, 0, every)], False)
+        assert np.all(every[np.isinf(taus)] == 0.0)
+        want = np.einsum("rn,n->r", every.reshape(grid.size, -1), weights)
         np.testing.assert_array_equal(per_class[sv.cls.id][0], want)
     assert (sent["decay"], sent["z"]) == (decay_rows, z_rows)
     assert decay_rows < grid.size * sum(loads.size for loads, _ in stack.leading[0])  # some rows were skipped
@@ -232,8 +250,9 @@ def _assert_stack_equals_singles(configs, thresholds, route):
 def test_stacked_mix_equals_one_config_at_a_time(config, stack_biases, route, own, cap):
     """Random configs with mixed exponents, closed classes and noise: every
     config of a bias stack gets the coverage, conditional curves and
-    association of its own one-config call, bit for bit, also when
-    the row cap splits configs across kernel calls and stacks into runs."""
+    association of its own one-config call, bit for bit, also when the
+    caps split stacks into runs and rows, configs and threshold rows
+    across kernel calls."""
     open_ids = [c.id for c in config.open_classes()]
     configs = []
     for biases in stack_biases:
@@ -249,6 +268,7 @@ def test_stacked_mix_equals_one_config_at_a_time(config, stack_biases, route, ow
         thresholds = np.logspace(3.0, 8.0, 6)
     with pytest.MonkeyPatch.context() as monkeypatch:
         monkeypatch.setattr(coverage, "_STACK_ROWS", cap)
+        monkeypatch.setattr(coverage, "_BLOCK_COEFS", min(cap, coverage._BLOCK_COEFS))
         _assert_stack_equals_singles(configs, thresholds, route)
 
 
@@ -279,14 +299,19 @@ def kernel_rows(monkeypatch):
 
 def test_stacked_mix_on_a_bias_search_grid(kernel_rows):
     """The four-class rate search's 1 dB grid as one stack: one association
-    and one coverage kernel call per serving class for all 41 configs, with
-    the values of one-config calls."""
+    kernel call per serving class for all 41 configs, coverage kernel calls
+    that are full but for the last of each class (one call per class where
+    a config has one row), with the values of one-config calls."""
     configs = [four_class_config(b23_db=float(b)) for b in range(-20, 21)]
+    cap = coverage._BLOCK_COEFS // 6  # rows of six coefficient columns
     for route in ("theorem1", "meanload", "sinr"):
         for calls in kernel_rows.values():
             calls.clear()
         coverage._Stack(configs, route).evaluate(None)
-        assert len(kernel_rows["decay"]) == 4 and kernel_rows["association"] == [41] * 4
+        assert kernel_rows["association"] == [41] * 4
+        assert max(kernel_rows["decay"]) <= cap and sum(rows < cap for rows in kernel_rows["decay"]) <= 4
+        if route != "theorem1":
+            assert kernel_rows["decay"] == [41] * 4
         _assert_stack_equals_singles(configs, None, route)
 
 
@@ -298,7 +323,7 @@ def test_stack_kernel_calls_stay_under_the_row_cap(kernel_rows):
     offload.optimal_bias_rate(config, SMALL, (-20.0, 20.0), method="theorem1")
     offload.bias_sweep(config, SMALL, [-6.0, -3.0, 0.0, 3.0, 6.0], method="theorem1")
     rate_ccdf(config, np.logspace(4.0, 8.0, 5))
-    cap = coverage._STACK_ROWS
+    cap = coverage._BLOCK_COEFS // 3  # rows of three coefficient columns
     assert max(kernel_rows["decay"]) <= cap and max(kernel_rows["z"]) <= cap
     assert max(kernel_rows["decay"]) > cap // 2  # the cap is what bounds the calls
 

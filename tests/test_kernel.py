@@ -45,7 +45,7 @@ from hetnet_offload import (
     sinr_ccdf,
 )
 from hetnet_offload.association import _TAIL_MASS
-from hetnet_offload.numerics import _DE_DEAD, _live_nodes, decay_integral
+from hetnet_offload.numerics import _DE_CHUNK_ROWS, _DE_DEAD, _live_nodes, decay_integral
 from quad_oracle import conditional_coverage, decay_integral_all_nodes, kernel_exponents
 
 TAUS = np.array([0.0, *np.logspace(-4.0, 6.0, 11), math.inf])
@@ -170,7 +170,8 @@ def _check_against_all_nodes(coefs, expos) -> None:
 
 def test_kernel_matches_all_nodes_on_dense_rate_rows(monkeypatch):
     """Every kernel call of a 5-point theorem1 rate CCDF on dual-RAT at 500
-    users/km^2, whose largest call has one row per (rate, pmf term)."""
+    users/km^2, whose calls hold one row per finite (rate, pmf term), the
+    largest of them several of the kernel's blocks of rows."""
     calls = []
 
     def spy(coefs, expos):
@@ -180,7 +181,8 @@ def test_kernel_matches_all_nodes_on_dense_rate_rows(monkeypatch):
     for module in ("association", "coverage"):
         monkeypatch.setattr(f"hetnet_offload.{module}.decay_integral", spy)
     rate_ccdf(dual_rat_config(user_density=500.0), np.logspace(4.0, 8.0, 5))
-    assert max(coefs.shape[0] for coefs, _ in calls) > 10_000
+    rows = [coefs.shape[0] for coefs, _ in calls]
+    assert sum(rows) > 10_000 and max(rows) > 2 * _DE_CHUNK_ROWS
     for coefs, expos in calls:
         _check_against_all_nodes(coefs, expos)
 

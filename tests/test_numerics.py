@@ -19,13 +19,14 @@ import scipy.special
 from hetnet_offload import NumericalError
 from hetnet_offload.numerics import (
     _BETA_CELLS,
+    _BETA_CHUNK,
     _beta_table,
     _complete_beta,
     _incomplete_beta,
     decay_integral,
     z_integral,
 )
-from beta_oracle import beta_coefs, series_incomplete_beta, series_sums
+from beta_oracle import beta_coefs, gather_incomplete_beta, series_incomplete_beta, series_sums
 from load_oracle import pv_area_moment, stirling2
 from quad_oracle import TIGHT_SETTINGS, QuadratureSettings, decaying_integral, semi_infinite_integral
 
@@ -118,11 +119,13 @@ def test_beta_table_matches_the_series(b):
     """Each tabulated polynomial gives the 54-term series it stands for
     (kept in `beta_oracle.py`) within 2e-15 relative at its interval's
     edges and centre, for x below 1/2 (series in x, exponent s) and above
-    it (series in y = 1 - x, exponent 1-s, offset B(s, 1-s), negated)."""
+    it (series in y = 1 - x, exponent 1-s, offset B(s, 1-s), negated).
+    Column 2k + h holds cell k of half h, centred at (k + 1/2) / 128."""
     s = 1.0 - 2.0 / b
-    table = _beta_table(s)
-    coefs, (centre, e, offset) = table[:-3], table[-3:]
-    upper = np.arange(table.shape[1]) >= _BETA_CELLS
+    coefs, centre, e, offset = _beta_table(s)
+    column = np.arange(coefs.shape[1])
+    upper = column % 2 == 1
+    np.testing.assert_array_equal(centre, (column // 2 + 0.5) / (2 * _BETA_CELLS))
     np.testing.assert_array_equal(e, np.where(upper, 1.0 - s, s))
     np.testing.assert_array_equal(offset, np.where(upper, _complete_beta(s), 0.0))
     for at in (-0.5, 0.0, 0.5):  # lower edge, centre, upper edge of each interval
@@ -130,6 +133,31 @@ def test_beta_table_matches_the_series(b):
         got = sum(coef * (w - centre) ** j for j, coef in enumerate(coefs))
         sums = series_sums(beta_coefs(s), w)
         np.testing.assert_allclose(got, np.where(upper, -sums[1], sums[0]), rtol=2e-15, atol=0.0)
+
+
+@pytest.mark.parametrize("b", [2.05, 2.5, 3.5, 4.0, 6.0, 12.0, 50.0])
+def test_incomplete_beta_is_the_gathered_table_bit_for_bit(b):
+    """The streamed evaluation (blocks of _BETA_CHUNK through reused
+    scratch, each element's centre, exponent and offset looked up by its
+    cell and half) equals the whole-column gather of `beta_oracle.py`
+    bit for bit, compared as uint64: at sizes on and around the block
+    edges, in both halves (a below and above c, and a = c), with zeros
+    and infinities, for a float c and for an array c."""
+    s = 1.0 - 2.0 / b
+    rng = np.random.default_rng(int(b * 100))
+    for size in (0, 1, _BETA_CHUNK - 1, _BETA_CHUNK, _BETA_CHUNK + 1, 3 * _BETA_CHUNK + 5):
+        a = 10.0 ** rng.uniform(-9.0, 9.0, size)
+        a[::7] = 0.7  # a = c for the float offset
+        c = 10.0 ** rng.uniform(-4.0, 4.0, size)
+        c[::5] = a[::5]  # a = c for the array offset
+        if size > 4:
+            a[1:3], c[3:5] = (0.0, math.inf), (0.0, math.inf)  # x = 0, 1 and 1, 0
+        for offset in (0.7, c):
+            got, want = _incomplete_beta(s, a, offset), gather_incomplete_beta(s, a, offset)
+            assert got.shape == want.shape == (size,)
+            np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+        if size > 1:
+            assert (a > c).any() and (a < c).any()  # both halves
 
 
 @pytest.mark.parametrize("b", [2.5, 3.0, 3.5, 4.5, 6.0])
