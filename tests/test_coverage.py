@@ -184,6 +184,24 @@ def test_infinite_threshold_rows_skip_the_kernels_bit_for_bit(config, kernel_row
     assert decay_rows < grid.size * sum(loads.size for loads, _ in stack.leading[0])  # some rows were skipped
 
 
+def test_finite_loads_match_the_products_exactly():
+    """`_finite_loads` counts, per increasing q, the loads whose product
+    q * load is at most the limit, as the products themselves say: also
+    where the quotient limit / q rounds across a load (q at and next to
+    1000 / n), at q = 0 and inf, and for one load (the sinr and meanload
+    routes)."""
+    loads = np.arange(1.0, 301.0)
+    edges = 1000.0 / loads
+    rng = np.random.default_rng(9)
+    q = np.unique(np.concatenate([[0.0, math.inf], edges, np.nextafter(edges, 0.0), np.nextafter(edges, math.inf),
+                                  10.0 ** rng.uniform(-3.0, 4.0, 400)]))
+    for ld, limit in ((loads, 1000.0), (np.ones(1), np.finfo(float).max), (np.array([3.7]), 1000.0)):
+        full, counts = coverage._finite_loads(q, ld, limit)
+        got = [ld.size] * full + counts + [0] * (q.size - full - len(counts))
+        assert got == (np.outer(q, ld) <= limit).sum(axis=1).tolist()
+        assert all(0 < n < ld.size for n in counts)
+
+
 def test_rate_ccdf_monotone_and_weighted():
     config = dual_rat_config()
     rhos = np.logspace(4.0, 8.0, 15)
