@@ -24,14 +24,20 @@ them.  Past u = s the exponent is at least (u/s)^e_min, so from the
 first node where e_min pi/2 sinh t reaches log 746 on, exp(-exponent) is
 0.0 (it is from 745.14 on): those nodes are dropped, which keeps 93-95
 of the 121 on the shipped configs.  Of the nodes kept, every exponent
-of at least 746 is set to inf before the exp: numpy's exp takes a slow
-path for each argument that underflows, about 20 ns an element from 746
-on against 1.2 ns in range, and 4 ns for -inf (numpy 2.4.6, AVX-512).
-On every call checked the results were bit for bit those of all 121
-nodes.  Blocks of rows share
-one buffer of about 1 MB.  The 17,350-row call of a 5-point rate CCDF
-on dual-RAT at 500 users/km^2 took 21.1 ms on all nodes and takes 5.2 ms
-(CPU medians, 2-vCPU Xeon).
+past 700 is clamped to 700 before the exp.  From the least normal's
+edge, 708.4, on, exp(-x) is subnormal or 0.0, and numpy's exp takes a
+slow path for it: about 120 ns an element, against 0.9 ns in range and
+4 ns for -inf (numpy 2.4.6, AVX-512).  A clamped node adds at most
+e^-700 times its weight, below 1e-280, while every row's sum is at
+least about 0.1 e^-K, since its exponent at u = s is at most K: no dead
+node moves a bit of a row.  On every call checked the results were bit
+for bit those of all 121 nodes.  Blocks of rows share one buffer of
+about 1 MB.  The 17,350-row call of a 5-point rate CCDF on dual-RAT at
+500 users/km^2 took 21.1 ms on all nodes and takes 5.2 ms (CPU medians,
+2-vCPU Xeon).  On the calls of that CCDF with the tail cut off, marking
+the dead exponents as inf from 746 on took 5.07 ms, clamping them 4.74
+ms, and clamping the arguments that negated coefficients give directly
+takes 4.40 ms, bit for bit the same.
 
 The interference kernel `z_integral` is an incomplete beta function
 B_x(s, 1-s), from its hypergeometric series (DLMF 8.17.7) on whichever
@@ -75,8 +81,13 @@ _DE_T = np.linspace(-4.0, 4.0, 121)
 _DE_LOG_X = 0.5 * math.pi * np.sinh(_DE_T)  # log(u / s) at the nodes
 _DE_W = (_DE_T[1] - _DE_T[0]) * 0.5 * math.pi * np.cosh(_DE_T) * np.exp(_DE_LOG_X)
 # exp(-x) is exactly 0.0 from x = 745.14 on (below half the least subnormal,
-# 2^-1075); 746 leaves room for rounding in the computed exponent
+# 2^-1075); 746 leaves room for rounding in the computed exponent.  Nodes
+# whose exponent is at least this are dropped.
 _DE_DEAD = 746.0
+# Kept exponents are clamped here: past 708.4 exp(-x) is subnormal and slow
+# to compute, and e^-700 times any node's weight moves no bit of a row
+# (module docstring)
+_DE_CLAMP = 700.0
 _LOG_DEAD = math.log(_DE_DEAD)
 _DE_LOG_X_LIST = _DE_LOG_X.tolist()
 # rows per (rows x nodes) block, so one block of float64 stays near 1 MB and
@@ -93,8 +104,9 @@ def decay_integral(coefs, expos) -> np.ndarray:
 
     When every exponent is 1 the integral is 1 / sum_k coefs[r, k];
     otherwise a fixed 121-node exp-sinh rule (module docstring), with no
-    tolerance to set, that skips the nodes and exp arguments whose
-    integrand value is exactly 0.0.  Returns (rows,).
+    tolerance to set, that skips the nodes whose integrand value is
+    exactly 0.0 and clamps the exp arguments that can change no bit.
+    Returns (rows,).
     """
     coefs = np.atleast_2d(np.asarray(coefs, dtype=float))
     expos = np.asarray(expos, dtype=float)
@@ -131,12 +143,14 @@ def decay_integral(coefs, expos) -> np.ndarray:
             # einsum, not `@`: a BLAS call wakes OpenBLAS worker threads whose
             # spinning slowed the single-threaded work after it by up to 75%
             # on a 2-vCPU machine.  The package loads OpenBLAS with one thread
-            # (__init__.py), but a process that imported numpy first has them
-            np.einsum("rk,kn->rn", scaled, powers, out=block)
-            # numpy's exp is 5x slower on an argument that underflows than
-            # on -inf (module docstring): the dead exponents become inf
-            np.copyto(block, np.inf, where=block >= _DE_DEAD)
-            np.exp(np.negative(block, out=block), out=block)
+            # (__init__.py), but a process that imported numpy first has them.
+            # The negated coefficients give the exp's arguments, negated
+            # exponents, exactly, without a pass over the block.
+            np.einsum("rk,kn->rn", np.negative(scaled, out=scaled), powers, out=block)
+            # numpy's exp is slow where its result is subnormal (module
+            # docstring): the dead exponents are clamped to an in-range one
+            np.maximum(block, -_DE_CLAMP, out=block)
+            np.exp(block, out=block)
             out[idx] = s * np.einsum("rn,n->r", block, weights)
     return out
 

@@ -162,31 +162,36 @@ def test_rate_coverage_unreachable_threshold_is_zero():
 
 
 @pytest.mark.parametrize("config", [two_class_config(), dual_rat_config(), two_class_config(user_density=2000.0)])
-def test_infinite_threshold_rows_skip_the_kernels_bit_for_bit(config, kernel_rows):
+def test_infinite_threshold_rows_skip_the_kernels_bit_for_bit(config, kernel_rows, monkeypatch):
     """On a rate grid whose high loads need t = inf, those rows go to no Z or
-    kernel call, and every curve is bit for bit that of a run that
-    integrates all of the rows, where the infinite ones give exactly 0.0."""
+    kernel call, they integrate to exactly 0.0, and every curve is bit for
+    bit the mix of all the other rows.  The tail cut is off (_TAIL_CUT = 0
+    stops only where the rest is exactly 0.0), and each threshold's rows
+    are one span (_FIRST_BITS = inf), so that each is one sum."""
+    monkeypatch.setattr(coverage, "_TAIL_CUT", 0.0)
+    monkeypatch.setattr(coverage, "_FIRST_BITS", math.inf)
     grid = np.logspace(4.0, 8.0, 20)
     stack = coverage._Stack([config], "theorem1")
     _, per_class, _ = stack.evaluate(grid)
     sent = {what: sum(rows) for what, rows in kernel_rows.items()}
     decay_rows = z_rows = 0
-    for sv, (loads, weights) in zip(stack.classes, stack.leading[0]):
+    for sv, (loads, weights, _) in zip(stack.classes, stack.leading[0]):
         taus = shannon_threshold(np.outer(grid / sv.cls.bandwidth, loads)).ravel()
         decay_rows += np.isfinite(taus).sum()
         z_rows += np.isfinite(taus).sum() * len(sv.d)
-        every = np.empty(taus.size)
-        sv._kernel_call(taus, np.empty((taus.size, sv.expos.size), order="F"), [(0, 0, every)], False)
+        every = sv._coverage(taus, np.empty((taus.size, sv.expos.size), order="F"), [(0, 0, taus.size)], False)
         assert np.all(every[np.isinf(taus)] == 0.0)
-        want = np.einsum("rn,n->r", every.reshape(grid.size, -1), weights)
+        finite = np.isfinite(taus).reshape(grid.size, -1).sum(axis=1)
+        want = [np.einsum("n,n->", row[:n], weights[:n]) for row, n in zip(every.reshape(grid.size, -1), finite)]
         np.testing.assert_array_equal(per_class[sv.cls.id][0], want)
     assert (sent["decay"], sent["z"]) == (decay_rows, z_rows)
-    assert decay_rows < grid.size * sum(loads.size for loads, _ in stack.leading[0])  # some rows were skipped
+    assert decay_rows < grid.size * sum(loads.size for loads, _, _ in stack.leading[0])  # some rows were skipped
 
 
 def test_finite_loads_match_the_products_exactly():
     """`_finite_loads` counts, per increasing q, the loads whose product
-    q * load is at most the limit, as the products themselves say: also
+    q * load is at most the limit, as the products themselves say, into
+    every entry of its output: also
     where the quotient limit / q rounds across a load (q at and next to
     1000 / n), at q = 0 and inf, and for one load (the sinr and meanload
     routes)."""
@@ -196,10 +201,8 @@ def test_finite_loads_match_the_products_exactly():
     q = np.unique(np.concatenate([[0.0, math.inf], edges, np.nextafter(edges, 0.0), np.nextafter(edges, math.inf),
                                   10.0 ** rng.uniform(-3.0, 4.0, 400)]))
     for ld, limit in ((loads, 1000.0), (np.ones(1), np.finfo(float).max), (np.array([3.7]), 1000.0)):
-        full, counts = coverage._finite_loads(q, ld, limit)
-        got = [ld.size] * full + counts + [0] * (q.size - full - len(counts))
-        assert got == (np.outer(q, ld) <= limit).sum(axis=1).tolist()
-        assert all(0 < n < ld.size for n in counts)
+        got = coverage._finite_loads(q, ld, limit, out=np.full(q.size, -1, dtype=np.intp))
+        assert got.tolist() == (np.outer(q, ld) <= limit).sum(axis=1).tolist()
 
 
 def test_rate_ccdf_monotone_and_weighted():
@@ -319,18 +322,21 @@ def test_stacked_mix_on_a_bias_search_grid(kernel_rows):
     """The four-class rate search's 1 dB grid as one stack: one association
     kernel call per serving class for all 41 configs, coverage kernel calls
     that are full but for the last of each class (one call per class where
-    a config has one row), with the values of one-config calls."""
+    a config has one row), with the values of one-config calls.  The cut's
+    later rows join the calls' queue as soon as the rows before them have
+    left the kernel, so that a 5-point theorem1 grid on the same stack fills
+    its calls too."""
     configs = [four_class_config(b23_db=float(b)) for b in range(-20, 21)]
     cap = coverage._BLOCK_COEFS // 6  # rows of six coefficient columns
-    for route in ("theorem1", "meanload", "sinr"):
+    for route, grid in (("theorem1", None), ("meanload", None), ("sinr", None), ("theorem1", np.logspace(4.0, 8.0, 5))):
         for calls in kernel_rows.values():
             calls.clear()
-        coverage._Stack(configs, route).evaluate(None)
+        coverage._Stack(configs, route).evaluate(grid)
         assert kernel_rows["association"] == [41] * 4
         assert max(kernel_rows["decay"]) <= cap and sum(rows < cap for rows in kernel_rows["decay"]) <= 4
         if route != "theorem1":
             assert kernel_rows["decay"] == [41] * 4
-        _assert_stack_equals_singles(configs, None, route)
+        _assert_stack_equals_singles(configs, grid, route)
 
 
 def test_stack_kernel_calls_stay_under_the_row_cap(kernel_rows):
@@ -353,13 +359,13 @@ def test_a_prepared_stack_stops_at_the_row_cap_of_load_terms(monkeypatch):
     per class for every config."""
     configs = [two_class_config(bias_db=float(b), user_density=2000.0) for b in range(-20, 21)]
     stack = coverage._Stack(configs, "theorem1")
-    terms = [sum(loads.size for loads, _ in law) for law in stack.leading]
+    terms = [sum(loads.size for loads, _, _ in law) for law in stack.leading]
     assert 1 <= len(stack.leading) < len(configs)
     assert sum(terms[:-1]) < coverage._STACK_ROWS <= sum(terms)
     assert [sv.probs.size for sv in stack.classes] == [len(configs)] * 2
     sinr = coverage._Stack(configs, "sinr")  # one load of weight 1, every config in one run
     assert len(sinr.leading) == len(configs)
-    assert all(loads.tolist() == weights.tolist() == [1.0] for law in sinr.leading for loads, weights in law)
+    assert all(loads.tolist() == weights.tolist() == [1.0] for law in sinr.leading for loads, weights, _ in law)
 
     runs = []
     real = coverage._Stack._laws
@@ -367,6 +373,83 @@ def test_a_prepared_stack_stops_at_the_row_cap_of_load_terms(monkeypatch):
     values = stack.evaluate(None)[0]
     assert runs[0] == len(stack.leading) and runs == sorted(runs) and len(runs) > 1
     np.testing.assert_array_equal(values, coverage._Stack(configs, "theorem1").evaluate(None)[0])
+
+
+# ---------------------------------------------------------------------------
+# The theorem1 tail cut, held to the uncut mix (_TAIL_CUT = 0 stops only
+# where the rest of a threshold's rows is exactly 0.0)
+# ---------------------------------------------------------------------------
+
+CUT_CASES = {
+    "two_class_sir": (two_class_config(), 20),
+    "dual_rat_500": (dual_rat_config(user_density=500.0), 5),
+    "two_class_2000": (two_class_config(user_density=2000.0), 5),
+    "four_class": (four_class_config(), 5),
+    "dense_venue": (dual_rat_config(user_density=1e5), 3),
+}
+# share of the finite rows the cut may integrate on the 5-point grids of the
+# two dense scenarios
+KEPT_SHARE = {"dual_rat_500": 0.80, "two_class_2000": 0.70}
+
+
+@pytest.fixture
+def mixed_rows(monkeypatch):
+    """The values every `_mix` call adds, per (class, config) sum array and
+    flat position, as a rate call makes them."""
+    rows = {}
+    real = coverage._mix
+
+    def spy(sums, values, weights, lo, hi, carry):
+        rows.setdefault((id(sums.base), weights.size), []).append((lo, values.copy()))
+        return real(sums, values, weights, lo, hi, carry)
+
+    monkeypatch.setattr(coverage, "_mix", spy)
+    return rows
+
+
+@pytest.mark.parametrize("name", list(CUT_CASES))
+def test_tail_cut_holds_the_uncut_mix(name, mixed_rows, kernel_rows, monkeypatch):
+    """On a theorem1 rate CCDF (1e4-1e8 bps), every coverage value with the
+    cut is within 2^-60 relative, plus one rounding, of the same call with
+    the cut off.  Along each threshold's computed rows S_ij does not
+    increase, to 1e-14 relative: the premise of the bound.  On the two
+    dense scenarios the cut keeps at most KEPT_SHARE of the finite rows."""
+    config, points = CUT_CASES[name]
+    grid = np.logspace(4.0, 8.0, points)
+    cut = rate_ccdf(config, grid)
+    kept = sum(kernel_rows["decay"])
+    for (_, size), pieces in mixed_rows.items():
+        per_threshold = {}
+        for lo, values in sorted(pieces, key=lambda piece: piece[0]):
+            for i in range(values.size):
+                per_threshold.setdefault((lo + i) // size, []).append(values[i])
+        for values in per_threshold.values():
+            assert np.all(np.diff(values) <= 1e-14 * np.array(values[:-1]))
+    kernel_rows["decay"].clear()
+    monkeypatch.setattr(coverage, "_TAIL_CUT", 0.0)
+    full = rate_ccdf(config, grid)
+    finite = sum(kernel_rows["decay"])
+    pairs = [(cut.values, full.values)] + [(cut.per_class[cid], full.per_class[cid]) for cid in full.per_class]
+    for got, want in pairs:
+        assert np.all(np.abs(got - want) <= (2.0**-60 + 2.0**-52) * want)
+    differ = sum(int(np.count_nonzero(got != want)) for got, want in pairs)
+    print(f"{name}: {differ} of {sum(want.size for _, want in pairs)} values differ; {kept} of {finite} rows kept")
+    assert kept <= finite
+    if name in KEPT_SHARE:
+        assert kept <= KEPT_SHARE[name] * finite
+
+
+@pytest.mark.parametrize("cap", [3 * 97, coverage._BLOCK_COEFS])
+def test_tail_cut_stack_equals_one_config_calls(cap, monkeypatch):
+    """A dual-RAT bias stack at 500 users/km^2 (about 3,500 pmf terms a
+    config, four configs a run) on a 5-point rate grid, where spans of
+    rows stop at different loads for each config and long segments run
+    across kernel calls that other configs' rows share: each config gets
+    its one-config call's values bit for bit, also when the calls are cut
+    to 97 rows."""
+    monkeypatch.setattr(coverage, "_BLOCK_COEFS", cap)
+    configs = [dual_rat_config(bias_db=b, user_density=500.0) for b in (-6.0, -3.0, 0.0, 3.0, 6.0)]
+    _assert_stack_equals_singles(configs, np.logspace(4.0, 8.0, 5), "theorem1")
 
 
 # ---------------------------------------------------------------------------
@@ -379,7 +462,7 @@ def test_a_prepared_stack_stops_at_the_row_cap_of_load_terms(monkeypatch):
 def test_stack_load_laws_equal_the_pointwise_load_routes(config):
     """On a 41-config bias stack, the theorem1 law of each config and class
     is the tagged-AP pmf's non-zero terms, and the meanload law is
-    1 + (9/7) r, both bit for bit."""
+    1 + (9/7) r, both bit for bit, each with its tail masses."""
     configs = [config.with_bias(SMALL, db_to_linear(float(b))) for b in range(-20, 21)]
     tagged = coverage._Stack(configs, "theorem1")
     mean = coverage._Stack(configs, "meanload")
@@ -389,12 +472,14 @@ def test_stack_load_laws_equal_the_pointwise_load_routes(config):
             dist = tagged_load_distribution(cfg, cls.id)
             pmf = dist.pmf
             n = np.flatnonzero(pmf)
-            loads, weights = tagged.leading[b][i]
+            loads, weights, tails = tagged.leading[b][i]
             np.testing.assert_array_equal(loads, n + 1.0)
             np.testing.assert_array_equal(weights, pmf[n])
-            loads, weights = mean.leading[b][i]
+            assert tails[-1] == 0.0 and np.all(np.diff(tails) <= 0.0) and tails[0] == pytest.approx(math.fsum(weights), rel=1e-15)
+            loads, weights, tails = mean.leading[b][i]
             np.testing.assert_array_equal(loads, [1.0 + 9.0 / 7.0 * dist.ratio])
             np.testing.assert_array_equal(weights, [1.0])
+            np.testing.assert_array_equal(tails, [1.0, 0.0])
 
 
 def test_rate_coverage_integrates_each_association_once(monkeypatch):

@@ -9,8 +9,9 @@ whole threshold grid with `numerics.decay_integral`.  Both must agree to
 random valid configs; with one common exponent and no noise the kernel
 returns its closed form 1 / sum_k c_k, held to the same bound.
 
-The kernel skips the nodes and exp arguments whose integrand value is
-exactly 0.0.  `quad_oracle.decay_integral_all_nodes` evaluates all 121
+The kernel skips the nodes whose integrand value is exactly 0.0, and
+clamps the exp arguments past 700, whose values are too small to move a
+bit of a row.  `quad_oracle.decay_integral_all_nodes` evaluates all 121
 nodes with a plain exp, and the kernel must match it to 1e-15 relative,
 on the rows of a dense rate CCDF and on random coefficient rows, with
 every dropped node's exponent at least 746.
@@ -160,7 +161,10 @@ def test_density_scaling_on_random_configs(config, log_c):
 def _check_against_all_nodes(coefs, expos) -> None:
     """decay_integral within 1e-15 relative of its all-node, plain-exp
     reference, and every dropped node's exponent at least _DE_DEAD, so
-    that its integrand value is 0.0."""
+    that its integrand value is 0.0.  The kept nodes' exponents past
+    _DE_CLAMP are clamped there, so that each such node adds at most
+    e^-700 times its weight where the reference adds a subnormal or 0.0:
+    the bound holds them too."""
     got = decay_integral(coefs, expos)
     np.testing.assert_allclose(got, decay_integral_all_nodes(coefs, expos), rtol=1e-15, atol=0.0)
     if not np.all(np.asarray(expos) == 1.0):
@@ -180,6 +184,7 @@ def test_kernel_matches_all_nodes_on_dense_rate_rows(monkeypatch):
 
     for module in ("association", "coverage"):
         monkeypatch.setattr(f"hetnet_offload.{module}.decay_integral", spy)
+    monkeypatch.setattr("hetnet_offload.coverage._TAIL_CUT", 0.0)  # every finite row: the tail cut keeps about 9,000
     rate_ccdf(dual_rat_config(user_density=500.0), np.logspace(4.0, 8.0, 5))
     rows = [coefs.shape[0] for coefs, _ in calls]
     assert sum(rows) > 10_000 and max(rows) > 2 * _DE_CHUNK_ROWS
