@@ -36,10 +36,10 @@ its coverage rows.  The work is split in two: a `_Stack`
 holds what does not depend on the threshold (association, the G rows and
 D offsets of each config, load laws), and its `evaluate` builds and
 integrates the rows at a threshold grid, so that a percentile solve
-prepares its config once and evaluates every step.  A row at an infinite
-threshold, as a rate grid's highest loads need, is the exact 0.0 it
-integrates to, and goes to neither Z nor the kernel: only the finite rows
-get a threshold, built block by block in reused scratch.
+prepares its config once and evaluates every step.  The rows are built
+block by block in reused scratch.  A row at an infinite threshold, as a
+rate grid's highest loads need (2^x overflows past x = 1024), is a row
+like any other: Z and the kernel integrate it to exactly 0.0.
 
 A theorem1 rate integrates a threshold's loads only as far as they can
 change its value.  S_ij(t) does not increase with t: the D and noise
@@ -50,7 +50,8 @@ most S_ij(t_{N-1}) T(N), where T(N) is the law's mass from N on (its
 `tails`, summed once per law).  Both are known once row N-1 is
 integrated, and the rows of a threshold stop at the first N where that
 bound is at most _TAIL_CUT = 2^-60 of the sum mixed so far; a bound of 0
-stops only where S_ij has underflowed to 0.0 or no mass is left.  The
+stops only where S_ij is 0.0 (its threshold is inf, or it underflowed)
+or no mass is left, so the first row at t = inf ends its threshold.  The
 dropped tail is thus below 2^-60 of the value, at most 1/128 of the
 spacing of doubles there (2^-53 to 2^-52 relative): it can move a value
 by at most one rounding, so that a printed digit (the CSV files' 9
@@ -73,6 +74,7 @@ not mixed at all.
 
 from __future__ import annotations
 
+import bisect
 import math
 from collections import deque
 from dataclasses import dataclass
@@ -95,21 +97,6 @@ from .numerics import AREA_BIAS_FACTOR, TAGGED_CELL_SHAPE, decay_integral, z_int
 
 class ClosedFormInapplicableError(ValueError):
     """A closed-form path was requested outside its validity conditions."""
-
-
-def shannon_threshold(x):
-    """SINR needed for spectral efficiency x: t(x) = 2^x - 1.
-
-    Accepts a scalar or an array; past 1000 bits/s/Hz the threshold is inf,
-    and 2^x is computed only up to there (an overflowing exp2 is slow).
-    """
-    x_arr = np.asarray(x, dtype=float)
-    if not np.all(x_arr >= 0.0):
-        raise ValueError(f"spectral efficiency must be non-negative (got {x})")
-    t = np.full(x_arr.shape, math.inf)
-    finite = x_arr <= _FINITE_RATE
-    np.subtract(np.exp2(x_arr, out=t, where=finite), 1.0, out=t, where=finite)
-    return float(t) if t.ndim == 0 else t
 
 
 @dataclass(frozen=True)
@@ -187,9 +174,6 @@ _TAIL_CUT = 2.0**-60
 # at least _FIRST_ROWS of them, so that a law that short takes one span.
 _FIRST_BITS = 64.0
 _FIRST_ROWS = 128
-# t(x) = 2^x - 1 is inf past x = 1000 (`shannon_threshold`); a SINR is inf only at inf
-_FINITE_RATE = 1000.0
-_FINITE_SINR = np.finfo(float).max
 
 
 class _Serving:
@@ -230,42 +214,33 @@ class _Serving:
         them.  When a span's rows have left the kernel, a threshold whose
         last row certifies the cut (module docstring) is done; any other
         queues the rows up to where S's asymptotic decay, t^(-2/alpha_ij),
-        predicts the cut.  A load at an infinite threshold is the 0.0 it
-        integrates to, and no kernel row.  The rows go to the kernel in
-        calls of at most _BLOCK_COEFS coefficients, streamed through one
-        set of scratch arrays, and are mixed as they leave it
-        (`_mix_call`).
+        predicts the cut.  A load whose threshold is inf is a row like any
+        other: it integrates to 0.0, so the span it lies in ends on 0.0,
+        and that ends the threshold.  The rows go to the kernel in calls of
+        at most _BLOCK_COEFS coefficients, streamed through one set of
+        scratch arrays, and are mixed as they leave it (`_mix_call`).
         """
-        q, limit = (x / self.cls.bandwidth, _FINITE_RATE) if rate else (x, _FINITE_SINR)
+        q = x / self.cls.bandwidth if rate else x
         sizes = [loads.size for loads, _, _ in laws]
-        stop = np.empty((len(laws), x.size), dtype=np.intp)
-        for b, (loads, _, _) in enumerate(laws):
-            _finite_loads(q, loads, limit, out=stop[b])
-        done = stop.copy()
-        if max(sizes) > _FIRST_ROWS:
-            # at q = 0, every load: the quotient is then 2^66, more than any law holds
-            reach = np.maximum(_FIRST_BITS / np.maximum(q, 2.0**-60), _FIRST_ROWS)
-            np.minimum(stop, reach, out=done, casting="unsafe")
-        # as q increases, each config's first rows fall: the thresholds
-        # taken whole come first, and join into one span, and those with no
-        # finite load come last
+        # each threshold's loads up to _FIRST_BITS, which fall as q increases,
+        # negated for bisect (at q = 0, every load: the quotient is then 2^66,
+        # more than any law holds)
+        reach = (-_FIRST_BITS / np.maximum(q, 2.0**-60)).tolist()
+        # the thresholds taken whole come first, and join into one span
         whole, partial = [], []
-        for b, (row, size) in enumerate(zip(done.tolist(), sizes)):
-            n = row.count(size)
+        for b, size in enumerate(sizes):
+            n = bisect.bisect_right(reach, -size) if size > _FIRST_ROWS else len(reach)
             if n:
                 whole.append((b, 0, n * size))
-            for k in range(n, len(row)):
-                if not row[k]:
-                    break
-                partial.append((b, k * size, k * size + row[k]))
-        sums, last = np.zeros(stop.shape), np.zeros(stop.shape)
+            partial += [(b, k * size, k * size + max(int(-reach[k]), _FIRST_ROWS)) for k in range(n, len(reach))]
+        sums = np.zeros((len(laws), x.size))
         rows = max(_BLOCK_COEFS // self.expos.size, 1)
         # coefficient columns contiguous, as the kernel wants them
         taus, coefs = np.empty(rows), np.empty((rows, self.expos.size), order="F")
         # the partial thresholds first, so that their next rows are known
         # while the whole ones fill the calls
         queue = deque(partial + whole)
-        pieces, used, carry = [], 0, None
+        pieces, used, carry = [], 0, (np.empty(max(sizes)), 0)
         while queue or pieces:
             if queue and used < rows:
                 b, lo, hi = queue.popleft()
@@ -276,24 +251,25 @@ class _Serving:
                 if lo + m < hi:
                     queue.appendleft((b, lo + m, hi))
                 continue
-            carry, ended = self._mix_call(first, pieces, taus[:used], coefs[:used], laws, sums, last, rate, carry)
+            carry, ended = self._mix_call(first, pieces, taus[:used], coefs[:used], laws, sums, rate, carry)
             pieces, used = [], 0
-            for b, k in ended:
-                m, tails = done[b, k], laws[b][2]
-                if m == stop[b, k] or last[b, k] * tails[m] <= _TAIL_CUT * sums[b, k]:
+            for b, k, n, last in ended:
+                tails = laws[b][2]
+                if last * tails[n] <= _TAIL_CUT * sums[b, k]:
                     continue
                 # S falls by 2^-decay a load at large thresholds
                 decay = 2.0 / self.cls.exponent * q[k]
-                done[b, k] = _predicted_cut(m, stop[b, k], last[b, k], sums[b, k], decay, tails)
-                queue.append((b, k * sizes[b] + m, k * sizes[b] + done[b, k]))
+                start = k * sizes[b]
+                queue.append((b, start + n, start + _predicted_cut(n, last, sums[b, k], decay, tails)))
         return sums
 
-    def _mix_call(self, first: int, pieces: list, taus, coefs, laws, sums, last, rate: bool, carry):
+    def _mix_call(self, first: int, pieces: list, taus, coefs, laws, sums, rate: bool, carry):
         """One kernel call: pieces (b, at, lo, m, hi) put rows lo..lo + m of
         a span of config b ending at hi at taus[at : at + m], and their
         values are mixed into sums[b] (`_mix`).  Returns the carry of `_mix`
-        into the next call, and (b, k) for each span that ended, its last
-        row's value in last[b, k]."""
+        into the next call, and (b, k, n, last) for each span that ended:
+        threshold k of config b has its first n loads mixed, S_ij = last at
+        the n-th."""
         spans = []  # each config's rows of the call, which are contiguous in it
         for b, at, _, m, _ in pieces:
             if spans and spans[-1][0] == first + b:
@@ -303,86 +279,87 @@ class _Serving:
         values = self._coverage(taus, coefs, spans, rate)
         ended = []
         for b, at, lo, m, hi in pieces:
-            weights = laws[b][1]
-            carry = _mix(sums[b], values[at : at + m], weights, lo, hi, carry)
+            weights, scale = laws[b][1], math.pi * self.cls.density / self.probs[first + b]
             if lo + m == hi:
-                ended.append((b, (hi - 1) // weights.size))
-                last[ended[-1]] = values[at + m - 1]
+                k, n = divmod(hi - 1, weights.size)
+                ended.append((b, k, n + 1, values[at + m - 1] * scale))  # before `_mix` scales it
+            carry = _mix(sums[b], values[at : at + m], scale, weights, lo, hi, carry)
         return carry, ended
 
     def _coverage(self, taus: np.ndarray, coefs: np.ndarray, spans: list, rate: bool) -> np.ndarray:
         """S_ij at the rows of one kernel call, config b's at rows lo..hi of
-        each span (b, lo, hi).  taus holds x / W * load for a rate, made
-        SINRs here in place; coefs is the call's coefficient scratch.
+        each span (b, lo, hi), each still to be multiplied by its config's
+        pi lam_ij / A_ij (`_mix` does).  taus holds x / W * load for a rate,
+        made SINRs here in place; coefs is the call's coefficient scratch.
 
         S_ij(tau) = pi lam_ij / A_ij * integral_0^inf exp(-sum_k c_k u^e_k) du
         in u = y^2, with pi G and pi D terms and, for a noisy RAT, the noise
         term tau sigma^2 / P u^(alpha/2): one row of coefficients per tau.
         """
-        if rate:
-            np.subtract(np.exp2(taus, out=taus), 1.0, out=taus)
         ng = self.g.shape[1]
         for b, lo, hi in spans:
             coefs[lo:hi, :ng] = self.g[b]
-        # a D coefficient past the float range is inf, and its row integrates to 0
+        # a threshold or D coefficient past the float range is inf, and its row integrates to 0
         with np.errstate(over="ignore"):
+            if rate:
+                np.subtract(np.exp2(taus, out=taus), 1.0, out=taus)
             for col, (e, scale, offsets) in enumerate(self.d, ng):
                 np.multiply(z_integral(taus, e, _offsets(offsets, spans, taus.size)), scale, out=coefs[:, col])
         if self.noise > 0.0:
             np.multiply(taus, self.noise, out=coefs[:, -1])
-        kernel = decay_integral(coefs, self.expos)
-        for b, lo, hi in spans:
-            kernel[lo:hi] *= math.pi * self.cls.density / self.probs[b]
-        return kernel
+        return decay_integral(coefs, self.expos)
 
 
-def _mix(sums: np.ndarray, values: np.ndarray, weights: np.ndarray, lo: int, hi: int, carry):
-    """Add values[i] * weights[n], at flat positions lo + i = k * L + n of a
-    span ending at hi, to sums[k], with L = weights.size.
+def _mix(sums: np.ndarray, values: np.ndarray, scale: float, weights: np.ndarray, lo: int, hi: int, carry):
+    """Add scale * values[i] * weights[n], at flat positions lo + i = k * L
+    + n of a span ending at hi, to sums[k], with L = weights.size.
 
-    A segment, one threshold's rows of a span, is summed whole by one
-    einsum (see decay_integral), so that a sum does not depend on where
-    kernel calls split its rows, nor on the other configs of a stack.  A
-    segment that the values end inside is carried into the next call as
-    (buffer, count), its values so far; a carry given here is continued
-    first.  Returns the carry, or None.
+    A segment, one threshold's rows of a span, is scaled and then summed
+    whole by one einsum (see decay_integral), so that a sum does not depend
+    on where kernel calls split its rows, nor on the other configs of a
+    stack.  A segment that the values end inside is scaled straight into
+    the buffer of carry = (buffer, count), count of its values so far, and
+    continued there by the next call; a count of 0 carries nothing.
+    Returns the carry.  The values are scaled in place.
     """
     size, end = weights.size, lo + values.size
-    if carry is not None:
-        buffer, count = carry
+    buffer, count = carry
+    if count:
         k, n = divmod(lo - count, size)
         stop = min(hi, (k + 1) * size)
         take = min(end, stop) - lo
-        buffer[count : count + take] = values[:take]
+        np.multiply(values[:take], scale, out=buffer[count : count + take])
         if lo + take < stop:
             return buffer, count + take
         sums[k] += np.einsum("n,n->", buffer[: count + take], weights[n : n + count + take])
         values, lo = values[take:], stop
-    while lo < end:
+    # the values up to the start of a segment they end inside
+    tail = end if end == hi or not end % size else max(lo, end - end % size)
+    if lo < tail:
+        values[: tail - lo] *= scale
+    while lo < tail:
         k, n = divmod(lo, size)
         stop = min(hi, lo - n + size)
-        if stop > end:
-            buffer = np.empty(size)
-            buffer[: end - lo] = values
-            return buffer, end - lo
         if stop - lo < size:
             sums[k] += np.einsum("n,n->", values[: stop - lo], weights[n : n + stop - lo])
             values, lo = values[stop - lo :], stop
         else:  # whole rows, each its own segment
-            whole = (end - lo) // size
+            whole = (tail - lo) // size
             sums[k : k + whole] += np.einsum("rn,n->r", values[: whole * size].reshape(whole, size), weights)
             values, lo = values[whole * size :], lo + whole * size
-    return None
+    if tail < end:
+        np.multiply(values, scale, out=buffer[: end - tail])
+    return buffer, end - tail
 
 
-def _predicted_cut(m: int, stop: int, last: float, head: float, decay: float, tails: np.ndarray) -> int:
+def _predicted_cut(m: int, last: float, head: float, decay: float, tails: np.ndarray) -> int:
     """Where a threshold's rows should stop, m of them mixed into `head`,
     the m-th of value `last`: the first n > m at which last 2^(-decay (n -
-    m)) tails[n] <= _TAIL_CUT head, at most `stop`.  S falls by 2^-decay a
-    load at large thresholds, where every term of the integrand grows as
-    t^(2/alpha_ij); head stands in for the larger head at n.  The test
-    only gets easier as n grows, so n is found by bisection."""
-    bound = _TAIL_CUT * head
+    m)) tails[n] <= _TAIL_CUT head, at most the law's size.  S falls by
+    2^-decay a load at large thresholds, where every term of the integrand
+    grows as t^(2/alpha_ij); head stands in for the larger head at n.  The
+    test only gets easier as n grows, so n is found by bisection."""
+    stop, bound = tails.size - 1, _TAIL_CUT * head
     if not bound > 0.0:
         return stop
     need = math.log2(last / bound)
@@ -395,23 +372,6 @@ def _predicted_cut(m: int, stop: int, last: float, head: float, decay: float, ta
         else:
             lo = n + 1
     return lo
-
-
-def _finite_loads(q: np.ndarray, loads: np.ndarray, limit: float, out: np.ndarray) -> np.ndarray:
-    """out[k] = how many of the loads (increasing) keep q[k] * load at most
-    `limit`, for q increasing."""
-    full = int((q * loads[-1]).searchsorted(limit, side="right"))
-    some = full if loads.size == 1 else int((q * loads[0]).searchsorted(limit, side="right"))
-    out[:full] = loads.size
-    out[some:] = 0
-    if some > full:
-        qp = q[full:some]  # each has between 1 and loads.size - 1 finite loads
-        n = np.clip(loads.searchsorted(limit / qp, side="right"), 1, loads.size - 1)
-        # the quotient is rounded: step to where the product itself passes the limit
-        n -= qp * loads[n - 1] > limit
-        n += qp * loads[n] <= limit
-        out[full:some] = n
-    return out
 
 
 def _products(dest: np.ndarray, q: np.ndarray, loads: np.ndarray, start: int) -> None:
@@ -477,12 +437,13 @@ class _Stack:
         class cid, and weights[cid][b] its association probability A_cid.
         """
         base = self.configs[0]
-        own, what = (base.rate_threshold_for, "rate") if self.rate else (base.sinr_threshold_for, "SINR")
-        grids = []
-        for sv in self.classes:
-            x = np.array([own(sv.cls.id)]) if thresholds is None else np.asarray(thresholds, dtype=float)
-            _check_grid(x, what)
-            grids.append(x)
+        if thresholds is None:  # checked with the config
+            own = base.rate_threshold_for if self.rate else base.sinr_threshold_for
+            grids = [np.array([own(sv.cls.id)]) for sv in self.classes]
+        else:
+            x = np.asarray(thresholds, dtype=float)
+            _check_grid(x, "rate" if self.rate else "SINR")
+            grids = [x] * len(self.classes)
         curves = [[] for _ in self.classes]
         first = 0
         while first < len(self.configs):

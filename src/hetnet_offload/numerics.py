@@ -32,12 +32,7 @@ e^-700 times its weight, below 1e-280, while every row's sum is at
 least about 0.1 e^-K, since its exponent at u = s is at most K: no dead
 node moves a bit of a row.  On every call checked the results were bit
 for bit those of all 121 nodes.  Blocks of rows share one buffer of
-about 1 MB.  The 17,350-row call of a 5-point rate CCDF on dual-RAT at
-500 users/km^2 took 21.1 ms on all nodes and takes 5.2 ms (CPU medians,
-2-vCPU Xeon).  On the calls of that CCDF with the tail cut off, marking
-the dead exponents as inf from 746 on took 5.07 ms, clamping them 4.74
-ms, and clamping the arguments that negated coefficients give directly
-takes 4.40 ms, bit for bit the same.
+about 1 MB.
 
 The interference kernel `z_integral` is an incomplete beta function
 B_x(s, 1-s), from its hypergeometric series (DLMF 8.17.7) on whichever

@@ -28,7 +28,6 @@ from hetnet_offload.coverage import (
     ClosedFormInapplicableError,
     rate_coverage_closed_form,
     rate_coverage_mean_load,
-    shannon_threshold,
 )
 from hetnet_offload import association, coverage, offload, tagged_load_distribution
 from quad_oracle import conditional_coverage, mean_load_rate_coverage
@@ -36,35 +35,6 @@ from test_kernel import network_configs
 
 MACRO = ClassId(1, 1)
 SMALL = ClassId(2, 3)
-
-
-def test_shannon_threshold_values():
-    """tau = 2^x - 1 with saturation instead of overflow."""
-    assert shannon_threshold(0.0) == 0.0
-    assert shannon_threshold(1.0) == pytest.approx(1.0)
-    assert shannon_threshold(3.0) == pytest.approx(7.0)
-    assert shannon_threshold(0.5) == pytest.approx(math.sqrt(2.0) - 1.0, rel=1e-12)
-    assert math.isinf(shannon_threshold(4000.0))
-    with pytest.raises(ValueError):
-        shannon_threshold(-0.1)
-
-
-def test_shannon_threshold_is_exp2_where_finite_bit_for_bit():
-    """2^x - 1 up to x = 1000 and inf past it, bit for bit that of exp2 on
-    every element, with no overflow computed (warnings are errors here):
-    at the edges, past exp2's own overflow at 1024, and on a random array."""
-    x = np.concatenate([[0.0, 1000.0, np.nextafter(1000.0, 2000.0), 1023.99, 1024.0, 1e300],
-                        np.random.default_rng(5).uniform(0.0, 1100.0, 5000)])
-    with np.errstate(over="ignore"):
-        want = np.where(x > 1000.0, math.inf, np.exp2(x) - 1.0)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        got = shannon_threshold(x)
-        scalars = [shannon_threshold(float(v)) for v in x[:6]]
-    np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
-    assert all(type(v) is float for v in scalars)
-    np.testing.assert_array_equal(np.array(scalars).view(np.uint64), want[:6].view(np.uint64))
-    assert got[2:6].tolist() == [math.inf] * 4 and got[0] == 0.0
 
 
 def test_mixed_access_quartic_offsets():
@@ -157,52 +127,84 @@ def test_rate_coverage_zero_threshold_is_one():
 
 
 def test_rate_coverage_unreachable_threshold_is_zero():
-    """Rates needing > 1000 bits/s/Hz at every load are impossible."""
+    """A rate that needs more than 1024 bits/s/Hz at every load has an
+    infinite SINR threshold there (2^x - 1 overflows), which no user meets."""
     assert rate_coverage(dual_rat_config(), rho_common=1e13) == 0.0
 
 
+@pytest.mark.parametrize("config", [two_class_config(), dual_rat_config()], ids=["two_class", "dual_rat"])
+def test_rate_coverage_is_positive_while_one_load_has_a_finite_threshold(config):
+    """On 10 MHz classes a rate rho needs 2^(rho / 1e7 * n) - 1 at load n:
+    up to 1.024e10 bit/s the typical user alone on its AP meets a finite,
+    if huge, threshold, so coverage is positive, tiny and non-increasing;
+    past it every load's threshold is inf, and coverage is exactly 0.0.
+    The CCDF and the one-rate calls agree, and numpy warns of nothing."""
+    rhos = [1.005e10, 1.01e10, 1.02e10, 1.0239e10, 1.03e10, math.inf]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        curve = rate_ccdf(config, rhos)
+        points = [rate_coverage(config, rho_common=rho) for rho in rhos]
+    assert np.all(curve.values[:4] > 0.0) and np.all(np.diff(curve.values[:4]) <= 0.0)
+    assert curve.values[4:].tolist() == [0.0, 0.0]
+    assert points == curve.values.tolist()
+
+
+def _rate_rows(config, grid):
+    """Per open class of a one-config theorem1 stack: its law, the rows x / W
+    * load of every (rate, load) pair, and where their SINR thresholds are inf."""
+    stack = coverage._Stack([config], "theorem1")
+    for sv, law in zip(stack.classes, stack.leading[0]):
+        bits = np.outer(grid / sv.cls.bandwidth, law[0]).ravel()
+        with np.errstate(over="ignore"):
+            yield sv, law, bits, np.isinf(np.exp2(bits))
+
+
 @pytest.mark.parametrize("config", [two_class_config(), dual_rat_config(), two_class_config(user_density=2000.0)])
-def test_infinite_threshold_rows_skip_the_kernels_bit_for_bit(config, kernel_rows, monkeypatch):
-    """On a rate grid whose high loads need t = inf, those rows go to no Z or
-    kernel call, they integrate to exactly 0.0, and every curve is bit for
-    bit the mix of all the other rows.  The tail cut is off (_TAIL_CUT = 0
-    stops only where the rest is exactly 0.0), and each threshold's rows
-    are one span (_FIRST_BITS = inf), so that each is one sum."""
+def test_infinite_threshold_rows_integrate_to_zero_bit_for_bit(config, kernel_rows, mixed_rows, monkeypatch):
+    """A row at t = inf is a row like any other: it integrates to exactly
+    0.0, and the cut ends its threshold there.
+
+    With the cut off (_TAIL_CUT = 0 stops only where the rest is exactly
+    0.0) and each threshold's rows one span (_FIRST_BITS = inf), every
+    row of a rate grid whose high loads need t = inf goes to the kernel,
+    and each curve is bit for bit one einsum over its rows of one all-rows
+    `_coverage` call.  With the cut on, which acts at a span's end, and
+    first spans of one row, a threshold whose second load needs t = inf
+    ends its rows on that load; with the shipped first spans, it ends
+    them where its first span does."""
     monkeypatch.setattr(coverage, "_TAIL_CUT", 0.0)
     monkeypatch.setattr(coverage, "_FIRST_BITS", math.inf)
     grid = np.logspace(4.0, 8.0, 20)
-    stack = coverage._Stack([config], "theorem1")
-    _, per_class, _ = stack.evaluate(grid)
-    sent = {what: sum(rows) for what, rows in kernel_rows.items()}
-    decay_rows = z_rows = 0
-    for sv, (loads, weights, _) in zip(stack.classes, stack.leading[0]):
-        taus = shannon_threshold(np.outer(grid / sv.cls.bandwidth, loads)).ravel()
-        decay_rows += np.isfinite(taus).sum()
-        z_rows += np.isfinite(taus).sum() * len(sv.d)
-        every = sv._coverage(taus, np.empty((taus.size, sv.expos.size), order="F"), [(0, 0, taus.size)], False)
-        assert np.all(every[np.isinf(taus)] == 0.0)
-        finite = np.isfinite(taus).reshape(grid.size, -1).sum(axis=1)
-        want = [np.einsum("n,n->", row[:n], weights[:n]) for row, n in zip(every.reshape(grid.size, -1), finite)]
+    _, per_class, _ = coverage._Stack([config], "theorem1").evaluate(grid)
+    sent = sum(kernel_rows["decay"]), sum(kernel_rows["z"])
+    rows = z_rows = infinite = 0
+    for sv, (loads, weights, _), bits, inf in _rate_rows(config, grid):
+        scale = math.pi * sv.cls.density / sv.probs[0]
+        every = sv._coverage(bits.copy(), np.empty((bits.size, sv.expos.size), order="F"), [(0, 0, bits.size)], True)
+        every *= scale
+        assert np.all(every[inf] == 0.0)
+        infinite += np.count_nonzero(inf)
+        want = [np.einsum("n,n->", row, weights) for row in every.reshape(grid.size, -1)]
         np.testing.assert_array_equal(per_class[sv.cls.id][0], want)
-    assert (sent["decay"], sent["z"]) == (decay_rows, z_rows)
-    assert decay_rows < grid.size * sum(loads.size for loads, _, _ in stack.leading[0])  # some rows were skipped
+        rows += bits.size
+        z_rows += bits.size * len(sv.d)
+    assert sent == (rows, z_rows)
+    assert infinite > 0
 
-
-def test_finite_loads_match_the_products_exactly():
-    """`_finite_loads` counts, per increasing q, the loads whose product
-    q * load is at most the limit, as the products themselves say, into
-    every entry of its output: also
-    where the quotient limit / q rounds across a load (q at and next to
-    1000 / n), at q = 0 and inf, and for one load (the sinr and meanload
-    routes)."""
-    loads = np.arange(1.0, 301.0)
-    edges = 1000.0 / loads
-    rng = np.random.default_rng(9)
-    q = np.unique(np.concatenate([[0.0, math.inf], edges, np.nextafter(edges, 0.0), np.nextafter(edges, math.inf),
-                                  10.0 ** rng.uniform(-3.0, 4.0, 400)]))
-    for ld, limit in ((loads, 1000.0), (np.ones(1), np.finfo(float).max), (np.array([3.7]), 1000.0)):
-        got = coverage._finite_loads(q, ld, limit, out=np.full(q.size, -1, dtype=np.intp))
-        assert got.tolist() == (np.outer(q, ld) <= limit).sum(axis=1).tolist()
+    monkeypatch.undo()
+    grid = np.array([6e9, 1.005e10, 1.0239e10, 1.03e10, 2e10, math.inf])  # 600 to inf bits a load
+    for first_rows in (1, coverage._FIRST_ROWS):
+        monkeypatch.setattr(coverage, "_FIRST_ROWS", first_rows)
+        mixed_rows.clear()
+        rate_ccdf(config, grid)
+        for (sv, (loads, _, _), _, inf), pieces in zip(_rate_rows(config, grid), mixed_rows.values()):
+            ends = inf.reshape(grid.size, -1).argmax(axis=1) + 1  # through the first load at t = inf
+            mixed = np.zeros(inf.size, dtype=bool)
+            for lo, values in pieces:
+                mixed[lo : lo + values.size] = True
+                assert np.all(values[inf[lo : lo + values.size]] == 0.0)
+            counts = ends if first_rows == 1 else np.full(grid.size, min(loads.size, first_rows))
+            np.testing.assert_array_equal(mixed.reshape(grid.size, -1), np.arange(loads.size) < counts[:, None])
 
 
 def test_rate_ccdf_monotone_and_weighted():
@@ -399,9 +401,9 @@ def mixed_rows(monkeypatch):
     rows = {}
     real = coverage._mix
 
-    def spy(sums, values, weights, lo, hi, carry):
-        rows.setdefault((id(sums.base), weights.size), []).append((lo, values.copy()))
-        return real(sums, values, weights, lo, hi, carry)
+    def spy(sums, values, scale, weights, lo, hi, carry):
+        rows.setdefault((id(sums.base), weights.size), []).append((lo, values * scale))
+        return real(sums, values, scale, weights, lo, hi, carry)
 
     monkeypatch.setattr(coverage, "_mix", spy)
     return rows
