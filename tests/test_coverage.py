@@ -37,6 +37,43 @@ MACRO = ClassId(1, 1)
 SMALL = ClassId(2, 3)
 
 
+def _shannon_thresholds(x):
+    """The SINR thresholds 2^x - 1 that a rate's `_coverage` call makes in
+    place of its rows x = rho / W * load, on a one-config theorem1 stack."""
+    sv = coverage._Stack([two_class_config()], "theorem1").classes[0]
+    taus = np.array(x, dtype=float)
+    sv._coverage(taus, np.empty((taus.size, sv.expos.size), order="F"), [(0, 0, taus.size)], True)
+    return taus
+
+
+def test_shannon_threshold_values():
+    """tau = 2^x - 1 with saturation instead of overflow; a negative rate
+    has no threshold."""
+    taus = _shannon_thresholds([0.0, 1.0, 3.0, 0.5, 4000.0])
+    assert taus[0] == 0.0
+    assert taus[1] == pytest.approx(1.0)
+    assert taus[2] == pytest.approx(7.0)
+    assert taus[3] == pytest.approx(math.sqrt(2.0) - 1.0, rel=1e-12)
+    assert math.isinf(taus[4])
+    with pytest.raises(ValueError):
+        rate_coverage(two_class_config(), rho_common=-0.1)
+
+
+def test_shannon_threshold_is_exp2_where_finite_bit_for_bit():
+    """2^x - 1 bit for bit that of exp2 on every element, inf where exp2
+    overflows (past x = 1024), with no overflow computed (warnings are
+    errors here): at the edges, past the overflow, and on a random array."""
+    x = np.concatenate([[0.0, 1000.0, np.nextafter(1000.0, 2000.0), 1023.99, 1024.0, 1e300],
+                        np.random.default_rng(5).uniform(0.0, 1100.0, 5000)])
+    with np.errstate(over="ignore"):
+        want = np.exp2(x) - 1.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _shannon_thresholds(x)
+    np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+    assert np.all(np.isfinite(got[:4])) and got[4:6].tolist() == [math.inf] * 2 and got[0] == 0.0
+
+
 def test_mixed_access_quartic_offsets():
     """Quartic-exponent tier: arctan closed form of the interference terms,
     offset 1 for the open class (beyond the serving distance) and offset 0
