@@ -2,9 +2,9 @@
 
 Each subcommand (analyze sinr, analyze rate, simulate, sweep bias, optimize
 bias, compare) is one row of `_COMMANDS`: its words, handler, help text and
-flags.  A call builds the parsers of the row it names alone, and of every
-row when it names none; a filtered level spells its choices from the whole
-table, so help and error text are the same (`build_parser`).  A handler
+flags.  A call that names a row parses with that row's leaf alone; the
+whole tree (`build_parser`) handles help, --version, unknown commands and
+extras the leaf does not know, so all their text is the tree's.  A handler
 takes (config, args) and returns the text of each output file and a
 message; `_run` writes them into --output next to a manifest.json of the
 flags, seed, tool version and wall-clock duration, and only once the
@@ -18,9 +18,11 @@ first calls them: `load_config` needs only model and numerics.
 
 from __future__ import annotations
 
+import functools
 import importlib
 import json
 import math
+import shutil
 import sys
 import time
 from pathlib import Path
@@ -192,15 +194,12 @@ def load_config(path: str | Path) -> NetworkConfig:
     )
 
 
-def _fmt(x) -> str:
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    return f"{float(x):.9g}"
+_CELL = "{:.9g}"  # every number of a CSV, nine significant digits
 
 
-def _csv(header: list[str], rows) -> str:
-    lines = [",".join(header)]
-    lines += [",".join(_fmt(v) for v in row) for row in rows]
+def _csv(header: list[str], columns) -> str:
+    row = ",".join([_CELL] * len(header))
+    lines = [",".join(header), *(row.format(*values) for values in np.column_stack(columns).tolist())]
     return "\n".join(lines) + "\n"
 
 
@@ -216,8 +215,7 @@ def _curve_csv(config: NetworkConfig, x_name: str, xs, y_name: str, curve) -> st
     """One row per grid point: x, the overall curve, each open class's curve."""
     open_ids = [c.id for c in config.open_classes()]
     header = [x_name, y_name] + [f"cond_{_col(c)}" for c in open_ids]
-    rows = [[x, curve.values[k]] + [curve.per_class[c][k] for c in open_ids] for k, x in enumerate(xs)]
-    return _csv(header, rows)
+    return _csv(header, [xs, curve.values, *(curve.per_class[c] for c in open_ids)])
 
 
 def _one_file(args, name: str, text: str) -> tuple[dict[str, str], str]:
@@ -292,7 +290,7 @@ def _analyze_rate(config: NetworkConfig, args):
         text = _curve_csv(config, "rho_bps", grid, "coverage", _late("rate_ccdf")(config, grid))
     else:  # the overall curve alone
         values = _late("_Stack")([config], args.method).evaluate(grid)[0][0]
-        text = _csv(["rho_bps", "coverage"], zip(grid, values))
+        text = _csv(["rho_bps", "coverage"], [grid, values])
     return _one_file(args, "rate_ccdf.csv", text)
 
 
@@ -333,7 +331,7 @@ def _sweep_bias(config: NetworkConfig, args):
     pairs = _late("bias_sweep")(
         config, target, grid, metric=metric, coverage_target=args.coverage_target, method=args.method
     )
-    return _one_file(args, "bias_sweep.csv", _csv(["bias_db", metric], pairs))
+    return _one_file(args, "bias_sweep.csv", _csv(["bias_db", metric], list(zip(*pairs))))
 
 
 def _optimize_bias(config: NetworkConfig, args):
@@ -367,11 +365,10 @@ def _compare(config: NetworkConfig, args):
     analytic = _late("rate_ccdf")(config, grid).values
     empirical = _late("run_batch")(config, _settings(args), rate_grid=grid).rate_ccdf.values
     gap = np.abs(analytic - empirical)
-    rows = [[grid[k], analytic[k], empirical[k], gap[k]] for k in range(len(grid))]
     k = int(gap.argmax())
     blob = {"max_gap": float(gap[k]), "argmax_rho_bps": float(grid[k]), "trials": args.trials}
     files = {
-        "compare_rate.csv": _csv(["rho_bps", "analytic", "empirical", "abs_gap"], rows),
+        "compare_rate.csv": _csv(["rho_bps", "analytic", "empirical", "abs_gap"], [grid, analytic, empirical, gap]),
         "compare_summary.json": _json(blob),
     }
     return files, f"max |analytic - empirical| = {gap[k]:.5f} at rho = {grid[k]:.4g} bps"
@@ -423,48 +420,51 @@ _COMMANDS = (
         "--rho-grid": dict(default="1e4:1e8:20"),
     }),
 )
-_GROUPS = {
-    "analyze": "analytic coverage curves", "sweep": "parameter sweeps", "optimize": "bias optimization"
-}
+_GROUPS = {"analyze": "analytic coverage curves", "sweep": "parameter sweeps", "optimize": "bias optimization"}
 
 
-def build_parser(argv: list[str]) -> argparse.ArgumentParser:
-    """The parser of the command that `argv` names, or of every command.
-
-    When the leading tokens of `argv` are a row's words, only that row is
-    built (the top parser, its group and its leaf); otherwise (--help,
-    --version, a missing or unknown command) every row is, so argparse
-    reports against every choice.  A filtered level lists only part of its
-    choices, so its metavar spells them from the whole table, as argparse
-    would; the whole tree keeps no metavar, as its errors name a level by
-    its dest.
-    """
+def _parser(*words: str, **kwargs) -> argparse.ArgumentParser:
+    """A parser of prog `hetnet-offload *words`; its help width is read once, not at each use."""
     import argparse
 
-    rows = [cmd for cmd in _COMMANDS if cmd.words == tuple(argv[:len(cmd.words)])]
+    formatter = functools.partial(argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2)
+    return argparse.ArgumentParser(prog=" ".join(("hetnet-offload", *words)), formatter_class=formatter, **kwargs)
 
-    def choices(prefix: tuple[str, ...]) -> dict:
-        names = dict.fromkeys(cmd.words[len(prefix)] for cmd in _COMMANDS if cmd.words[:len(prefix)] == prefix)
-        return {"metavar": "{" + ",".join(names) + "}"} if rows else {}
 
-    parser = argparse.ArgumentParser(
-        prog="hetnet-offload",
-        description="Multi-RAT heterogeneous network coverage analysis and offload design",
-    )
+def _leaf(parser: argparse.ArgumentParser, cmd: _Command) -> argparse.ArgumentParser:
+    parser.add_argument("--config", required=True)
+    dests = [parser.add_argument(flag, **kwargs).dest for flag, kwargs in cmd.flags.items()]
+    parser.add_argument("--output", "-o", default=".")
+    parser.set_defaults(run=cmd, flag_dests=dests)
+    return parser
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The whole tree: the top parser, a group per shared first word and a
+    leaf per row of `_COMMANDS`, all at one help width."""
+    parser = _parser(description="Multi-RAT heterogeneous network coverage analysis and offload design")
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
-    top = parser.add_subparsers(dest="command", required=True, **choices(()))
+    top = parser.add_subparsers(dest="command", required=True)
     groups = {}
-    for cmd in rows or _COMMANDS:
+    for cmd in _COMMANDS:
         head, *rest = cmd.words
         if rest and head not in groups:
-            group = top.add_parser(head, help=_GROUPS[head])
-            groups[head] = group.add_subparsers(dest="what", required=True, **choices((head,)))
-        p = groups[head].add_parser(rest[0], help=cmd.help) if rest else top.add_parser(head, help=cmd.help)
-        p.add_argument("--config", required=True)
-        dests = [p.add_argument(flag, **kwargs).dest for flag, kwargs in cmd.flags.items()]
-        p.add_argument("--output", "-o", default=".")
-        p.set_defaults(run=cmd, flag_dests=dests)
+            group = top.add_parser(head, help=_GROUPS[head], formatter_class=parser.formatter_class)
+            groups[head] = group.add_subparsers(dest="what", required=True)
+        level = groups[head] if rest else top
+        _leaf(level.add_parser(cmd.words[-1], help=cmd.help, formatter_class=parser.formatter_class), cmd)
     return parser
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """`argv` parsed by the leaf of the row it names alone (its errors are the
+    tree's), or by the whole tree if it names none or leaves the leaf extras."""
+    for cmd in _COMMANDS:
+        if cmd.words == tuple(argv[:len(cmd.words)]):
+            args, extras = _leaf(_parser(*cmd.words), cmd).parse_known_args(argv[len(cmd.words):])
+            if not extras:
+                return args
+    return build_parser().parse_args(argv)
 
 
 def _parameters(args) -> dict:
@@ -517,7 +517,7 @@ def _merge_grid_flags(argv: list[str]) -> list[str]:
 def main(argv=None) -> int:
     argv = _merge_grid_flags(list(sys.argv[1:] if argv is None else argv))
     try:
-        args = build_parser(argv).parse_args(argv)
+        args = _parse(argv)
     except SystemExit as e:
         # argparse exits 2 on a usage error, which here means a numerical failure
         return 1 if e.code == 2 else e.code

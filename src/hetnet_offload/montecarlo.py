@@ -304,21 +304,25 @@ def sample_deployment(cls: ApClass, settings: SimSettings, rng: np.random.Genera
 _DIST_BLOCK = 32_768  # distances per block of `_min_dist2`'s (sites x points) matrix
 
 
-def _min_dist2(points: np.ndarray, sites: np.ndarray) -> np.ndarray:
+def _min_dist2(points: np.ndarray, sites: np.ndarray, scratch: np.ndarray) -> np.ndarray:
     """Squared distance from each point to its nearest site (inf when there
     is no site).
 
     The distances form a (sites x points) matrix, built in blocks of about
-    _DIST_BLOCK entries over the points; its minimum runs down the columns,
-    an elementwise minimum of whole rows.
+    _DIST_BLOCK entries over the points in `scratch`, the caller's reused
+    (2, _DIST_BLOCK) buffer (a fresh one if a column is longer), so that no
+    trial faults in its own; the minimum runs down the columns.
     """
+    n = sites.shape[0]
     out = np.empty(points.shape[0])
-    step = max(1, _DIST_BLOCK // max(1, sites.shape[0]))
+    step = max(1, _DIST_BLOCK // max(1, n))
+    scratch = scratch if n <= scratch.shape[1] else np.empty((2, n))
     for s in range(0, points.shape[0], step):
         blk = points[s : s + step]
-        d2 = np.subtract.outer(sites[:, 0], blk[:, 0])
+        d2, dy = scratch[:, : n * blk.shape[0]].reshape(2, n, blk.shape[0])
+        np.subtract.outer(sites[:, 0], blk[:, 0], out=d2)
         d2 *= d2
-        dy = np.subtract.outer(sites[:, 1], blk[:, 1])
+        np.subtract.outer(sites[:, 1], blk[:, 1], out=dy)
         dy *= dy
         d2 += dy
         d2.min(axis=0, initial=np.inf, out=out[s : s + step])
@@ -398,14 +402,15 @@ def _strip(
     cu: np.ndarray,
     cd2: np.ndarray,
     w_srv: np.ndarray,
+    scratch: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The users (positions cu, squared distances cd2 to the tagged AP, and
     the tagged AP's weights w_srv at them) that no class-`cls` site of
     `sites` outweighs.  Ties go to the tagged AP against its own class and
-    any later one."""
+    any later one.  `scratch` is `_min_dist2`'s."""
     if sites.shape[0] == 0 or cu.shape[0] == 0:
         return cu, cd2, w_srv
-    w_other = cls.weight * _min_dist2(cu, sites) ** (-cls.exponent / 2.0)
+    w_other = cls.weight * _min_dist2(cu, sites, scratch) ** (-cls.exponent / 2.0)
     keep = w_srv >= w_other if serving.id <= cls.id else w_srv > w_other
     return cu.compress(keep, axis=0), cd2.compress(keep), w_srv.compress(keep)
 
@@ -423,6 +428,7 @@ def _tagged_user_count(
     users: np.ndarray,
     own_d2: np.ndarray,
     reach2: np.ndarray,
+    scratch: np.ndarray,
 ) -> int:
     """Number of users associated with the tagged AP (exact, pruned).
 
@@ -462,13 +468,13 @@ def _tagged_user_count(
             # A site's weight falls with its distance, so a user beats the
             # class's nearest site iff it beats the nearest of each stage.
             sites = sites[np.argsort(d_s2[sites])]
-            cu, cd2, w_srv = _strip(cls, serving, pts[sites[:_NEAR_SITES]], cu, cd2, w_srv)
+            cu, cd2, w_srv = _strip(cls, serving, pts[sites[:_NEAR_SITES]], cu, cd2, w_srv, scratch)
             if cu.shape[0] == 0:
                 break
             rest = sites[_NEAR_SITES:]
             cut = np.searchsorted(d_s2[rest], _strip_reach2(cls, serving, cd2), side="right")
             sites = rest[:cut]
-        cu, cd2, w_srv = _strip(cls, serving, pts[sites], cu, cd2, w_srv)
+        cu, cd2, w_srv = _strip(cls, serving, pts[sites], cu, cd2, w_srv, scratch)
     return int(cu.shape[0])
 
 
@@ -494,6 +500,7 @@ class _Plan:
         self.keys = [_class_key(c.id) for c in self.classes]
         if config.user_density > 0.0:
             self.keys.append(_USER_KEY)
+        self.scratch = np.empty((2, _DIST_BLOCK))  # `_min_dist2`'s, for every trial of the block
 
     def stream_states(self, start: int, stop: int) -> list[np.ndarray]:
         """The seed words of trials start..stop-1, one (trials, 4) array per
@@ -571,7 +578,7 @@ def _trial(plan: _Plan, states) -> tuple[int, float, float, int, float, list[int
         own_d2, reach2 = _octant_reach2(own, sidx, serving.density)
         users = _users_near(config, settings, rngs[-1], own[sidx], math.sqrt(reach2.max()))
         open_points = {classes[k].id: points[k] for k in plan.open_slots}
-        load += _tagged_user_count(config, open_points, serving, sidx, users, own_d2, reach2)
+        load += _tagged_user_count(config, open_points, serving, sidx, users, own_d2, reach2, plan.scratch)
 
     rate = serving.bandwidth / load * math.log2(1.0 + sinr)
     return rank, sdist, sinr, load, rate, counts
@@ -582,10 +589,8 @@ def _run_block(config: NetworkConfig, settings: SimSettings, start: int, stop: i
     states = plan.stream_states(start, stop)
     n = stop - start
     serving = np.empty(n, dtype=np.int16)
-    dist = np.empty(n)
-    sinr = np.empty(n)
+    dist, sinr, rate = np.empty((3, n))
     load = np.empty(n, dtype=np.int64)
-    rate = np.empty(n)
     counts = np.empty((n, len(plan.classes)), dtype=np.int64)
     with np.errstate(divide="ignore"):
         for k in range(n):
@@ -633,16 +638,11 @@ def run_batch(
     else:
         results = [_run_block(*t) for t in tasks]
 
-    serving = np.concatenate([r[0] for r in results])
-    dist = np.concatenate([r[1] for r in results])
-    sinr = np.concatenate([r[2] for r in results])
-    load = np.concatenate([r[3] for r in results])
-    rate = np.concatenate([r[4] for r in results])
-    count_sum = sum(r[5] for r in results)
+    serving, dist, sinr, load, rate, counts = zip(*results)
+    serving, dist, sinr, load, rate = map(np.concatenate, (serving, dist, sinr, load, rate))
 
     trials = settings.trials
     open_classes = config.open_classes()
-    present = config.present_classes()
 
     far = int(np.sum(dist[serving >= 0] > settings.window_km / 4.0))
     if far:
@@ -666,7 +666,7 @@ def run_batch(
     sinr_vals = _ccdf(sinr, sinr_grid)
     rate_vals = _ccdf(rate, rate_grid)
 
-    mean_count = {cls.id: count_sum[k] / trials for k, cls in enumerate(present)}
+    mean_count = {cls.id: count / trials for cls, count in zip(config.present_classes(), sum(counts))}
     area = settings.window_km**2
     mean_cell_area = {
         cid: freq[cid] * area / mean_count[cid] if mean_count[cid] > 0 else math.nan

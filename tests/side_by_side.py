@@ -21,6 +21,9 @@ error is compared by its message.
 
 Time: each operation of `_ops` runs once a round on each side, back to
 back, and the side that goes first alternates from round to round.  The
+`cli` operations are in-process `cli.main` calls, each side writing into
+its own folder of one temporary directory, so a CLI command's own cost
+(parsing, writing the files) is timed with its model work.  The
 script prints the median CPU time (time.process_time) per call on each
 side, the change, and in how many rounds this checkout was faster.  One
 warm-up call per side comes first.
@@ -29,12 +32,15 @@ warm-up call per side comes first.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import importlib
 import importlib.util
+import io
 import json
 import math
 import statistics
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -103,10 +109,27 @@ def compare(this, other) -> dict:
     return table
 
 
-def _ops(pkg) -> dict:
-    """name -> call of the timed operations, on pkg's own configs."""
+def _main(pkg, argv: list[str]) -> None:
+    """pkg's `cli.main(argv)`, its message discarded; a failing exit code raises."""
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = pkg.cli.main(argv)
+    if code:
+        raise RuntimeError(f"{' '.join(argv)}: exit code {code}")
+
+
+def _ops(pkg, out: Path) -> dict:
+    """name -> call of the timed operations, on pkg's own configs; the CLI
+    operations write into `out`."""
     cov, off = pkg.coverage, pkg.offload
     cfg = {p.stem: pkg.cli.load_config(p) for p in SCENARIOS}
+    cli = {
+        "cli analyze sinr 81 dual_rat_users_off": ["analyze", "sinr", "--tau-grid-db", "-20:60:1"],
+        "cli analyze sinr 41 four_class": ["analyze", "sinr", "--tau-grid-db", "-10:30:1"],
+        "cli analyze rate 5 dual_rat_500": ["analyze", "rate", "--method", "theorem1", "--rho-grid", "1e4:1e8:5"],
+    }
+    paths = {p.stem: str(p) for p in SCENARIOS}
+    cli = {op: lambda op=op, argv=argv: _main(pkg, [*argv, "--config", paths[op.split()[-1]], "-o", str(out)])
+           for op, argv in cli.items()}
     small = pkg.ClassId(2, 3)
     stack = cov._Stack([cfg["two_class_2000"]], "theorem1")
     ops = {f"rate_ccdf 5 {name}": (name, 5) for name in ("two_class_2000", "dual_rat_500", "four_class", "two_rat_three_tier")}
@@ -118,21 +141,22 @@ def _ops(pkg) -> dict:
         "optimal_bias_rate two_class_2000": lambda: off.optimal_bias_rate(cfg["two_class_2000"], small, (-20.0, 20.0)),
         "percentile_rate 0.95 two_class_2000": lambda: off.percentile_rate(cfg["two_class_2000"], 0.95),
         "_Stack.evaluate [379] two_class_2000": lambda: stack.evaluate([379.0]),
-    }
+    } | cli
 
 
 def race(this, other, rounds: int) -> dict:
     """op -> (this's CPU seconds, other's), one each a round."""
-    sides = [_ops(this), _ops(other)]
-    times = {op: ([], []) for op in sides[0]}
-    for r in range(-1, rounds):  # round -1 warms up
-        order = (0, 1) if r % 2 == 0 else (1, 0)
-        for op in times:
-            for side in order:
-                start = time.process_time()
-                sides[side][op]()
-                if r >= 0:
-                    times[op][side].append(time.process_time() - start)
+    with tempfile.TemporaryDirectory() as tmp:
+        sides = [_ops(this, Path(tmp) / "this"), _ops(other, Path(tmp) / "other")]
+        times = {op: ([], []) for op in sides[0]}
+        for r in range(-1, rounds):  # round -1 warms up
+            order = (0, 1) if r % 2 == 0 else (1, 0)
+            for op in times:
+                for side in order:
+                    start = time.process_time()
+                    sides[side][op]()
+                    if r >= 0:
+                        times[op][side].append(time.process_time() - start)
     return times
 
 

@@ -416,6 +416,10 @@ PARSER_ARGVS = [
     ["simulate", "--trials", "many", *_X],  # bad type
     ["optimize", "bias", "--mode", "rate", "--bracket-lo-db", "low", *_X],
     ["sweep", "bias", "--range-db", "0:5:5", "--metric", "sir", *_X],  # no --class
+    ["sweep", "bias", "--class", "2,3", "--range-db", "0:5:5", "--metric", "sir", "--method", "exact", *_X],
+    ["analyze", "sinr", *_X, "-o"],  # a flag without its value
+    ["sweep", "bias", "--conf", "x.json", "--class", "2,3", "--metric", "sir"],  # abbreviated, no --range-db
+    ["analyze", "rate", *_X, "--version"],  # --version after a valid command
 ]
 
 
@@ -428,12 +432,12 @@ def _main_text(argv, capsys):
 @pytest.mark.parametrize("columns", ["100", "40"])
 @pytest.mark.parametrize("argv", PARSER_ARGVS, ids=lambda argv: " ".join(argv) or "(none)")
 def test_parser_text_is_the_whole_trees(argv, columns, capsys, monkeypatch):
-    """A call builds only its command's parser, yet prints the help, usage
-    and error text, and exits with the code, of the whole tree."""
+    """A call that names a command parses with its leaf alone, yet prints
+    the help, usage and error text, and exits with the code, of the whole
+    tree."""
     monkeypatch.setenv("COLUMNS", columns)
     got = _main_text(argv, capsys)
-    whole = cli.build_parser
-    monkeypatch.setattr(cli, "build_parser", lambda argv: whole([]))
+    monkeypatch.setattr(cli, "_parse", lambda argv: cli.build_parser().parse_args(argv))
     assert _main_text(argv, capsys) == got
     assert got[0] in (0, 1)
 
@@ -447,27 +451,29 @@ def test_whole_tree_names_its_subcommands_by_dest(capsys):
     assert "error: the following arguments are required: command" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize(
-    "words, parsers",
-    [
-        (("analyze", "sinr"), 3),
-        (("analyze", "rate"), 3),
-        (("simulate",), 2),
-        (("sweep", "bias"), 3),
-        (("optimize", "bias"), 3),
-        (("compare",), 2),
-        ((), 10),
-    ],
-)
-def test_a_call_builds_only_its_commands_parsers(words, parsers, capsys, monkeypatch):
-    """A named command builds the top parser, its group and its leaf; a call
-    that names none builds the whole tree, every time (no cache)."""
+_WHOLE_TREE = 10  # the top parser, three groups and six leaves
+
+
+_BUILDS = [
+    *(([*cmd.words, "--help"], 1) for cmd in cli._COMMANDS),
+    (["--help"], _WHOLE_TREE),
+    (["analyze", "--help"], _WHOLE_TREE),
+    (["analyze", "sinr", *_X, "--extra"], 1 + _WHOLE_TREE),  # the leaf leaves an extra
+    (["simulate", *_X, "stray"], 1 + _WHOLE_TREE),
+]
+
+
+@pytest.mark.parametrize("argv, parsers", _BUILDS, ids=[" ".join(argv) for argv, _ in _BUILDS])
+def test_a_call_builds_only_its_commands_parsers(argv, parsers, capsys, monkeypatch):
+    """A named command builds its leaf parser alone; a call that names none,
+    or whose leaf leaves extras, builds the whole tree; every call builds
+    its parsers again (no cache)."""
     built = []
     real = argparse.ArgumentParser.__init__
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", lambda self, *a, **k: built.append(1) or real(self, *a, **k))
     for _ in range(2):
         built.clear()
-        assert main([*words, "--help"]) == 0
+        assert main(argv) in (0, 1)
         assert len(built) == parsers
 
 
@@ -498,6 +504,16 @@ def test_non_finite_numbers_exit_1(tmp_path, key, value):
     with pytest.raises(ConfigValidationError):
         load_config(path)
     assert main(["analyze", "sinr", "--config", path, "-o", str(tmp_path / "out")]) == 1
+
+
+def test_csv_writes_each_value_as_its_own_nine_digit_format():
+    """One row format for the table equals formatting value by value, on
+    signed zeros, the smallest subnormal and normal, long and huge values,
+    infinities and nan; an integer column is written as floats."""
+    values = [0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1 / 3, 123456789.5, 1e16, math.inf, -math.inf, math.nan]
+    columns = [values, values[::-1], np.arange(len(values))]
+    want = ["a,b,c"] + [",".join(f"{float(x):.9g}" for x in row) for row in zip(*columns)]
+    assert cli._csv(["a", "b", "c"], columns) == "\n".join(want) + "\n"
 
 
 def test_analyze_sinr_csv_matches_library(tmp_path):
@@ -556,7 +572,7 @@ def test_analyze_rate_meanload_matches_pointwise(tmp_path, monkeypatch, config_n
     """The meanload CSV, one stacked evaluation of the grid, equals the
     pointwise mean-load rate coverage within 1e-12 at every point (written
     at full precision for the comparison)."""
-    monkeypatch.setattr(cli, "_fmt", lambda x: repr(float(x)))
+    monkeypatch.setattr(cli, "_CELL", "{!r}")
     path = ROOT / "configs" / f"{config_name}.json"
     out = tmp_path / "ml"
     assert main(["analyze", "rate", "--config", str(path), "--method", "meanload", "-o", str(out)]) == 0

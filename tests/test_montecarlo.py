@@ -176,7 +176,7 @@ def test_pruned_count_equals_exhaustive_count(config, n_trials, monkeypatch):
         points, _, serving, sidx, users = _trial_pieces(config, settings, trial)
         own_d2, reach2 = _octant_reach2(points[serving.id], sidx, serving.density)
         calls.clear()
-        fast = _tagged_user_count(config, points, serving, sidx, users, own_d2, reach2)
+        fast = _tagged_user_count(config, points, serving, sidx, users, own_d2, reach2, _scratch())
         slow = tagged_user_count_reference(config, points, serving, sidx, users)
         assert fast == slow, f"trial {trial}: {fast} != {slow}"
         staged = _was_staged(calls, serving, points[serving.id], sidx)
@@ -213,7 +213,7 @@ def test_ties_go_to_the_tagged_ap_within_its_class(sidx, monkeypatch):
     calls = _staged_spy(monkeypatch)
     own_d2, reach2 = _octant_reach2(points[MACRO], sidx, 2.0)
     with np.errstate(divide="ignore"):  # some users sit on a site
-        count = _tagged_user_count(config, points, macro, sidx, _GRID_USERS, own_d2, reach2)
+        count = _tagged_user_count(config, points, macro, sidx, _GRID_USERS, own_d2, reach2, _scratch())
     assert _was_staged(calls, macro, points[MACRO], sidx)
     assert count == 17 * 9
     assert count == tagged_user_count_reference(config, points, macro, sidx, _GRID_USERS)
@@ -238,7 +238,7 @@ def test_ties_across_classes_go_to_the_smaller_class_id(serving_id, want):
     users = _GRID_USERS + points[serving_id][0]
     own_d2, reach2 = _octant_reach2(points[serving_id], 0, 1.0)
     with np.errstate(divide="ignore"):  # some users sit on a site
-        count = _tagged_user_count(config, points, serving, 0, users, own_d2, reach2)
+        count = _tagged_user_count(config, points, serving, 0, users, own_d2, reach2, _scratch())
     assert count == want
     assert count == tagged_user_count_reference(config, points, serving, 0, users)
 
@@ -555,6 +555,11 @@ def test_ccdf_equals_broadcast_count(case):
     assert np.array_equal(_ccdf(values[:0], grid), np.zeros_like(grid))
 
 
+def _scratch():
+    """A `_min_dist2` scratch buffer full of stale values (nan)."""
+    return np.full((2, _DIST_BLOCK), np.nan)
+
+
 def _broadcast_min_dist2(points, sites):
     d2 = (points[:, 0, None] - sites[None, :, 0]) ** 2 + (points[:, 1, None] - sites[None, :, 1]) ** 2
     return d2.min(axis=1, initial=np.inf)
@@ -564,11 +569,11 @@ def _broadcast_min_dist2(points, sites):
 @pytest.mark.parametrize("n_sites", [0, 1, 42])
 def test_min_dist2_equals_broadcast_formula(n_points, n_sites):
     """The (sites x points) kernel is the broadcast formula bit for bit (inf
-    with no site)."""
+    with no site), whatever its scratch buffer held before."""
     rng = np.random.default_rng(n_points * 100 + n_sites)
     points = rng.uniform(-3.0, 3.0, size=(n_points, 2))
     sites = rng.uniform(-3.0, 3.0, size=(n_sites, 2))
-    got = _min_dist2(points, sites)
+    got = _min_dist2(points, sites, _scratch())
     assert got.shape == (n_points,)
     assert np.array_equal(got, _broadcast_min_dist2(points, sites))
     if n_sites == 0:
@@ -577,14 +582,19 @@ def test_min_dist2_equals_broadcast_formula(n_points, n_sites):
 
 @pytest.mark.parametrize("n_sites", [1, 12, 42, _DIST_BLOCK + 1])
 def test_min_dist2_is_exact_across_block_boundaries(n_sites):
-    """Point counts either side of one and two blocks of the kernel."""
+    """Point counts either side of one and two blocks of the kernel, every
+    call reusing one scratch buffer (too short for a column of
+    _DIST_BLOCK + 1 sites, which gets a fresh one) and leaving it
+    untouched beyond its blocks."""
     step = max(1, _DIST_BLOCK // n_sites)
     rng = np.random.default_rng(n_sites)
     sites = rng.uniform(-3.0, 3.0, size=(n_sites, 2))
+    scratch = _scratch()
     for n_points in (step - 1, step, step + 1, 2 * step + 1):
         points = rng.uniform(-3.0, 3.0, size=(n_points, 2))
-        got = _min_dist2(points, sites)
+        got = _min_dist2(points, sites, scratch)
         assert np.array_equal(got, _broadcast_min_dist2(points, sites)), n_points
+    assert np.isnan(scratch[:, n_sites * step:]).all()
 
 
 _LOAD_IDS = [ClassId(1, 1), ClassId(1, 2), ClassId(2, 2), ClassId(2, 3)]
@@ -634,7 +644,7 @@ def test_pruned_count_equals_oracle_on_random_configs(n_classes, params, user_de
     with pytest.MonkeyPatch.context() as monkeypatch:
         calls = _staged_spy(monkeypatch)
         with np.errstate(divide="ignore"):
-            fast = _tagged_user_count(config, points, serving, sidx, users, own_d2, reach2)
+            fast = _tagged_user_count(config, points, serving, sidx, users, own_d2, reach2, _scratch())
     if _was_staged(calls, serving, points[serving.id], sidx):
         event("staged serving-class check")
     assert fast == tagged_user_count_reference(config, points, serving, sidx, users)
