@@ -1,4 +1,5 @@
-"""Minor page faults of the rate path, counted in a fresh process.
+"""Minor page faults of the rate path and of loaded Monte Carlo trials,
+counted in a fresh process.
 
 A rate CCDF streams its (rate, load) rows through block-sized scratch
 arrays that stay below glibc's 128 KiB mmap threshold, so once the
@@ -60,3 +61,30 @@ def test_back_to_back_rate_ccdfs_stay_within_the_fault_budget():
     faults = json.loads(out.stdout.strip().splitlines()[-1])
     assert len(faults) == 8
     assert max(faults) < FAULT_BUDGET, faults
+
+
+_MC_PROBE = """
+import json, resource, sys
+from hetnet_offload import cli
+from hetnet_offload.montecarlo import SimSettings, _run_block
+config = cli.load_config(sys.argv[1])
+settings = SimSettings(trials=1024, seed=3)
+_run_block(config, settings, 0, 512)  # warm-up block
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+_run_block(config, settings, 512, 1024)
+print(json.dumps((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 512))
+"""
+# per loaded trial; with fresh (sites x users) distance temporaries in
+# every load count the same block took 25-42 faults a trial
+MC_FAULT_BUDGET = 4
+
+
+def test_loaded_trials_reuse_their_distance_scratch():
+    """A 512-trial two_class_sir block after a warm-up block: its load
+    counts write their distance blocks into the block's scratch buffer, so
+    a trial takes fewer than MC_FAULT_BUDGET minor faults."""
+    config = str(ROOT / "configs" / "two_class_sir.json")
+    env = {k: v for k, v in os.environ.items() if not k.startswith("MALLOC_")}
+    out = subprocess.run([sys.executable, "-c", _MC_PROBE, config], env={**env, "PYTHONPATH": SRC},
+                         capture_output=True, text=True, check=True)
+    assert json.loads(out.stdout.strip().splitlines()[-1]) < MC_FAULT_BUDGET
