@@ -440,8 +440,8 @@ def _leaf(parser: argparse.ArgumentParser, cmd: _Command) -> argparse.ArgumentPa
 
 
 def build_parser() -> argparse.ArgumentParser:
-    """The whole tree: the top parser, a group per shared first word and a
-    leaf per row of `_COMMANDS`, all at one help width."""
+    """The whole tree, at one help width: it parses help, --version, unknown
+    commands and extras; a call that names a row parses with its leaf (`_parse`)."""
     parser = _parser(description="Multi-RAT heterogeneous network coverage analysis and offload design")
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     top = parser.add_subparsers(dest="command", required=True)
